@@ -1,9 +1,20 @@
 """Covered/obscured partition of a 3D mask against a coronal 2D mask.
 
-The 2D mask is extruded along y; reference voxels inside the extrusion
-are "covered", the rest are "obscured". Counts are exact integers and
+The paper's definition extrudes the 2D mask along y: reference voxels
+inside the extrusion are "covered", the rest are "obscured". Every voxel
+of one (z, x) column lies inside the extrusion when pixel (z, x) of the
+2D mask is set, and outside it otherwise. So with ``cols[z, x]`` the
+number of reference voxels in column (z, x),
+
+    covered  = sum of cols over the pixels the 2D mask sets
+    obscured = sum of cols - covered
+
+These are the same integers the voxel-by-voxel split counts, computed
+from one pass over the reference and no 3D temporary. The counts
 partition the reference, so covered_ml + obscured_ml == total_ml holds
 bit-exactly (one shared voxel-volume factor, applied once at the end).
+``extrude_mask`` with ``overlap_mask``/``obscured_mask`` is the
+voxel-by-voxel reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -13,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BothEmpty, EmptyReference, GeometryMismatch
-from .grid import Mask2D, Mask3D, voxel_volume_ml
-from .projection import extrude_mask
+from .grid import GridGeometry, Mask2D, Mask3D, voxel_volume_ml
 
 
 def _require_same_grid(a: Mask3D, b: Mask3D) -> None:
@@ -103,25 +113,6 @@ def agreement(a, b) -> AgreementReport:
     return AgreementReport(_combined_label(a.label, b.label), kind, dice(a, b), jaccard(a, b))
 
 
-def obscured_fraction(reference: Mask3D, mask2d: Mask2D) -> float:
-    """Percent of reference voxels outside the extruded 2D mask.
-
-    Spacing-invariant: a pure count ratio, times 100.
-    """
-    g = reference.geometry
-    if (mask2d.nx, mask2d.nz) != (g.nx, g.nz) or (mask2d.sx, mask2d.sz) != (g.sx, g.sz):
-        raise GeometryMismatch(
-            f"2D mask plane ({mask2d.nx}x{mask2d.nz} @ {mask2d.sx},{mask2d.sz}) does not "
-            f"match grid ({g.nx}x{g.nz} @ {g.sx},{g.sz})"
-        )
-    total = reference.voxel_count
-    if total == 0:
-        raise EmptyReference("obscured fraction undefined: reference mask empty")
-    cover = extrude_mask(mask2d, g.ny, g.sy)
-    obscured = int(np.count_nonzero(reference.bits & ~cover.bits))
-    return 100.0 * obscured / total
-
-
 @dataclass(frozen=True)
 class LabelMeasures:
     """Volumes for one label: exact voxel counts plus derived ml."""
@@ -160,14 +151,28 @@ class ConcordanceReport:
         }
 
 
-def _measure(reference: Mask3D, mask2d: Mask2D) -> LabelMeasures:
-    g = reference.geometry
-    total = reference.voxel_count
+def _column_counts(mask: Mask3D) -> np.ndarray:
+    """Mask voxels in each (z, x) column along y, shape (nz, nx).
+
+    The dtype is the smallest unsigned type that holds ny, so the sum
+    cannot overflow.
+    """
+    ny = mask.geometry.ny
+    return mask.bits.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(ny))
+
+
+def _measure(cols: np.ndarray, g: GridGeometry, mask2d: Mask2D) -> LabelMeasures:
+    """Partition the reference whose column counts are ``cols``."""
+    if (mask2d.nx, mask2d.nz) != (g.nx, g.nz) or (mask2d.sx, mask2d.sz) != (g.sx, g.sz):
+        raise GeometryMismatch(
+            f"2D mask plane ({mask2d.nx}x{mask2d.nz} @ {mask2d.sx},{mask2d.sz}) does not "
+            f"match grid ({g.nx}x{g.nz} @ {g.sx},{g.sz})"
+        )
+    total = int(cols.sum(dtype=np.int64))
     if total == 0:
-        raise EmptyReference("cannot analyze an empty reference mask")
-    cover = extrude_mask(mask2d, g.ny, g.sy)
-    covered = int(np.count_nonzero(reference.bits & cover.bits))
-    obscured = int(np.count_nonzero(reference.bits & ~cover.bits))
+        raise EmptyReference("obscured fraction undefined: reference mask empty")
+    covered = int(cols[mask2d.bits].sum(dtype=np.int64))
+    obscured = total - covered
     vv = voxel_volume_ml(g)
     covered_ml = covered * vv
     obscured_ml = obscured * vv
@@ -182,6 +187,30 @@ def _measure(reference: Mask3D, mask2d: Mask2D) -> LabelMeasures:
     )
 
 
+def obscured_fraction(reference: Mask3D, mask2d: Mask2D) -> float:
+    """Percent of reference voxels outside the extruded 2D mask.
+
+    Spacing-invariant: a pure count ratio, times 100.
+    """
+    return _measure(_column_counts(reference), reference.geometry, mask2d).obscured_fraction_pct
+
+
+def _union_column_counts(right: Mask3D, left: Mask3D,
+                         cols_r: np.ndarray, cols_l: np.ndarray) -> np.ndarray:
+    """Column counts of right | left without a 3D union.
+
+    |R| + |L| - |R & L| per column; the intersection is counted only in
+    the columns where both masks have voxels, and none do when the
+    lungs are disjoint in projection. The result is at most ny, so it
+    fits the column dtype.
+    """
+    inter = np.zeros_like(cols_l)
+    zs, xs = np.nonzero((cols_r > 0) & (cols_l > 0))
+    if zs.size:
+        inter[zs, xs] = np.count_nonzero(right.bits[zs, :, xs] & left.bits[zs, :, xs], axis=1)
+    return cols_r + (cols_l - inter)
+
+
 def analyze_case(
     ct_right: Mask3D,
     ct_left: Mask3D,
@@ -191,19 +220,19 @@ def analyze_case(
 ) -> ConcordanceReport:
     """Partition both lungs against their 2D masks; adds a combined row.
 
-    Labels are taken from argument position, not from mask.label, so
-    swapped inputs still produce a report (the fractions make the swap
-    obvious).
+    The "both" row partitions the union of the 3D masks against the
+    union of the 2D masks. Labels are taken from argument position, not
+    from mask.label, so swapped inputs still produce a report (the
+    fractions make the swap obvious).
     """
     _require_same_grid(ct_right, ct_left)
-    _require_same_plane(mask2d_right, mask2d_left)
     g = ct_right.geometry
-    both3d = Mask3D(g, ct_right.bits | ct_left.bits, "both")
-    both2d = Mask2D(mask2d_right.nx, mask2d_right.nz, mask2d_right.sx, mask2d_right.sz,
-                    mask2d_right.bits | mask2d_left.bits, "both")
+    both2d = union2d(mask2d_right, mask2d_left)
+    cols_r = _column_counts(ct_right)
+    cols_l = _column_counts(ct_left)
     labels = {
-        "right": _measure(ct_right, mask2d_right),
-        "left": _measure(ct_left, mask2d_left),
-        "both": _measure(both3d, both2d),
+        "right": _measure(cols_r, g, mask2d_right),
+        "left": _measure(cols_l, g, mask2d_left),
+        "both": _measure(_union_column_counts(ct_right, ct_left, cols_r, cols_l), g, both2d),
     }
     return ConcordanceReport(case_id=case_id, labels=labels)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,12 +72,16 @@ def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) ->
             raise MalformedHeader(f"{path}: missing key {key!r}")
     dims = header["dims"]
     spacing = header["spacing_mm"]
+    # bool is a subclass of int; json also reads NaN, Infinity and ints
+    # past float range, which the upper bound on spacing rejects
     if not (isinstance(dims, list) and len(dims) == ndim
-            and all(isinstance(d, int) and d >= 1 for d in dims)):
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)):
         raise MalformedHeader(f"{path}: dims must be {ndim} positive integers, got {dims!r}")
     if not (isinstance(spacing, list) and len(spacing) == ndim
-            and all(isinstance(s, (int, float)) and s > 0 for s in spacing)):
-        raise MalformedHeader(f"{path}: spacing_mm must be {ndim} positive numbers, got {spacing!r}")
+            and all(isinstance(s, (int, float)) and not isinstance(s, bool)
+                    and 0 < s <= sys.float_info.max for s in spacing)):
+        raise MalformedHeader(
+            f"{path}: spacing_mm must be {ndim} positive finite numbers, got {spacing!r}")
     if header["dtype"] != want_dtype:
         raise MalformedHeader(f"{path}: expected dtype {want_dtype!r}, got {header['dtype']!r}")
     data = header["data"]
@@ -99,11 +104,12 @@ def _load_payload(header_path: Path, header: dict, expect_bytes: int) -> bytes:
 
 
 def _mask_bits(payload: bytes, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Read-only bool view of a validated 0/1 payload; makes no copy."""
     raw = np.frombuffer(payload, dtype=np.uint8)
     if raw.size and raw.max() > 1:
         bad = int(raw[raw > 1][0])
         raise MalformedMask(f"{where}: mask bytes must be 0 or 1, found {bad}")
-    return raw.reshape(shape).astype(bool)
+    return raw.reshape(shape).view(bool)
 
 
 # --- volumes ---------------------------------------------------------------

@@ -6,11 +6,13 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lungcover.cli import main
 from lungcover.concordance import obscured_fraction
-from lungcover.io import load_mask2d, load_mask3d
+from lungcover.grid import Mask2D
+from lungcover.io import load_mask2d, load_mask3d, save_mask2d
 from lungcover.phantom import analytic_obscured_fraction, spec_from_dict
 from lungcover.stats import describe, describe_quartiles
 
@@ -213,6 +215,22 @@ def test_analyze_missing_mask_is_io_failure(cohort, tmp_path, capsys):
     assert one_error_line(capsys).startswith("error: IoFailure:")
 
 
+@pytest.mark.parametrize("mismatch", ["dims", "spacing"])
+def test_analyze_plane_must_match_grid(cohort, tmp_path, capsys, mismatch):
+    case = cohort / "case_000"
+    for side in ("right", "left"):
+        m = load_mask2d(case / f"sota2d_{side}.json")
+        if mismatch == "dims":
+            m = Mask2D(m.nx - 1, m.nz, m.sx, m.sz, m.bits[:, :-1], m.label)
+        else:
+            m = Mask2D(m.nx, m.nz, 2.0 * m.sx, m.sz, m.bits, m.label)
+        save_mask2d(m, tmp_path / f"bad_{side}.json")
+    args = analyze_args(case, tmp_path / "r")
+    args[6], args[8] = str(tmp_path / "bad_right.json"), str(tmp_path / "bad_left.json")
+    assert main(args) == 1
+    assert one_error_line(capsys).startswith("error: GeometryMismatch:")
+
+
 # --- agreement ---------------------------------------------------------------------
 
 def test_agreement_identical_masks(cohort, tmp_path, capsys):
@@ -229,6 +247,22 @@ def test_agreement_on_3d_masks(cohort, capsys):
     mask = str(cohort / "case_000" / "truth_left.json")
     assert main(["agreement", mask, mask]) == 0
     assert "kind=ct3d" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dims", "[true, 4]"),
+    ("spacing_mm", "[Infinity, 1]"),
+    ("spacing_mm", "[true, 1]"),
+])
+def test_agreement_malformed_header_is_one_line(tmp_path, capsys, field, value):
+    save_mask2d(Mask2D(nx=1, nz=4, sx=1.0, sz=1.0, bits=np.ones((4, 1), dtype=bool),
+                       label="right"), tmp_path / "m.json")
+    header = json.loads((tmp_path / "m.json").read_text())
+    header[field] = "@"
+    (tmp_path / "m.json").write_text(json.dumps(header).replace('"@"', value))
+    mask = str(tmp_path / "m.json")
+    assert main(["agreement", mask, mask]) == 1
+    assert one_error_line(capsys).startswith("error: MalformedHeader:")
 
 
 def test_agreement_mixed_kinds_rejected(cohort, capsys):

@@ -1,5 +1,7 @@
 """Covered/obscured partition, volumes, Dice/Jaccard, per-case reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from lungcover.concordance import (
 )
 from lungcover.errors import BothEmpty, EmptyReference, GeometryMismatch
 from lungcover.grid import GridGeometry, Mask2D, Mask3D
+from lungcover.phantom import default_spec, generate_phantom
 from lungcover.projection import extrude_mask
 
 
@@ -276,3 +279,79 @@ class TestAnalyzeCase:
         _, right, left, m2_right, m2_left = self._inputs()
         rep = analyze_case(right, left, m2_right, m2_left)
         assert list(rep.labels) == ["right", "left", "both"]
+
+    def test_peak_memory_below_one_mask(self):
+        # a full-volume temporary (extrusion, union, AND) would exceed this
+        case = generate_phantom(default_spec())
+        args = (case.truth_right, case.truth_left, case.sota2d_right, case.sota2d_left)
+        tracemalloc.start()
+        try:
+            analyze_case(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < case.truth_right.bits.nbytes
+
+
+def extrude_counts(reference: Mask3D, mask2d: Mask2D) -> tuple[int, int, int]:
+    """Brute-force (total, covered, obscured) from the 3D extrusion."""
+    g = reference.geometry
+    cover = extrude_mask(mask2d, g.ny, g.sy)
+    return (reference.voxel_count, overlap_mask(reference, cover).voxel_count,
+            obscured_mask(reference, cover).voxel_count)
+
+
+def random_plane(rng, g: GridGeometry, kind: str, label: str) -> Mask2D:
+    shape = (g.nz, g.nx)
+    bits = {"empty": np.zeros(shape, dtype=bool),
+            "full": np.ones(shape, dtype=bool),
+            "random": rng.random(shape) < 0.5}[kind]
+    return Mask2D(nx=g.nx, nz=g.nz, sx=g.sx, sz=g.sz, bits=bits, label=label)
+
+
+class TestColumnCountsMatchExtrusion:
+    """analyze_case counts columns; the extrusion is the reference."""
+
+    @staticmethod
+    def _assert_matches_reference(right, left, m2_right, m2_left):
+        g = right.geometry
+        rep = analyze_case(right, left, m2_right, m2_left)
+        expected = {
+            "right": extrude_counts(right, m2_right),
+            "left": extrude_counts(left, m2_left),
+            "both": extrude_counts(Mask3D(g, right.bits | left.bits, "both"),
+                                   union2d(m2_right, m2_left)),
+        }
+        for label, (total, covered, obscured) in expected.items():
+            m = rep.labels[label]
+            assert (m.total_voxels, m.covered_voxels, m.obscured_voxels) == \
+                (total, covered, obscured)
+            assert m.obscured_fraction_pct == 100.0 * obscured / total
+            assert m.total_ml == m.covered_ml + m.obscured_ml
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.tuples(st.sampled_from(["random", "empty", "full"]),
+                           st.sampled_from(["random", "empty", "full"])))
+    def test_random_overlapping_masks(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        g = grid(nx=int(rng.integers(1, 7)), ny=int(rng.integers(1, 7)),
+                 nz=int(rng.integers(1, 7)), s=float(rng.choice([0.5, 1.0, 2.5])))
+        sides = []
+        for _ in range(2):  # independent densities: disjoint to heavily overlapping
+            bits = rng.random(g.shape_zyx) < rng.random()
+            bits[tuple(int(rng.integers(n)) for n in g.shape_zyx)] = True  # nonempty
+            sides.append(bits)
+        right, left = Mask3D(g, sides[0], "right"), Mask3D(g, sides[1], "left")
+        self._assert_matches_reference(right, left,
+                                       random_plane(rng, g, kinds[0], "right"),
+                                       random_plane(rng, g, kinds[1], "left"))
+
+    @pytest.mark.parametrize("ny", [255, 256])
+    def test_full_overlapping_columns(self, ny):
+        # 255 is the largest column count a uint8 holds; 256 needs uint16
+        g = grid(nx=3, ny=ny, nz=2)
+        full = np.ones(g.shape_zyx, dtype=bool)
+        rng = np.random.default_rng(ny)
+        self._assert_matches_reference(Mask3D(g, full, "right"), Mask3D(g, full, "left"),
+                                       random_plane(rng, g, "random", "right"),
+                                       random_plane(rng, g, "full", "left"))

@@ -84,6 +84,11 @@ class TestVolumeRoundTrip:
         lambda h: h.update(dtype="f32"),
         lambda h: h.pop("data"),
         lambda h: h.update(data="/etc/absolute.raw"),
+        lambda h: h.update(dims=[True, 3, 2]),
+        lambda h: h.update(spacing_mm=[True, 0.66, 1.25]),
+        lambda h: h.update(spacing_mm=[float("inf"), 0.66, 1.25]),
+        lambda h: h.update(spacing_mm=[float("nan"), 0.66, 1.25]),
+        lambda h: h.update(spacing_mm=[10**400, 0.66, 1.25]),
     ])
     def test_malformed_header(self, tmp_path, mutate):
         save_volume(small_volume(), tmp_path / "vol.json")
@@ -127,6 +132,23 @@ class TestMaskRoundTrip:
         assert (back.nx, back.nz, back.sx, back.sz) == (4, 3, 0.5, 0.75)
         assert back.label == "both"
         np.testing.assert_array_equal(back.bits, bits)
+
+    def test_mask3d_bits_view_the_payload(self, tmp_path):
+        g = GridGeometry(nx=3, ny=2, nz=2, sx=1.0, sy=1.0, sz=1.0)
+        bits = np.zeros(g.shape_zyx, dtype=bool)
+        bits[1, 0, 2] = True
+        save_mask3d(Mask3D(g, bits, "right"), tmp_path / "m.json")
+        back = load_mask3d(tmp_path / "m.json").bits
+        assert not back.flags.owndata and not back.flags.writeable
+        assert back.dtype == bool
+        np.testing.assert_array_equal(back, bits)
+
+    def test_mask3d_payload_values_above_one_rejected(self, tmp_path):
+        g = GridGeometry(nx=2, ny=1, nz=2, sx=1.0, sy=1.0, sz=1.0)
+        save_mask3d(Mask3D(g, np.zeros(g.shape_zyx, dtype=bool), "right"), tmp_path / "m.json")
+        (tmp_path / "m.raw").write_bytes(bytes([0, 1, 2, 0]))
+        with pytest.raises(MalformedMask):
+            load_mask3d(tmp_path / "m.json")
 
     def test_mask_payload_values_above_one_rejected(self, tmp_path):
         bits = np.zeros((2, 2), dtype=bool)
