@@ -19,13 +19,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .concordance import ConcordanceReport, agreement, analyze_case, union2d
+from .concordance import agreement, analyze_case, union2d
 from .errors import IoFailure, LungCoverError, MalformedHeader, SpecViolation, ValidationError
 from .grid import LABELS
 from .io import (
     load_mask2d,
     load_mask3d,
     load_volume,
+    relative_path,
     save_mask2d,
     save_mask3d,
     save_pgm,
@@ -48,7 +49,7 @@ from .reporting import (
     build_cohort_report,
     concordance_rows,
     read_csv,
-    report_from_json,
+    report_from_json,  # noqa: F401  (bench/tracing.py wraps it under this name)
     write_concordance_csv,
     write_cohort_tables,
     write_csv,
@@ -177,16 +178,29 @@ def cmd_agreement(args) -> int:
 
 # --- cohort ----------------------------------------------------------------------
 
-def _case_report(case_dir: Path, filename: str, case_id: str,
-                 compute) -> ConcordanceReport:
-    path = case_dir / filename
-    if path.exists():
-        report = report_from_json(json.loads(path.read_text(encoding="utf-8")))
-        if report.case_id != case_id:
-            raise SpecViolation(
-                f"{path}: report is for {report.case_id!r}, expected {case_id!r}")
-        return report
-    return compute()
+_ANNOTATORS = {"annotator1": "sota2d", "annotator2": "annot2"}
+
+
+def _case_report(case_dir: Path, case_id: str) -> tuple[dict[str, list], list[tuple]]:
+    """Concordance rows per annotator, and agreement rows, of one case.
+
+    Each mask file is loaded once; the 2D masks also serve the agreement pairs.
+    """
+    truth = [load_mask3d(case_dir / f"truth_{side}.json") for side in ("right", "left")]
+    masks2d = {annot: [load_mask2d(case_dir / f"{prefix}_{side}.json")
+                       for side in ("right", "left")]
+               for annot, prefix in _ANNOTATORS.items()
+               if annot == "annotator1" or (case_dir / f"{prefix}_right.json").exists()}
+    rows = {annot: concordance_rows(analyze_case(*truth, *pair, case_id=case_id))
+            for annot, pair in masks2d.items()}
+    agreement_rows = []
+    if len(masks2d) == 2:
+        (sota_r, sota_l), (ann_r, ann_l) = masks2d.values()
+        for a, b in ((sota_r, ann_r), (sota_l, ann_l),
+                     (union2d(sota_r, sota_l), union2d(ann_r, ann_l))):
+            rep = agreement(a, b)
+            agreement_rows.append((case_id, rep.label, rep.mask_kind, rep.dsc, rep.ji))
+    return rows, agreement_rows
 
 
 def cmd_cohort(args) -> int:
@@ -195,70 +209,41 @@ def cmd_cohort(args) -> int:
     if not manifest_path.exists():
         raise SpecViolation(f"{cohort_dir}: no manifest.json, not a cohort directory")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise SpecViolation(f"{manifest_path}: manifest must be a JSON object")
     cases = manifest.get("cases")
-    if not cases:
+    if not (isinstance(cases, list) and cases):
         raise SpecViolation(f"{manifest_path}: cohort lists no cases")
 
     out_dir = Path(args.out) if args.out else cohort_dir / "report"
     case_ids: list[str] = []
     exam_rows: list[tuple] = []
-    rows1: list[tuple] = []
-    rows2: list[tuple] = []
+    rows: dict[str, list] = {annot: [] for annot in _ANNOTATORS}
     agreement_rows: list[tuple] = []
 
     for entry in cases:
         try:
             case_id = entry["case_id"]
-            case_dir = cohort_dir / entry.get("dir", case_id)
+            case_dir = cohort_dir / relative_path(entry.get("dir", case_id),
+                                                  f"{manifest_path}: case dir")
             spec = spec_from_dict(entry["spec"])
         except (KeyError, TypeError) as exc:
             raise MalformedHeader(f"{manifest_path}: bad case entry: {exc}") from exc
         case_ids.append(case_id)
         g = spec.geometry
         exam_rows.append((case_id, g.sx, g.sz, g.nz, g.nz * g.sz))
-
-        def compute_annot1():
-            return analyze_case(
-                load_mask3d(case_dir / "truth_right.json"),
-                load_mask3d(case_dir / "truth_left.json"),
-                load_mask2d(case_dir / "sota2d_right.json"),
-                load_mask2d(case_dir / "sota2d_left.json"),
-                case_id=case_id,
-            )
-
-        rows1.extend(concordance_rows(_case_report(case_dir, "report.json",
-                                                   case_id, compute_annot1)))
-
-        has_annot2 = (case_dir / "annot2_right.json").exists()
-        if has_annot2:
-            def compute_annot2():
-                return analyze_case(
-                    load_mask3d(case_dir / "truth_right.json"),
-                    load_mask3d(case_dir / "truth_left.json"),
-                    load_mask2d(case_dir / "annot2_right.json"),
-                    load_mask2d(case_dir / "annot2_left.json"),
-                    case_id=case_id,
-                )
-
-            rows2.extend(concordance_rows(_case_report(case_dir, "report_annot2.json",
-                                                       case_id, compute_annot2)))
-            sota_r = load_mask2d(case_dir / "sota2d_right.json")
-            sota_l = load_mask2d(case_dir / "sota2d_left.json")
-            ann_r = load_mask2d(case_dir / "annot2_right.json")
-            ann_l = load_mask2d(case_dir / "annot2_left.json")
-            pairs = [(sota_r, ann_r), (sota_l, ann_l),
-                     (union2d(sota_r, sota_l), union2d(ann_r, ann_l))]
-            for a, b in pairs:
-                rep = agreement(a, b)
-                agreement_rows.append((case_id, rep.label, rep.mask_kind, rep.dsc, rep.ji))
+        measured, pair_rows = _case_report(case_dir, case_id)
+        for annot, annot_rows in measured.items():
+            rows[annot].extend(annot_rows)
+        agreement_rows.extend(pair_rows)
         _say(args, f"measured {case_id}")
 
     write_csv(out_dir / "exam.csv", EXAM_COLUMNS, exam_rows)
-    write_csv(out_dir / "cases_annotator1.csv", CASE_COLUMNS, rows1)
-    case_rows = {"annotator1": read_csv(out_dir / "cases_annotator1.csv")}
-    if rows2:
-        write_csv(out_dir / "cases_annotator2.csv", CASE_COLUMNS, rows2)
-        case_rows["annotator2"] = read_csv(out_dir / "cases_annotator2.csv")
+    case_rows = {}
+    for annot, annot_rows in rows.items():
+        if annot_rows:  # annotator 1 has rows for every case
+            write_csv(out_dir / f"cases_{annot}.csv", CASE_COLUMNS, annot_rows)
+            case_rows[annot] = read_csv(out_dir / f"cases_{annot}.csv")
     write_csv(out_dir / "agreement.csv", AGREEMENT_COLUMNS, agreement_rows)
 
     report = build_cohort_report(

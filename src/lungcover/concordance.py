@@ -10,7 +10,9 @@ number of reference voxels in column (z, x),
     obscured = sum of cols - covered
 
 These are the same integers the voxel-by-voxel split counts, computed
-from one pass over the reference and no 3D temporary. The counts
+from one pass over the reference and no 3D temporary. ``cols`` is
+``Mask3D.column_counts``, a cached property of the immutable mask, so a
+mask measured against several 2D masks is counted once. The counts
 partition the reference, so covered_ml + obscured_ml == total_ml holds
 bit-exactly (one shared voxel-volume factor, applied once at the end).
 ``extrude_mask`` with ``overlap_mask``/``obscured_mask`` is the
@@ -151,16 +153,6 @@ class ConcordanceReport:
         }
 
 
-def _column_counts(mask: Mask3D) -> np.ndarray:
-    """Mask voxels in each (z, x) column along y, shape (nz, nx).
-
-    The dtype is the smallest unsigned type that holds ny, so the sum
-    cannot overflow.
-    """
-    ny = mask.geometry.ny
-    return mask.bits.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(ny))
-
-
 def _measure(cols: np.ndarray, g: GridGeometry, mask2d: Mask2D) -> LabelMeasures:
     """Partition the reference whose column counts are ``cols``."""
     if (mask2d.nx, mask2d.nz) != (g.nx, g.nz) or (mask2d.sx, mask2d.sz) != (g.sx, g.sz):
@@ -192,11 +184,10 @@ def obscured_fraction(reference: Mask3D, mask2d: Mask2D) -> float:
 
     Spacing-invariant: a pure count ratio, times 100.
     """
-    return _measure(_column_counts(reference), reference.geometry, mask2d).obscured_fraction_pct
+    return _measure(reference.column_counts, reference.geometry, mask2d).obscured_fraction_pct
 
 
-def _union_column_counts(right: Mask3D, left: Mask3D,
-                         cols_r: np.ndarray, cols_l: np.ndarray) -> np.ndarray:
+def _union_column_counts(right: Mask3D, left: Mask3D) -> np.ndarray:
     """Column counts of right | left without a 3D union.
 
     |R| + |L| - |R & L| per column; the intersection is counted only in
@@ -204,6 +195,7 @@ def _union_column_counts(right: Mask3D, left: Mask3D,
     lungs are disjoint in projection. The result is at most ny, so it
     fits the column dtype.
     """
+    cols_r, cols_l = right.column_counts, left.column_counts
     inter = np.zeros_like(cols_l)
     zs, xs = np.nonzero((cols_r > 0) & (cols_l > 0))
     if zs.size:
@@ -228,11 +220,9 @@ def analyze_case(
     _require_same_grid(ct_right, ct_left)
     g = ct_right.geometry
     both2d = union2d(mask2d_right, mask2d_left)
-    cols_r = _column_counts(ct_right)
-    cols_l = _column_counts(ct_left)
     labels = {
-        "right": _measure(cols_r, g, mask2d_right),
-        "left": _measure(cols_l, g, mask2d_left),
-        "both": _measure(_union_column_counts(ct_right, ct_left, cols_r, cols_l), g, both2d),
+        "right": _measure(ct_right.column_counts, g, mask2d_right),
+        "left": _measure(ct_left.column_counts, g, mask2d_left),
+        "both": _measure(_union_column_counts(ct_right, ct_left), g, both2d),
     }
     return ConcordanceReport(case_id=case_id, labels=labels)

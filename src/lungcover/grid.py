@@ -7,12 +7,14 @@ element order is x-fastest, then y, then z: offset = x + nx*(y + ny*z).
 2D coronal arrays use shape (nz, nx) with the same x-fastest order.
 
 All types are immutable: constructors take ownership of the array and
-mark it read-only.
+mark it read-only. So a value derived from a mask's bits, such as
+``Mask3D.column_counts``, is cached on the mask and cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,12 @@ def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _check_size(name: str, n) -> None:
+    # bool is a subclass of int
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Grid dims (voxel counts) and isotropic-per-axis spacing in mm."""
@@ -41,9 +49,7 @@ class GridGeometry:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
-            n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"{name} must be a positive integer, got {n!r}")
+            _check_size(name, getattr(self, name))
         for name in ("sx", "sy", "sz"):
             s = getattr(self, name)
             if not (s > 0.0) or not np.isfinite(s):
@@ -108,6 +114,17 @@ class Mask3D:
     def voxel_count(self) -> int:
         return int(np.count_nonzero(self.bits))
 
+    @cached_property
+    def column_counts(self) -> np.ndarray:
+        """Read-only mask voxel count of each (z, x) column along y, shape (nz, nx).
+
+        Cached: the bits cannot change. The dtype is the smallest unsigned
+        type that holds ny, so the sum cannot overflow.
+        """
+        cols = self.bits.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.geometry.ny))
+        cols.flags.writeable = False
+        return cols
+
 
 @dataclass(frozen=True)
 class Mask2D:
@@ -121,8 +138,8 @@ class Mask2D:
     label: str
 
     def __post_init__(self):
-        if self.nx < 1 or self.nz < 1:
-            raise ValueError("nx and nz must be positive")
+        _check_size("nx", self.nx)
+        _check_size("nz", self.nz)
         if not (self.sx > 0.0 and self.sz > 0.0):
             raise ValueError("sx and sz must be positive")
         bits = _freeze(self.bits, bool)

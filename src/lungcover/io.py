@@ -2,7 +2,7 @@
 
 A volume or mask is stored as a small JSON header next to a raw
 little-endian payload. The header names the payload file via a relative
-path, so a case directory can be moved wholesale:
+path with no ``..`` part, so a case directory can be moved wholesale:
 
     {"dims": [nx, ny, nz], "spacing_mm": [sx, sy, sz],
      "dtype": "i16le", "data": "volume.raw"}
@@ -59,6 +59,14 @@ def _header_to_json(header: dict) -> bytes:
     return (json.dumps(header, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+def relative_path(name, where: str) -> str:
+    """``name`` if, joined to a directory, it stays inside; else MalformedHeader."""
+    if not (isinstance(name, str) and name and not Path(name).is_absolute()
+            and ".." not in Path(name).parts):
+        raise MalformedHeader(f"{where} must be a relative path with no '..', got {name!r}")
+    return name
+
+
 def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) -> dict:
     raw = _read_bytes(path)
     try:
@@ -84,9 +92,7 @@ def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) ->
             f"{path}: spacing_mm must be {ndim} positive finite numbers, got {spacing!r}")
     if header["dtype"] != want_dtype:
         raise MalformedHeader(f"{path}: expected dtype {want_dtype!r}, got {header['dtype']!r}")
-    data = header["data"]
-    if not isinstance(data, str) or not data or Path(data).is_absolute():
-        raise MalformedHeader(f"{path}: data must be a relative path, got {data!r}")
+    relative_path(header["data"], f"{path}: data")
     if want_label:
         if header.get("label") not in LABELS:
             raise MalformedHeader(f"{path}: label must be one of {LABELS}, got {header.get('label')!r}")

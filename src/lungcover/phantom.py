@@ -557,7 +557,8 @@ def spec_from_dict(doc: dict) -> PhantomSpec:
     if "geometry" in doc:
         gd = doc["geometry"]
         if not (isinstance(gd, dict) and isinstance(gd.get("dims"), list)
-                and len(gd["dims"]) == 3 and all(isinstance(v, int) for v in gd["dims"])):
+                and len(gd["dims"]) == 3
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in gd["dims"])):
             raise SpecViolation("geometry.dims must be a list of 3 integers")
         sx, sy, sz = _triple(gd, "spacing_mm", "geometry")
         try:

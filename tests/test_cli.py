@@ -146,6 +146,15 @@ def test_phantom_invalid_spec_file(tmp_path, capsys):
     assert one_error_line(capsys).startswith("error: SpecViolation:")
 
 
+def test_phantom_spec_with_bool_dims_rejected(tmp_path, capsys):
+    spec = tmp_path / "bool_dims.json"
+    # 300 mm across one voxel: the lungs fit, so only the bool can fail
+    spec.write_text(json.dumps(dict(SMALL_SPEC, geometry={"dims": [True, 48, 48],
+                                                          "spacing_mm": [300.0, 5.0, 5.0]})))
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec), "--n", "1"]) == 1
+    assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
 # --- drr -----------------------------------------------------------------------------
 
 def test_drr_writes_pgm(cohort, tmp_path, capsys):
@@ -265,6 +274,20 @@ def test_agreement_malformed_header_is_one_line(tmp_path, capsys, field, value):
     assert one_error_line(capsys).startswith("error: MalformedHeader:")
 
 
+@pytest.mark.parametrize("data", ["../outside.raw", "sub/../../outside.raw"])
+def test_agreement_payload_must_stay_inside_header_dir(tmp_path, capsys, data):
+    case = tmp_path / "case"
+    save_mask2d(Mask2D(nx=1, nz=4, sx=1.0, sz=1.0, bits=np.ones((4, 1), dtype=bool),
+                       label="right"), case / "m.json")
+    shutil.copy(case / "m.raw", tmp_path / "outside.raw")
+    header = json.loads((case / "m.json").read_text())
+    header["data"] = data
+    (case / "m.json").write_text(json.dumps(header))
+    mask = str(case / "m.json")
+    assert main(["agreement", mask, mask]) == 1
+    assert one_error_line(capsys).startswith("error: MalformedHeader:")
+
+
 def test_agreement_mixed_kinds_rejected(cohort, capsys):
     rc = main(["agreement", str(cohort / "case_000" / "truth_right.json"),
                str(cohort / "case_000" / "sota2d_right.json")])
@@ -319,26 +342,46 @@ def test_cohort_aggregates_recompute_from_csvs(cohort, tmp_path):
         describe_quartiles(dscs).median
 
 
-def test_cohort_reuses_existing_case_reports(cohort, tmp_path):
-    pristine = tmp_path / "baseline"
+def stage_report(case: Path, kind: str) -> None:
+    """Leave a per-case report.json of the given kind in the case directory."""
+    if kind == "not_json":
+        (case / "report.json").write_text("{not json", encoding="utf-8")
+        return
+    prefix = "annot2" if kind == "stale" else "sota2d"
+    case_id = "case_999" if kind == "other_case_id" else case.name
+    assert main(analyze_args(case, case, prefix=prefix, case_id=case_id) + ["--quiet"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["fresh", "stale", "other_case_id", "not_json"])
+def test_cohort_ignores_staged_case_report(cohort, tmp_path, kind):
+    # cohort recomputes every case; a report.json left in a case
+    # directory, whatever it holds, cannot change the published bytes
+    pristine = tmp_path / "pristine"
     assert main(["cohort", str(cohort), "--out", str(pristine), "--quiet"]) == 0
     clone = tmp_path / "clone"
     shutil.copytree(cohort, clone)
-    case = clone / "case_000"
-    assert main(analyze_args(case, case)) == 0  # drops report.json into the case dir
-    out = tmp_path / "reused"
+    stage_report(clone / "case_001", kind)
+    out = tmp_path / "staged"
     assert main(["cohort", str(clone), "--out", str(out), "--quiet"]) == 0
-    assert (out / "cohort_report.json").read_bytes() == \
-        (pristine / "cohort_report.json").read_bytes()
+    assert tree_bytes(out) == tree_bytes(pristine)
 
 
-def test_cohort_rejects_mismatched_case_report(cohort, tmp_path, capsys):
-    clone = tmp_path / "clone"
-    shutil.copytree(cohort, clone)
-    case = clone / "case_001"
-    assert main(analyze_args(case, case, case_id="case_999")) == 0
-    assert main(["cohort", str(clone), "--quiet"]) == 1
-    assert one_error_line(capsys).startswith("error: SpecViolation:")
+def test_cohort_loads_each_mask_file_once(cohort, tmp_path, monkeypatch):
+    import lungcover.cli as cli
+    loaded = []
+
+    def counting(load):
+        def wrapper(path):
+            loaded.append(Path(path).name)
+            return load(path)
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_mask3d", counting(cli.load_mask3d))
+    monkeypatch.setattr(cli, "load_mask2d", counting(cli.load_mask2d))
+    assert main(["cohort", str(cohort), "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    n = len(json.loads((cohort / "manifest.json").read_text())["cases"])
+    # each of a case's 2 truth and 4 annotator mask files once: 2n + 4n loads
+    assert sorted(loaded) == sorted(CASE_FILES[1:] * n)
 
 
 def test_cohort_without_manifest_rejected(tmp_path, capsys):
@@ -354,3 +397,53 @@ def test_cohort_with_no_cases_rejected(tmp_path, capsys):
     (d / "manifest.json").write_text('{"kind": "lungcover-cohort", "cases": []}')
     assert main(["cohort", str(d)]) == 1
     assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
+@pytest.mark.parametrize("text", ["[]", '"cohort"', '{"cases": {"case_000": {}}}',
+                                  '{"cases": "case_000"}'])
+def test_cohort_manifest_must_be_object_with_case_list(tmp_path, capsys, text):
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / "manifest.json").write_text(text)
+    assert main(["cohort", str(d)]) == 1
+    assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
+@pytest.mark.parametrize("case_dir", ["../c/{id}", "{id}/../../c/{id}", "{root}/c/{id}"])
+def test_cohort_case_dir_must_stay_inside_cohort(cohort, tmp_path, capsys, case_dir):
+    shutil.copytree(cohort, tmp_path / "c")
+    manifest = json.loads((cohort / "manifest.json").read_text())
+    for entry in manifest["cases"]:
+        entry["dir"] = case_dir.format(id=entry["case_id"], root=tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["cohort", str(tmp_path / "d"), "--quiet"]) == 1
+    assert one_error_line(capsys).startswith("error: MalformedHeader:")
+
+
+# --- benchmark contract ------------------------------------------------------------
+
+def test_traced_benchmark_still_resolves_every_target(tmp_path, spec_file):
+    """bench/tracing.py wraps names in lungcover.cli; a traced run must find them all."""
+    import importlib.util
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    tracer = tracing.Tracer()
+    tracer.check_targets()
+    tracer.begin_iteration()
+    out = tmp_path / "cohort"
+    with tracer.step("phantom"):
+        make_cohort(out, spec_file, n=2)
+    with tracer.step("drr"):
+        for case in ("case_000", "case_001"):
+            assert main(["drr", str(out / case / "volume.json"),
+                         "--out", str(out / "drr" / f"{case}.pgm"), "--quiet"]) == 0
+    with tracer.step("cohort"):
+        assert main(["cohort", str(out), "--quiet"]) == 0
+    tracer.check_targets()
+    metrics = tracing.iteration_metrics(tracer._iteration_spans(0))
+    assert metrics["cli.reuse_ratio"][0] == 0.0
+    assert metrics["concordance.analyze_calls"][0] == 4

@@ -35,6 +35,11 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             small_geometry(**{field: value})
 
+    @pytest.mark.parametrize("field", ["nx", "ny", "nz"])
+    def test_rejects_bool_counts(self, field):
+        with pytest.raises(ValueError):
+            small_geometry(**{field: True})
+
     @pytest.mark.parametrize("field", ["sx", "sy", "sz"])
     @pytest.mark.parametrize("value", [0.0, -0.5, float("nan")])
     def test_rejects_bad_spacing(self, field, value):
@@ -121,6 +126,26 @@ class TestMask3D:
         assert m.bits.dtype == np.bool_
         assert m.voxel_count == g.voxel_count
 
+    def test_column_counts_are_read_only_and_cached(self, monkeypatch):
+        g = small_geometry(ny=255)
+        bits = np.zeros(g.shape_zyx, dtype=bool)
+        bits[1, :, 2] = True
+        bits[0, 3, 0] = True
+        m = Mask3D(g, bits, "right")
+        calls = []
+        scalar_type = np.min_scalar_type
+        monkeypatch.setattr(np, "min_scalar_type", lambda n: calls.append(n) or scalar_type(n))
+        cols = m.column_counts
+        assert cols.dtype == np.uint8 and cols.shape == (g.nz, g.nx)
+        np.testing.assert_array_equal(cols, bits.sum(axis=1))
+        assert m.column_counts is cols and calls == [255]
+        with pytest.raises(ValueError):
+            cols[0, 0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.column_counts = cols
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del m.column_counts
+
 
 class TestMask2D:
     def test_shape_is_z_x(self):
@@ -142,6 +167,11 @@ class TestMask2D:
         with pytest.raises(ValueError):
             Mask2D(bits=np.ones((kwargs["nz"], max(kwargs["nx"], 1)), dtype=bool),
                    label="right", **kwargs)
+
+    def test_rejects_bool_sizes(self):
+        with pytest.raises(ValueError):
+            Mask2D(nx=True, nz=True, sx=1.0, sz=1.0, bits=np.ones((1, 1), dtype=bool),
+                   label="right")
 
 
 class TestDrrImage:

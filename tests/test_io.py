@@ -89,6 +89,8 @@ class TestVolumeRoundTrip:
         lambda h: h.update(spacing_mm=[float("inf"), 0.66, 1.25]),
         lambda h: h.update(spacing_mm=[float("nan"), 0.66, 1.25]),
         lambda h: h.update(spacing_mm=[10**400, 0.66, 1.25]),
+        lambda h: h.update(data="../vol.raw"),
+        lambda h: h.update(data="sub/../../vol.raw"),
     ])
     def test_malformed_header(self, tmp_path, mutate):
         save_volume(small_volume(), tmp_path / "vol.json")
