@@ -26,6 +26,7 @@ from .io import (
     load_mask2d,
     load_mask3d,
     load_volume,
+    read_header,
     relative_path,
     save_mask2d,
     save_mask3d,
@@ -103,14 +104,11 @@ def cmd_phantom(args) -> int:
         save_mask2d(case.sota2d_left, case_dir / "sota2d_left.json")
         save_mask2d(case.annot2_right, case_dir / "annot2_right.json")
         save_mask2d(case.annot2_left, case_dir / "annot2_left.json")
-        oracle = {}
-        for side in LABELS:
-            frac = analytic_obscured_fraction(case.spec, side)
-            oracle[side] = None if frac is None else 100.0 * frac
         entries.append({
             "case_id": case_id,
             "dir": case_id,
-            "oracle_obscured_pct": oracle,
+            "oracle_obscured_pct": {s: 100.0 * analytic_obscured_fraction(case.spec, s)
+                                    for s in LABELS},
             "oracle_tolerance_pct": {s: oracle_tolerance_pct(case.spec, s) for s in LABELS},
             "spec": spec_to_dict(case.spec),
         })
@@ -160,8 +158,7 @@ def cmd_analyze(args) -> int:
 # --- agreement -------------------------------------------------------------------
 
 def _load_any_mask(path: str):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    dims = doc.get("dims")
+    dims = read_header(path).get("dims")
     if not isinstance(dims, list) or len(dims) not in (2, 3):
         raise MalformedHeader(f"{path}: dims must list 2 or 3 sizes")
     return load_mask3d(path) if len(dims) == 3 else load_mask2d(path)

@@ -13,6 +13,7 @@ mark it read-only. So a value derived from a mask's bits, such as
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,12 @@ def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def is_finite_number(v) -> bool:
+    """A finite JSON number: json reads NaN, Infinity and huge ints; bool is an int."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 def _check_size(name: str, n) -> None:

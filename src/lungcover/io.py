@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
-from .grid import LABELS, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
+from .grid import LABELS, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, is_finite_number
 
 _I16 = np.dtype("<i2")
 
@@ -67,27 +66,30 @@ def relative_path(name, where: str) -> str:
     return name
 
 
-def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) -> dict:
-    raw = _read_bytes(path)
+def read_header(path: Path) -> dict:
+    """The JSON object in a header file, unchecked beyond being an object."""
     try:
-        header = json.loads(raw.decode("utf-8"))
+        header = json.loads(_read_bytes(path).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader(f"{path}: not a JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise MalformedHeader(f"{path}: header must be a JSON object")
+    return header
+
+
+def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) -> dict:
+    header = read_header(path)
     for key in ("dims", "spacing_mm", "dtype", "data"):
         if key not in header:
             raise MalformedHeader(f"{path}: missing key {key!r}")
     dims = header["dims"]
     spacing = header["spacing_mm"]
-    # bool is a subclass of int; json also reads NaN, Infinity and ints
-    # past float range, which the upper bound on spacing rejects
+    # bool is a subclass of int
     if not (isinstance(dims, list) and len(dims) == ndim
             and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)):
         raise MalformedHeader(f"{path}: dims must be {ndim} positive integers, got {dims!r}")
     if not (isinstance(spacing, list) and len(spacing) == ndim
-            and all(isinstance(s, (int, float)) and not isinstance(s, bool)
-                    and 0 < s <= sys.float_info.max for s in spacing)):
+            and all(is_finite_number(s) and s > 0 for s in spacing)):
         raise MalformedHeader(
             f"{path}: spacing_mm must be {ndim} positive finite numbers, got {spacing!r}")
     if header["dtype"] != want_dtype:

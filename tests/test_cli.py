@@ -1,5 +1,6 @@
 """End-to-end command line tests: every subcommand, exit codes, determinism."""
 
+import csv
 import json
 import math
 import re
@@ -155,6 +156,40 @@ def test_phantom_spec_with_bool_dims_rejected(tmp_path, capsys):
     assert one_error_line(capsys).startswith("error: SpecViolation:")
 
 
+def test_phantom_spec_with_nan_center_rejected(tmp_path, capsys):
+    spec = tmp_path / "nan_heart.json"
+    heart = dict(SMALL_SPEC["heart"], center_mm=[float("nan"), 120.0, 120.0])
+    spec.write_text(json.dumps(dict(SMALL_SPEC, heart=heart)))
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec), "--n", "1"]) == 1
+    assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
+def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
+    from lungcover.phantom import _lung_fraction
+    _lung_fraction.cache_clear()
+    assert main(["phantom", "--out", str(tmp_path / "c"), "--spec", str(spec_file),
+                 "--n", "3", "--quiet"]) == 0
+    info = _lung_fraction.cache_info()
+    # right, left, then "both" from the two cached sides, per case
+    assert (info.misses, info.hits) == (2 * 3, 2 * 3)
+
+
+def test_anatomical_cohort_matches_its_oracles(tmp_path):
+    cohort = tmp_path / "anatomical"
+    assert main(["phantom", "--out", str(cohort), "--spec", "anatomical", "--n", "5",
+                 "--quiet"]) == 0
+    assert main(["cohort", str(cohort), "--quiet"]) == 0
+    with open(cohort / "report" / "cases_annotator1.csv", newline="") as fh:
+        measured = {(r["case_id"], r["label"]): float(r["obscured_fraction_pct"])
+                    for r in csv.DictReader(fh)}
+    for entry in json.loads((cohort / "manifest.json").read_text())["cases"]:
+        for side in ("right", "left", "both"):
+            oracle = entry["oracle_obscured_pct"][side]
+            assert oracle is not None
+            gap = abs(measured[(entry["case_id"], side)] - oracle)
+            assert gap <= entry["oracle_tolerance_pct"][side], (entry["case_id"], side, gap)
+
+
 # --- drr -----------------------------------------------------------------------------
 
 def test_drr_writes_pgm(cohort, tmp_path, capsys):
@@ -270,6 +305,14 @@ def test_agreement_malformed_header_is_one_line(tmp_path, capsys, field, value):
     header[field] = "@"
     (tmp_path / "m.json").write_text(json.dumps(header).replace('"@"', value))
     mask = str(tmp_path / "m.json")
+    assert main(["agreement", mask, mask]) == 1
+    assert one_error_line(capsys).startswith("error: MalformedHeader:")
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "null", "3"])
+def test_agreement_non_object_header_is_one_line(tmp_path, capsys, text):
+    (tmp_path / "h.json").write_text(text)
+    mask = str(tmp_path / "h.json")
     assert main(["agreement", mask, mask]) == 1
     assert one_error_line(capsys).startswith("error: MalformedHeader:")
 

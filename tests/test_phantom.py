@@ -1,17 +1,20 @@
 """Synthetic chest phantom: rasterization, jitter, analytic oracle, cohorts.
 
-The closed-form obscured fractions rest on the spherical-cap identity
-V_cap/V_sphere = h^2(3-h)/4. Hand-checkable anchors used below:
-a half-plane through the lung center obscures exactly 1/2; one whose
-edge sits half a radius inside the near side obscures h=1/2, i.e.
-(1/2)^2 (3 - 1/2) / 4 = 5/32 = 0.15625.
+The oracle is checked against two references kept here. For a straight
+vertical band the spherical-cap identity V_cap/V_sphere = h^2(3-h)/4
+is closed form. Hand-checkable anchors used below: a half-plane through
+the lung center obscures exactly 1/2; one whose edge sits half a radius
+inside the near side obscures h=1/2, i.e. (1/2)^2 (3 - 1/2) / 4 = 5/32
+= 0.15625. For curved shadows, scipy.integrate.quad integrates over z
+on the outside, the transposed order of the oracle's own quadrature.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import integrate, ndimage
 
 from lungcover.concordance import dice, obscured_fraction
 from lungcover.errors import SpecViolation
@@ -35,6 +38,11 @@ from lungcover.phantom import (
 from lungcover.projection import project_mask
 
 SLAB_Z = 1.0e6  # z semi-axis huge enough that the coronal shadow edge is straight
+BAND_Z = 1.0e7  # straight to 1e-9 in fraction: the closed form's error falls as 1/az^2
+
+
+# Same 320 mm field of view as the built-in specs' 128^3 grid: same cohort draws.
+COARSE_128 = GridGeometry(nx=32, ny=32, nz=32, sx=10.0, sy=10.0, sz=10.0)
 
 
 def coarse_geometry() -> GridGeometry:
@@ -56,6 +64,62 @@ def vox(spec: PhantomSpec, x: float, y: float, z: float) -> tuple[int, int, int]
     """(iz, iy, ix) of the voxel containing an off-boundary mm point."""
     g = spec.geometry
     return (int(z / g.sz), int(y / g.sy), int(x / g.sx))
+
+
+def cap_fraction(t: float) -> float:
+    """Fraction of a unit sphere with normalized coordinate <= t (clamped cap height)."""
+    h = min(max(1.0 + t, 0.0), 2.0)
+    return h * h * (3.0 - h) / 4.0
+
+
+def band_fraction(spec: PhantomSpec, side: str) -> float:
+    """Closed form for a heart whose shadow crosses the lung as a vertical band."""
+    lung = getattr(spec, f"lung_{side}")
+    (cx, _, _), (ax, _, _) = lung.center, lung.semi_axes
+    hx, hax = spec.heart.center[0], spec.heart.semi_axes[0]
+    return cap_fraction((hx + hax - cx) / ax) - cap_fraction((hx - hax - cx) / ax)
+
+
+def quad_fraction(spec: PhantomSpec, side: str) -> float:
+    """Obscured fraction by scipy quad over w = sin(theta), z normalized to the lung.
+
+    At each w the lung's axial section is the disk u^2 + v^2 <= r^2 and every
+    occluder shadow is one u-interval; the v-depth integral over the merged
+    intervals is closed form.
+    """
+    lung = getattr(spec, f"lung_{side}")
+    (lx, _, lz), (lax, _, laz) = lung.center, lung.semi_axes
+    shadows = []
+    for occ in (spec.heart, spec.diaphragm_right, spec.diaphragm_left):
+        if isinstance(occ, Ellipsoid):
+            (x, _, z), (sx, _, sz), cut = occ.center, occ.semi_axes, -math.inf
+        elif occ is not None:
+            (x, _, z), sx, sz, cut = occ.center, occ.radius, occ.radius, occ.cap_z
+        else:
+            continue
+        shadows.append(((x - lx) / lax, sx / lax, (z - lz) / laz, sz / laz, (cut - lz) / laz))
+
+    def depth(t, r):  # integral of sqrt(r^2 - s^2) ds from 0 to t
+        return 0.5 * (t * math.sqrt(max(r * r - t * t, 0.0)) + r * r * math.asin(t / r))
+
+    def area(theta):
+        w, r = math.sin(theta), math.cos(theta)
+        spans = sorted((max(u0 - a * math.sqrt(1 - ((w - w0) / c) ** 2), -r),
+                        min(u0 + a * math.sqrt(1 - ((w - w0) / c) ** 2), r))
+                       for u0, a, w0, c, cut in shadows if abs(w - w0) < c and w >= cut)
+        covered, reach = 0.0, -r
+        for lo, hi in spans:
+            lo = max(lo, reach)
+            if hi > lo:
+                covered += depth(hi, r) - depth(lo, r)
+                reach = hi
+        return covered * r  # dw = cos(theta) dtheta
+
+    points = sorted({math.asin(p) for u0, a, w0, c, cut in shadows
+                     for p in (w0 - c, w0 + c, cut) if -1.0 < p < 1.0})
+    value, _ = integrate.quad(area, -math.pi / 2, math.pi / 2, points=points or None,
+                              limit=500, epsabs=1e-11, epsrel=1e-10)
+    return value / (2.0 * math.pi / 3.0)  # unit ball volume / 2: depth is 2 sqrt(.)
 
 
 def ellipsoid_field(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
@@ -139,6 +203,15 @@ class TestGeneratePhantom:
                        lung_left=Ellipsoid((5.0, 160.0, 160.0), (1.0, 1.0, 1.0)))
         with pytest.raises(SpecViolation):
             generate_phantom(spec)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Ellipsoid((float("nan"), 160.0, 160.0), (40.0, 40.0, 40.0)),
+        lambda: SphereCap((222.0, float("inf"), 30.0), 75.0, 80.0),
+        lambda: SphereCap((222.0, 160.0, 30.0), 75.0, float("nan")),
+    ])
+    def test_non_finite_solid_rejected(self, build):
+        with pytest.raises(SpecViolation):
+            build()
 
     def test_hu_values_validated(self):
         with pytest.raises(SpecViolation):
@@ -231,17 +304,21 @@ class TestAnalyticOracle:
         )
         assert analytic_obscured_fraction(spec, "right") == pytest.approx(0.5, abs=1e-6)
 
-    def test_curved_occluder_unsupported(self):
+    def test_curved_occluder_matches_quadrature(self):
         # modest z semi-axis: the shadow edge bows ~0.3 mm across the lung
         spec = two_sphere_spec(heart=Ellipsoid((122.0, 160.0, 160.0),
                                                (100.0, 50.0, 500.0)))
-        assert analytic_obscured_fraction(spec, "right") is None
-        assert analytic_obscured_fraction(spec, "both") is None
+        fr, fl = quad_fraction(spec, "right"), quad_fraction(spec, "left")
+        assert analytic_obscured_fraction(spec, "right") == pytest.approx(fr, abs=1e-7)
+        vr, vl = 40.0 ** 3, 20.0 ** 3
+        assert analytic_obscured_fraction(spec, "both") == pytest.approx(
+            (vr * fr + vl * fl) / (vr + vl), abs=1e-7)
 
-    def test_occluder_not_spanning_z_unsupported(self):
+    def test_occluder_not_spanning_z_matches_quadrature(self):
         spec = two_sphere_spec(heart=Ellipsoid((222.0, 160.0, 160.0),
                                                (30.0, 50.0, 20.0)))
-        assert analytic_obscured_fraction(spec, "right") is None
+        assert analytic_obscured_fraction(spec, "right") == pytest.approx(
+            quad_fraction(spec, "right"), abs=1e-7)
 
     def test_cap_below_lung_contributes_nothing(self):
         # dome silhouette spans z in [80, 90]; the lung starts at z = 120
@@ -249,10 +326,38 @@ class TestAnalyticOracle:
                        diaphragm_right=SphereCap((222.0, 160.0, 60.0), 30.0, 80.0))
         assert analytic_obscured_fraction(spec, "right") == 0.0
 
-    def test_dome_into_lung_unsupported(self):
+    def test_dome_into_lung_matches_quadrature(self):
         spec = anatomical_spec()
-        for side in ("right", "left", "both"):
-            assert analytic_obscured_fraction(spec, side) is None
+        for side in ("right", "left"):
+            assert analytic_obscured_fraction(spec, side) == pytest.approx(
+                quad_fraction(spec, side), abs=1e-7)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_perturbed_anatomical_cases_match_quadrature(self, index):
+        spec = cohort_case(replace(anatomical_spec(), geometry=COARSE_128), index, 0).spec
+        for side in ("right", "left"):
+            assert analytic_obscured_fraction(spec, side) == pytest.approx(
+                quad_fraction(spec, side), abs=1e-7)
+
+    @pytest.mark.parametrize("spec", [
+        replace(default_spec(), heart=Ellipsoid((156.25, 160.0, 160.0), (43.75, 80.0, BAND_Z))),
+        two_sphere_spec(heart=Ellipsoid((122.0, 160.0, 160.0), (100.0, 50.0, BAND_Z))),
+        two_sphere_spec(heart=Ellipsoid((102.0, 160.0, 160.0), (100.0, 50.0, BAND_Z))),
+        two_sphere_spec(heart=Ellipsoid((215.0, 160.0, 160.0), (20.0, 50.0, BAND_Z))),
+    ], ids=["default", "half_plane", "quarter_chord", "strip_inside_lung"])
+    def test_band_matches_cap_closed_form(self, spec):
+        for side in ("right", "left"):
+            assert analytic_obscured_fraction(spec, side) == pytest.approx(
+                band_fraction(spec, side), abs=1e-9)
+
+    @pytest.mark.parametrize("build", [default_spec, anatomical_spec])
+    def test_every_cohort_case_has_an_oracle(self, build):
+        base = replace(build(), geometry=COARSE_128)
+        for index in range(55):
+            spec = cohort_case(base, index, 0).spec
+            for side in ("right", "left", "both"):
+                frac = analytic_obscured_fraction(spec, side)
+                assert isinstance(frac, float) and 0.0 <= frac <= 1.0
 
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError):
@@ -367,6 +472,20 @@ class TestSpecJson:
         lambda d: d.update(annotator_jitter_px=-1),
         lambda d: d.update(geometry={"dims": [0, 64, 64],
                                      "spacing_mm": [5.0, 5.0, 5.0]}),
+        # bool is an int to Python; json reads NaN, Infinity and huge ints
+        lambda d: d["lung_right"].update(semi_axes_mm=[True, 75.0, 105.0]),
+        lambda d: d["lung_left"].update(center_mm=[10 ** 400, 160.0, 175.0]),
+        lambda d: d["heart"].update(center_mm=[float("nan"), 160.0, 160.0]),
+        lambda d: d["heart"].update(center_mm=[156.25, float("inf"), 160.0]),
+        lambda d: d["geometry"].update(spacing_mm=[True, 2.5, 2.5]),
+        lambda d: d["geometry"].update(spacing_mm=[2.5, 2.5, float("nan")]),
+        lambda d: d.update(hu={"heart": True}),
+        lambda d: d.update(diaphragm_right={"center_mm": [222.0, 160.0, 30.0],
+                                            "radius_mm": True, "cap_z_mm": 80.0}),
+        lambda d: d.update(diaphragm_right={"center_mm": [222.0, 160.0, 30.0],
+                                            "radius_mm": 75.0, "cap_z_mm": float("-inf")}),
+        lambda d: d.update(diaphragm_left={"center_mm": [98.0, float("nan"), 20.0],
+                                           "radius_mm": 75.0, "cap_z_mm": 78.0}),
     ])
     def test_malformed_documents_rejected(self, mutate):
         doc = spec_to_dict(default_spec())
