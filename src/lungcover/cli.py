@@ -113,6 +113,7 @@ def cmd_phantom(args) -> int:
             "spec": spec_to_dict(case.spec),
         })
         _say(args, f"wrote {case_dir}")
+        del case  # a CT case is ~256 MB: free it before the next one is built
     manifest = {
         "kind": "lungcover-cohort",
         "n_cases": args.n,

@@ -31,14 +31,16 @@ from .grid import LABELS, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, i
 _I16 = np.dtype("<i2")
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write_bytes(path: Path, payload: bytes | np.ndarray) -> None:
     path = Path(path)
+    view = memoryview(payload).cast("B")  # a C-contiguous array's bytes, not a copy
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
+            with os.fdopen(fd, "wb", buffering=0) as fh:
+                while view:  # an unbuffered write may be partial
+                    view = view[fh.write(view):]
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -143,7 +145,8 @@ def save_volume(volume: VoxelVolume, path: str | Path) -> None:
         "dtype": "i16le",
         "data": data_name,
     }
-    _atomic_write_bytes(path.parent / data_name, volume.values.astype(_I16, copy=False).tobytes())
+    # copies only on a big-endian host
+    _atomic_write_bytes(path.parent / data_name, np.ascontiguousarray(volume.values, dtype=_I16))
     _atomic_write_bytes(path, _header_to_json(header))
 
 
@@ -170,7 +173,7 @@ def save_mask3d(mask: Mask3D, path: str | Path) -> None:
         "data": data_name,
         "label": mask.label,
     }
-    _atomic_write_bytes(path.parent / data_name, mask.bits.astype(np.uint8).tobytes())
+    _atomic_write_bytes(path.parent / data_name, mask.bits)
     _atomic_write_bytes(path, _header_to_json(header))
 
 
@@ -196,7 +199,7 @@ def save_mask2d(mask: Mask2D, path: str | Path) -> None:
         "data": data_name,
         "label": mask.label,
     }
-    _atomic_write_bytes(path.parent / data_name, mask.bits.astype(np.uint8).tobytes())
+    _atomic_write_bytes(path.parent / data_name, mask.bits)
     _atomic_write_bytes(path, _header_to_json(header))
 
 

@@ -5,9 +5,12 @@ ellipsoids, an optional heart/mediastinum ellipsoid and optional
 diaphragm domes (sphere caps protruding into the lungs from below).
 Voxel membership is voxel-center inclusion, painted with priority
 heart/diaphragm > lung > soft tissue > air, so brute-force counts are
-exact. The truth masks are the voxelized lung ellipsoids themselves;
-the contour-style 2D mask is the lung silhouette minus the occluder
-silhouettes; a second annotator is simulated by seeded boundary jitter.
+exact. Each solid is painted one z-slice at a time (_slices) straight
+into the outputs, so the only 3D arrays made are the volume and the two
+truth masks (256 MB on the 512 x 512 x 244 CT grid). The truth masks are
+the voxelized lung ellipsoids themselves; the contour-style 2D mask is
+the lung silhouette minus the occluder silhouettes, both OR-ed per
+slice; a second annotator is simulated by seeded boundary jitter.
 The oracle is the continuous obscured fraction of every phantom family,
 by one quadrature over the lung (analytic_obscured_fraction).
 
@@ -28,7 +31,6 @@ from scipy import ndimage
 from .errors import SpecViolation
 from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume,
                    is_finite_number)
-from .projection import project_mask
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -144,43 +146,35 @@ def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]
     return lo, max(lo, hi)
 
 
-def _rasterize_ellipsoid(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
-    """Bool (nz, ny, nx): voxel centers inside the ellipsoid."""
-    out = np.zeros(geom.shape_zyx, dtype=bool)
-    (cx, cy, cz), (ax, ay, az) = e.center, e.semi_axes
-    x0, x1 = _index_span(cx - ax, cx + ax, geom.nx, geom.sx)
-    y0, y1 = _index_span(cy - ay, cy + ay, geom.ny, geom.sy)
-    z0, z1 = _index_span(cz - az, cz + az, geom.nz, geom.sz)
+def _slices(geom: GridGeometry, solid: Ellipsoid | SphereCap):
+    """Yield (z, ys, xs, inside) for each z-slice of the solid's index box.
+
+    inside is the bool voxel-center test of the block [z, ys, xs]; a dome
+    yields no slice below its cap plane.
+    """
+    cx, cy, cz = solid.center
+    if isinstance(solid, Ellipsoid):
+        (hx, hy, hz), cut, unit = solid.semi_axes, -math.inf, solid.semi_axes
+    else:
+        hx = hy = hz = solid.radius
+        cut, unit = solid.cap_z, (1.0, 1.0)  # the sphere test is in mm; x / 1.0 is exact
+    x0, x1 = _index_span(cx - hx, cx + hx, geom.nx, geom.sx)
+    y0, y1 = _index_span(cy - hy, cy + hy, geom.ny, geom.sy)
+    z0, z1 = _index_span(max(cut, cz - hz), cz + hz, geom.nz, geom.sz)
     if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return out
-    tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / ax) ** 2
-    ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / ay) ** 2
-    tz = ((_axis_centers(geom.nz, geom.sz)[z0:z1] - cz) / az) ** 2
+        return
+    tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / unit[0]) ** 2
+    ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / unit[1]) ** 2
     txy = ty[:, None] + tx[None, :]
-    for k, t in enumerate(tz):  # z-slice loop keeps peak memory at O(ny*nx)
-        out[z0 + k, y0:y1, x0:x1] = txy <= 1.0 - t
-    return out
-
-
-def _rasterize_cap(geom: GridGeometry, c: SphereCap) -> np.ndarray:
-    """Bool (nz, ny, nx): voxel centers inside the sphere and at z >= cap_z."""
-    out = np.zeros(geom.shape_zyx, dtype=bool)
-    (cx, cy, cz), r = c.center, c.radius
-    x0, x1 = _index_span(cx - r, cx + r, geom.nx, geom.sx)
-    y0, y1 = _index_span(cy - r, cy + r, geom.ny, geom.sy)
-    z0, z1 = _index_span(max(c.cap_z, cz - r), cz + r, geom.nz, geom.sz)
-    if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return out
-    xs = _axis_centers(geom.nx, geom.sx)[x0:x1] - cx
-    ys = _axis_centers(geom.ny, geom.sy)[y0:y1] - cy
     zs = _axis_centers(geom.nz, geom.sz)[z0:z1]
-    txy = (ys ** 2)[:, None] + (xs ** 2)[None, :]
-    r2 = r * r
-    for k, z in enumerate(zs):
-        if z < c.cap_z:
-            continue
-        out[z0 + k, y0:y1, x0:x1] = txy <= r2 - (z - cz) ** 2
-    return out
+    if isinstance(solid, Ellipsoid):
+        bounds = 1.0 - ((zs - cz) / hz) ** 2
+    else:  # scalar ** is C pow, which can round differently from the array square
+        bounds = [hz * hz - (z - cz) ** 2 for z in zs]
+    ys, xs = slice(y0, y1), slice(x0, x1)
+    for z, zc, bound in zip(range(z0, z1), zs, bounds):
+        if zc >= cut:
+            yield z, ys, xs, txy <= bound
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -205,40 +199,36 @@ def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.
 # --- generation ---------------------------------------------------------------
 
 def generate_phantom(spec: PhantomSpec) -> PhantomCase:
-    """Rasterize the spec into a volume, truth masks and 2D annotator masks."""
+    """Paint the spec, slice by slice, into a volume, truth masks and 2D annotator masks."""
     g = spec.geometry
-    truth_r = _rasterize_ellipsoid(g, spec.lung_right)
-    truth_l = _rasterize_ellipsoid(g, spec.lung_left)
-    if not truth_r.any() or not truth_l.any():
-        raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
-    if (truth_r & truth_l).any():
-        raise SpecViolation("lungs intersect")
-
-    occluders = []
-    if spec.heart is not None:
-        occluders.append((_rasterize_ellipsoid(g, spec.heart), spec.hu.heart))
-    if spec.diaphragm_right is not None:
-        occluders.append((_rasterize_cap(g, spec.diaphragm_right), spec.hu.diaphragm))
-    if spec.diaphragm_left is not None:
-        occluders.append((_rasterize_cap(g, spec.diaphragm_left), spec.hu.diaphragm))
-
     values = np.full(g.shape_zyx, spec.hu.air, dtype=np.int16)
     if spec.torso is not None:
-        values[_rasterize_ellipsoid(g, spec.torso)] = spec.hu.soft
-    values[truth_r] = spec.hu.lung
-    values[truth_l] = spec.hu.lung
-    for occ_bits, hu in occluders:
-        values[occ_bits] = hu
+        for z, ys, xs, inside in _slices(g, spec.torso):
+            values[z, ys, xs][inside] = spec.hu.soft
+
+    truth_r, truth_l = np.zeros(g.shape_zyx, bool), np.zeros(g.shape_zyx, bool)
+    sil_r, sil_l = np.zeros((g.nz, g.nx), bool), np.zeros((g.nz, g.nx), bool)
+    for lung, truth, other, sil in ((spec.lung_right, truth_r, truth_l, sil_r),
+                                    (spec.lung_left, truth_l, truth_r, sil_l)):
+        for z, ys, xs, inside in _slices(g, lung):
+            if (other[z, ys, xs] & inside).any():  # no lung is empty then: check it first
+                raise SpecViolation("lungs intersect")
+            truth[z, ys, xs] = inside
+            values[z, ys, xs][inside] = spec.hu.lung
+            sil[z, xs] = inside.any(axis=0)
+    if not sil_r.any() or not sil_l.any():
+        raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
 
     occ_sil = np.zeros((g.nz, g.nx), dtype=bool)
-    for occ_bits, _ in occluders:
-        occ_sil |= occ_bits.any(axis=1)
+    for solid, hu in ((spec.heart, spec.hu.heart),
+                      (spec.diaphragm_right, spec.hu.diaphragm),
+                      (spec.diaphragm_left, spec.hu.diaphragm)):
+        if solid is not None:
+            for z, ys, xs, inside in _slices(g, solid):
+                values[z, ys, xs][inside] = hu
+                occ_sil[z, xs] |= inside.any(axis=0)
 
-    mask_r = Mask3D(g, truth_r, "right")
-    mask_l = Mask3D(g, truth_l, "left")
-    sota_r_bits = project_mask(mask_r).bits & ~occ_sil
-    sota_l_bits = project_mask(mask_l).bits & ~occ_sil
-
+    sota_r_bits, sota_l_bits = sil_r & ~occ_sil, sil_l & ~occ_sil
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
     annot2_r = _jitter_bits(sota_r_bits, spec.annotator_jitter_px, rng)  # right drawn first
     annot2_l = _jitter_bits(sota_l_bits, spec.annotator_jitter_px, rng)
@@ -249,8 +239,8 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     return PhantomCase(
         spec=spec,
         volume=VoxelVolume(g, values),
-        truth_right=mask_r,
-        truth_left=mask_l,
+        truth_right=Mask3D(g, truth_r, "right"),
+        truth_left=Mask3D(g, truth_l, "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
         sota2d_left=m2d(sota_l_bits, "left"),
         annot2_right=m2d(annot2_r, "right"),

@@ -174,6 +174,30 @@ def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
     assert (info.misses, info.hits) == (2 * 3, 2 * 3)
 
 
+def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):
+    """A CT case is ~256 MB: the previous one must be gone when the next is built."""
+    import gc
+    import weakref
+
+    from lungcover import cli
+    real, cases, alive = cli.cohort_case, [], []
+
+    def tracked(*args, **kwargs):
+        alive.extend(ref() is not None for ref in cases)
+        case = real(*args, **kwargs)
+        cases.append(weakref.ref(case))
+        return case
+
+    monkeypatch.setattr(cli, "cohort_case", tracked)
+    gc.disable()  # freed by reference counting, not by a collection that may come later
+    try:
+        make_cohort(tmp_path / "c", spec_file, n=3)
+    finally:
+        gc.enable()
+    assert len(cases) == 3
+    assert alive == [False] * 3  # case 0 when 1 is requested; cases 0 and 1 when 2 is
+
+
 def test_anatomical_cohort_matches_its_oracles(tmp_path):
     cohort = tmp_path / "anatomical"
     assert main(["phantom", "--out", str(cohort), "--spec", "anatomical", "--n", "5",

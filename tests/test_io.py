@@ -5,6 +5,8 @@ inputs fail with typed errors, never partial objects.
 """
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +188,63 @@ class TestMaskRoundTrip:
         path = tmp_path_factory.mktemp("masks") / "m.json"
         save_mask3d(Mask3D(g, bits, "both"), path)
         np.testing.assert_array_equal(load_mask3d(path).bits, bits)
+
+
+class TestPayloadWrites:
+    """Payloads are written from the arrays' own memory: same bytes, no copy."""
+
+    def test_mask3d_payload_bytes(self, tmp_path, rng):
+        g = GridGeometry(nx=7, ny=5, nz=6, sx=1.0, sy=1.0, sz=1.0)
+        bits = rng.random(g.shape_zyx) < 0.5
+        save_mask3d(Mask3D(g, bits, "left"), tmp_path / "m.json")
+        assert (tmp_path / "m.raw").read_bytes() == bits.astype(np.uint8).tobytes()
+
+    def test_mask2d_payload_bytes(self, tmp_path, rng):
+        bits = rng.random((6, 7)) < 0.5
+        save_mask2d(Mask2D(7, 6, 1.0, 2.0, bits, "right"), tmp_path / "m.json")
+        assert (tmp_path / "m.raw").read_bytes() == bits.astype(np.uint8).tobytes()
+
+    @pytest.mark.parametrize("save, build", [
+        (save_volume, lambda g: VoxelVolume(g, np.full(g.shape_zyx, -1000, np.int16))),
+        (save_mask3d, lambda g: Mask3D(g, np.ones(g.shape_zyx, bool), "right")),
+        # the coronal plane of the 512 x 512 x 244 CT grid
+        (save_mask2d, lambda g: Mask2D(512, 244, 0.66, 1.25, np.ones((244, 512), bool), "left")),
+    ], ids=["volume", "mask3d", "mask2d"])
+    def test_save_makes_no_payload_copy(self, tmp_path, save, build):
+        obj = build(GridGeometry(128, 128, 128, 2.5, 2.5, 2.5))
+        payload = obj.values.nbytes if save is save_volume else obj.bits.nbytes
+        save(obj, tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            save(obj, tmp_path / "x.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * payload, peak
+
+    def test_partial_writes_are_completed(self, tmp_path, monkeypatch):
+        class ShortWrites:
+            """A file object that writes at most 3 bytes per call."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                return self.fh.write(memoryview(data)[:3])
+
+        real = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: ShortWrites(real(*a, **kw)))
+        vol = small_volume()
+        save_volume(vol, tmp_path / "vol.json")
+        monkeypatch.undo()
+        assert (tmp_path / "vol.raw").read_bytes() == vol.values.astype("<i2").tobytes()
+        np.testing.assert_array_equal(load_volume(tmp_path / "vol.json").values, vol.values)
 
 
 class TestPgm:

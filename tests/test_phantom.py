@@ -1,6 +1,8 @@
 """Synthetic chest phantom: rasterization, jitter, analytic oracle, cohorts.
 
-The oracle is checked against two references kept here. For a straight
+The slice-streamed painter is checked against the full-volume
+rasterizers it replaced, kept here as the reference painter. The oracle
+is checked against two references kept here. For a straight
 vertical band the spherical-cap identity V_cap/V_sphere = h^2(3-h)/4
 is closed form. Hand-checkable anchors used below: a half-plane through
 the lung center obscures exactly 1/2; one whose edge sits half a radius
@@ -9,13 +11,18 @@ inside the near side obscures h=1/2, i.e. (1/2)^2 (3 - 1/2) / 4 = 5/32
 on the outside, the transposed order of the oracle's own quadrature.
 """
 
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, ndimage
 
+from lungcover.cli import main
 from lungcover.concordance import dice, obscured_fraction
 from lungcover.errors import SpecViolation
 from lungcover.grid import GridGeometry
@@ -35,6 +42,7 @@ from lungcover.phantom import (
     spec_from_dict,
     spec_to_dict,
 )
+from lungcover.phantom import _axis_centers, _index_span, _jitter_bits
 from lungcover.projection import project_mask
 
 SLAB_Z = 1.0e6  # z semi-axis huge enough that the coronal shadow edge is straight
@@ -134,6 +142,215 @@ def ellipsoid_field(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
     return tz[:, None, None] + ty[None, :, None] + tx[None, None, :]
 
 
+def rasterize_ellipsoid(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
+    """Bool (nz, ny, nx): voxel centers inside the ellipsoid."""
+    out = np.zeros(geom.shape_zyx, dtype=bool)
+    (cx, cy, cz), (ax, ay, az) = e.center, e.semi_axes
+    x0, x1 = _index_span(cx - ax, cx + ax, geom.nx, geom.sx)
+    y0, y1 = _index_span(cy - ay, cy + ay, geom.ny, geom.sy)
+    z0, z1 = _index_span(cz - az, cz + az, geom.nz, geom.sz)
+    if x0 >= x1 or y0 >= y1 or z0 >= z1:
+        return out
+    tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / ax) ** 2
+    ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / ay) ** 2
+    tz = ((_axis_centers(geom.nz, geom.sz)[z0:z1] - cz) / az) ** 2
+    txy = ty[:, None] + tx[None, :]
+    for k, t in enumerate(tz):
+        out[z0 + k, y0:y1, x0:x1] = txy <= 1.0 - t
+    return out
+
+
+def rasterize_cap(geom: GridGeometry, c: SphereCap) -> np.ndarray:
+    """Bool (nz, ny, nx): voxel centers inside the sphere and at z >= cap_z."""
+    out = np.zeros(geom.shape_zyx, dtype=bool)
+    (cx, cy, cz), r = c.center, c.radius
+    x0, x1 = _index_span(cx - r, cx + r, geom.nx, geom.sx)
+    y0, y1 = _index_span(cy - r, cy + r, geom.ny, geom.sy)
+    z0, z1 = _index_span(max(c.cap_z, cz - r), cz + r, geom.nz, geom.sz)
+    if x0 >= x1 or y0 >= y1 or z0 >= z1:
+        return out
+    xs = _axis_centers(geom.nx, geom.sx)[x0:x1] - cx
+    ys = _axis_centers(geom.ny, geom.sy)[y0:y1] - cy
+    zs = _axis_centers(geom.nz, geom.sz)[z0:z1]
+    txy = (ys ** 2)[:, None] + (xs ** 2)[None, :]
+    r2 = r * r
+    for k, z in enumerate(zs):
+        if z < c.cap_z:
+            continue
+        out[z0 + k, y0:y1, x0:x1] = txy <= r2 - (z - cz) ** 2
+    return out
+
+
+def reference_phantom(spec: PhantomSpec) -> dict[str, np.ndarray]:
+    """Every output array, painted by full-volume masks in priority order.
+
+    Keyed by case file stem; torso < lungs < heart and domes.
+    """
+    g = spec.geometry
+    truth_r = rasterize_ellipsoid(g, spec.lung_right)
+    truth_l = rasterize_ellipsoid(g, spec.lung_left)
+    if not truth_r.any() or not truth_l.any():
+        raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
+    if (truth_r & truth_l).any():
+        raise SpecViolation("lungs intersect")
+    occluders = [(rasterize_ellipsoid(g, spec.heart), spec.hu.heart)] if spec.heart else []
+    occluders += [(rasterize_cap(g, dome), spec.hu.diaphragm)
+                  for dome in (spec.diaphragm_right, spec.diaphragm_left) if dome]
+    values = np.full(g.shape_zyx, spec.hu.air, dtype=np.int16)
+    if spec.torso is not None:
+        values[rasterize_ellipsoid(g, spec.torso)] = spec.hu.soft
+    values[truth_r | truth_l] = spec.hu.lung
+    occ_sil = np.zeros((g.nz, g.nx), dtype=bool)
+    for bits, hu in occluders:
+        values[bits] = hu
+        occ_sil |= bits.any(axis=1)
+    sota_r = truth_r.any(axis=1) & ~occ_sil
+    sota_l = truth_l.any(axis=1) & ~occ_sil
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
+    annot2_r = _jitter_bits(sota_r, spec.annotator_jitter_px, rng)
+    annot2_l = _jitter_bits(sota_l, spec.annotator_jitter_px, rng)
+    return {"volume": values, "truth_right": truth_r, "truth_left": truth_l,
+            "sota2d_right": sota_r, "sota2d_left": sota_l,
+            "annot2_right": annot2_r, "annot2_left": annot2_l}
+
+
+def case_arrays(case) -> dict[str, np.ndarray]:
+    return {"volume": case.volume.values,
+            **{name: getattr(case, name).bits for name in (
+                "truth_right", "truth_left", "sota2d_right", "sota2d_left",
+                "annot2_right", "annot2_left")}}
+
+
+def assert_matches_reference(spec: PhantomSpec) -> None:
+    """generate_phantom equals the reference painter, or raises as it does."""
+    try:
+        want = reference_phantom(spec)
+    except SpecViolation as exc:
+        with pytest.raises(SpecViolation, match=str(exc)):
+            generate_phantom(spec)
+        return
+    got = case_arrays(generate_phantom(spec))
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and np.array_equal(got[name], arr), name
+
+
+# 0.66 x 0.66 x 1.25 mm like the CT grid, on a test-sized 63 x 53 x 90 mm field.
+ANISO = PhantomSpec(
+    geometry=GridGeometry(nx=96, ny=80, nz=72, sx=0.66, sy=0.66, sz=1.25),
+    lung_right=Ellipsoid((45.0, 26.0, 47.0), (12.5, 17.0, 30.0)),
+    lung_left=Ellipsoid((18.0, 26.4, 45.3), (10.2, 18.0, 31.0)),
+    torso=Ellipsoid((31.7, 26.4, 45.0), (40.0, 30.0, 60.0)),  # clipped on every side
+    heart=Ellipsoid((29.0, 30.0, 30.0), (9.0, 10.0, 200.0)),  # clipped in z
+    diaphragm_right=SphereCap((45.0, 26.0, 0.5), 22.0, 19.375),  # cap plane on slice 15
+    diaphragm_left=SphereCap((18.0, 26.0, 5.0), 10.0, 15.2),  # cap plane above the top
+)
+
+
+@st.composite
+def phantom_specs(draw) -> PhantomSpec:
+    """Small grids with anisotropic spacing; solids may be clipped or cut away."""
+    dims = [draw(st.integers(6, 22)) for _ in range(3)]
+    spacing = [draw(st.floats(0.5, 3.0)) for _ in range(3)]
+    fov = [n * s for n, s in zip(dims, spacing)]
+
+    def frac(lo=0.0, hi=1.0):
+        return draw(st.floats(lo, hi))
+
+    def lung(x_lo, x_hi):  # inside the grid, and in [x_lo, x_hi] of the x field
+        lo, width = (fov[0] * x_lo, 0.0, 0.0), (fov[0] * (x_hi - x_lo), fov[1], fov[2])
+        semi = [w * frac(0.08, 0.45) for w in width]
+        center = [lo[k] + semi[k] + (width[k] - 2 * semi[k]) * frac(0.01, 0.99)
+                  for k in range(3)]
+        return Ellipsoid(tuple(center), tuple(semi))
+
+    def solid():  # anywhere, up to half past the grid edges
+        center = tuple(f * frac(-0.5, 1.5) for f in fov)
+        return Ellipsoid(center, tuple(f * frac(0.05, 1.0) for f in fov))
+
+    def dome():
+        (cx, cy, cz), (r, _, _) = solid().center, solid().semi_axes
+        return SphereCap((cx, cy, cz), r, cz + r * frac(-1.5, 1.5))
+
+    return PhantomSpec(
+        geometry=GridGeometry(*dims, *spacing),
+        lung_right=lung(0.4, 1.0),
+        lung_left=lung(0.0, 0.6),  # the x ranges overlap: lungs may intersect
+        torso=solid() if draw(st.booleans()) else None,
+        heart=solid() if draw(st.booleans()) else None,
+        diaphragm_right=dome() if draw(st.booleans()) else None,
+        diaphragm_left=dome() if draw(st.booleans()) else None,
+        rng_seed=draw(st.integers(0, 1000)),
+    )
+
+
+class TestSlicePainter:
+    @pytest.mark.parametrize("spec", [
+        default_spec(),
+        anatomical_spec(),
+        ANISO,
+        replace(ANISO, diaphragm_left=SphereCap((18.0, 26.0, -30.0), 12.0, -35.0)),  # below
+    ], ids=["default", "anatomical", "anisotropic", "cap-below-grid"])
+    def test_matches_full_volume_reference(self, spec):
+        assert_matches_reference(spec)
+
+    def test_cases_cover_clipping_and_empty_caps(self):
+        g = ANISO.geometry
+        fov = (g.nx * g.sx, g.ny * g.sy, g.nz * g.sz)
+        for e in (ANISO.torso, ANISO.heart):  # clipped by the grid edge
+            assert any(e.center[k] + e.semi_axes[k] > fov[k] for k in range(3))
+        dome = ANISO.diaphragm_left
+        assert dome.cap_z > dome.center[2] + dome.radius
+        assert not rasterize_cap(g, dome).any()
+        assert rasterize_cap(g, ANISO.diaphragm_right).any()
+
+    @settings(max_examples=80)
+    @given(spec=phantom_specs())
+    def test_random_specs_match_reference(self, spec):
+        assert_matches_reference(spec)
+
+    @pytest.mark.parametrize("build", [default_spec, anatomical_spec])
+    def test_peak_memory_is_the_outputs(self, build):
+        """No 3D temporary: the traced peak stays within 5 % of the output arrays."""
+        spec = build()
+        generate_phantom(spec)  # first-call allocations are not the painter's
+        tracemalloc.start()
+        try:
+            case = generate_phantom(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(case_arrays(case)[name].nbytes
+                      for name in ("volume", "truth_right", "truth_left"))
+        assert peak <= 1.05 * outputs, (peak, outputs)
+
+    @pytest.mark.parametrize("name", ["default", "anatomical"])
+    def test_phantom_command_writes_reference_bytes(self, tmp_path, name):
+        out = tmp_path / "cohort"
+        assert main(["phantom", "--out", str(out), "--spec", name, "--n", "3", "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert len(manifest["cases"]) == 3
+        for entry in manifest["cases"]:
+            spec = spec_from_dict(entry["spec"])
+            g = spec.geometry
+            want = {}
+            for stem, arr in reference_phantom(spec).items():
+                dims, spacing = (([g.nx, g.ny, g.nz], [g.sx, g.sy, g.sz]) if arr.ndim == 3
+                                 else ([g.nx, g.nz], [g.sx, g.sz]))
+                header = {"dims": dims, "spacing_mm": spacing,
+                          "dtype": "i16le" if stem == "volume" else "u8",
+                          "data": stem + ".raw"}
+                if stem != "volume":
+                    header["label"] = stem.rsplit("_", 1)[1]
+                want[stem + ".json"] = (json.dumps(header, sort_keys=True, indent=2)
+                                        + "\n").encode()
+                want[stem + ".raw"] = arr.astype("<i2" if stem == "volume" else np.uint8
+                                                 ).tobytes()
+            case_dir = out / entry["dir"]
+            assert sorted(p.name for p in case_dir.iterdir()) == sorted(want)
+            for file_name, data in want.items():
+                assert (case_dir / file_name).read_bytes() == data, file_name
+
+
 class TestGeneratePhantom:
     def test_truth_masks_are_voxelized_ellipsoids(self):
         spec = default_spec()
@@ -194,14 +411,14 @@ class TestGeneratePhantom:
     def test_intersecting_lungs_rejected(self):
         spec = replace(default_spec(),
                        lung_left=Ellipsoid((200.0, 160.0, 175.0), (55.0, 75.0, 105.0)))
-        with pytest.raises(SpecViolation):
+        with pytest.raises(SpecViolation, match="lungs intersect"):
             generate_phantom(spec)
 
     def test_vanishing_lung_rejected(self):
         # fits the grid but contains no 5 mm voxel center
         spec = replace(two_sphere_spec(heart=None),
                        lung_left=Ellipsoid((5.0, 160.0, 160.0), (1.0, 1.0, 1.0)))
-        with pytest.raises(SpecViolation):
+        with pytest.raises(SpecViolation, match="zero voxels"):
             generate_phantom(spec)
 
     @pytest.mark.parametrize("build", [
