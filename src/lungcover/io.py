@@ -14,13 +14,25 @@ x-fastest, then y, then z.
 
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
+A written file gets the mode ``open()`` would give it: 0o666 less the
+umask.
+
+Payloads are read by mapping them read-only, not by copying them: a
+loaded array is a read-only view of the page cache, and the validation
+scans and every computation read the mapped bytes in place. The map
+holds a duplicate of the file descriptor, so each live loaded array
+keeps one descriptor open until the array is freed. Because writes
+replace a file by rename, a mapped payload's bytes never change under
+it; truncating a payload in place while another process has it loaded
+is unsupported (on POSIX the reader gets SIGBUS).
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +43,23 @@ from .grid import LABELS, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, i
 _I16 = np.dtype("<i2")
 
 
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """A new file beside ``path``, created as ``open()`` would: mode 0o666 & ~umask."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def _atomic_write_bytes(path: Path, payload: bytes | np.ndarray) -> None:
     path = Path(path)
     view = memoryview(payload).cast("B")  # a C-contiguous array's bytes, not a copy
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        fd, tmp = _create_temp(path)
         try:
             with os.fdopen(fd, "wb", buffering=0) as fh:
                 while view:  # an unbuffered write may be partial
@@ -103,17 +126,22 @@ def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) ->
     return header
 
 
-def _load_payload(header_path: Path, header: dict, expect_bytes: int) -> bytes:
+def _load_payload(header_path: Path, header: dict, expect_bytes: int) -> mmap.mmap:
+    """The payload mapped read-only, once its size is the one the header implies."""
     data_path = Path(header_path).parent / header["data"]
-    payload = _read_bytes(data_path)
-    if len(payload) != expect_bytes:
-        raise SizeMismatch(
-            f"{data_path}: payload is {len(payload)} bytes, header implies {expect_bytes}"
-        )
-    return payload
+    try:
+        with open(data_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expect_bytes:
+                raise SizeMismatch(
+                    f"{data_path}: payload is {size} bytes, header implies {expect_bytes}")
+            # the map keeps its own duplicate of the descriptor
+            return mmap.mmap(fh.fileno(), expect_bytes, access=mmap.ACCESS_READ)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {data_path}: {exc}") from exc
 
 
-def _mask_bits(payload: bytes, shape: tuple[int, ...], where: str) -> np.ndarray:
+def _mask_bits(payload: mmap.mmap, shape: tuple[int, ...], where: str) -> np.ndarray:
     """Read-only bool view of a validated 0/1 payload; makes no copy."""
     raw = np.frombuffer(payload, dtype=np.uint8)
     if raw.size and raw.max() > 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
+from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,18 @@ class WindowSpec:
 DEFAULT_WINDOW = WindowSpec(-1000.0, 200.0)
 
 
+def _mean_along_y(values: np.ndarray) -> np.ndarray:
+    """float64 mean of each (z, x) column of an HU volume, shape (nz, nx).
+
+    Each column sum is an exact integer, accumulated in int32 when ny
+    voxels of the widest HU fit it and in int64 otherwise, so the quotient
+    is bit-identical to ``values.mean(axis=1, dtype=np.float64)``.
+    """
+    ny = values.shape[1]
+    acc = np.int32 if max(-HU_MIN, HU_MAX) * ny <= np.iinfo(np.int32).max else np.int64
+    return values.sum(axis=1, dtype=acc) / ny
+
+
 def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrImage:
     """Mean-intensity projection along y, windowed to uint8.
 
@@ -38,7 +50,7 @@ def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrI
     round half away from zero (the scaled value is nonnegative, so this
     is floor(v + 0.5)).
     """
-    mean = volume.values.mean(axis=1, dtype=np.float64)  # (nz, nx)
+    mean = _mean_along_y(volume.values)
     frac = np.clip((mean - window.lo) / (window.hi - window.lo), 0.0, 1.0)
     pixels = np.floor(255.0 * frac + 0.5).astype(np.uint8)
     return DrrImage(volume.geometry.nx, volume.geometry.nz, pixels)

@@ -1,8 +1,10 @@
 """End-to-end command line tests: every subcommand, exit codes, determinism."""
 
 import csv
+import gc
 import json
 import math
+import os
 import re
 import shutil
 from pathlib import Path
@@ -449,6 +451,51 @@ def test_cohort_loads_each_mask_file_once(cohort, tmp_path, monkeypatch):
     n = len(json.loads((cohort / "manifest.json").read_text())["cases"])
     # each of a case's 2 truth and 4 annotator mask files once: 2n + 4n loads
     assert sorted(loaded) == sorted(CASE_FILES[1:] * n)
+
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_cohort_frees_each_case_mapping(cohort, tmp_path, monkeypatch):
+    """A loaded mask maps its payload and holds one descriptor until the mask is freed.
+
+    With the garbage collector off, only reference counting frees a case's
+    masks: every case must start with the descriptors the run started with.
+    """
+    import lungcover.cli as cli
+    at_case_start, after_load = [], []
+
+    def counting(load):
+        def wrapper(path):
+            mask = load(path)
+            after_load.append(_open_fds())
+            return mask
+        return wrapper
+
+    def case_report(case_report):
+        def wrapper(case_dir, case_id):
+            at_case_start.append(_open_fds())
+            return case_report(case_dir, case_id)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_case_report", case_report(cli._case_report))
+    monkeypatch.setattr(cli, "load_mask3d", counting(cli.load_mask3d))
+    monkeypatch.setattr(cli, "load_mask2d", counting(cli.load_mask2d))
+    gc.collect()
+    gc.disable()
+    try:
+        start = _open_fds()
+        assert main(["cohort", str(cohort), "--out", str(tmp_path / "r"), "--quiet"]) == 0
+        end = _open_fds()
+    finally:
+        gc.enable()
+    n = len(json.loads((cohort / "manifest.json").read_text())["cases"])
+    assert at_case_start == [start] * n
+    assert len(after_load) == 6 * n and max(after_load) <= start + 6
+    assert end == start
 
 
 def test_cohort_without_manifest_rejected(tmp_path, capsys):

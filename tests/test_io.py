@@ -6,6 +6,7 @@ inputs fail with typed errors, never partial objects.
 
 import json
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lungcover.cli import main
 from lungcover.errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
 from lungcover.grid import DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import (
@@ -245,6 +247,80 @@ class TestPayloadWrites:
         monkeypatch.undo()
         assert (tmp_path / "vol.raw").read_bytes() == vol.values.astype("<i2").tobytes()
         np.testing.assert_array_equal(load_volume(tmp_path / "vol.json").values, vol.values)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        save_volume(small_volume(), tmp_path / "vol.json")
+        write_json({"a": 1}, tmp_path / "x.json")
+    finally:
+        os.umask(old)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {
+        "vol.json": mode, "vol.raw": mode, "x.json": mode}
+
+
+class TestPayloadLoads:
+    """Payloads are mapped, not copied: loads allocate nothing payload-sized."""
+
+    @pytest.mark.parametrize("save, load, attr, build", [
+        (save_volume, load_volume, "values",
+         lambda g: VoxelVolume(g, np.full(g.shape_zyx, -1000, np.int16))),
+        (save_mask3d, load_mask3d, "bits",
+         lambda g: Mask3D(g, np.ones(g.shape_zyx, bool), "right")),
+    ], ids=["volume", "mask3d"])
+    def test_load_makes_no_payload_copy(self, tmp_path, save, load, attr, build):
+        obj = build(GridGeometry(128, 128, 128, 2.5, 2.5, 2.5))
+        save(obj, tmp_path / "x.json")
+        load(tmp_path / "x.json")  # warm imports and caches
+        tracemalloc.start()
+        try:
+            loaded = load(tmp_path / "x.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * getattr(obj, attr).nbytes, peak
+        arr = getattr(loaded, attr)
+        assert not arr.flags.writeable and not arr.flags.owndata
+        np.testing.assert_array_equal(arr, getattr(obj, attr))
+
+    @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b"\0", lambda b: b""],
+                             ids=["short", "long", "empty"])
+    @pytest.mark.parametrize("save, load, obj", [
+        (save_volume, load_volume, small_volume()),
+        (save_mask3d, load_mask3d,
+         Mask3D(small_volume().geometry, np.ones((2, 3, 4), bool), "left")),
+        (save_mask2d, load_mask2d, Mask2D(4, 2, 1.0, 1.0, np.ones((2, 4), bool), "left")),
+    ], ids=["volume", "mask3d", "mask2d"])
+    def test_wrong_payload_size_is_size_mismatch(self, tmp_path, save, load, obj, resize):
+        save(obj, tmp_path / "x.json")
+        raw = tmp_path / "x.raw"
+        raw.write_bytes(resize(raw.read_bytes()))
+        with pytest.raises(SizeMismatch, match="header implies"):
+            load(tmp_path / "x.json")
+
+    def test_payload_that_is_a_directory_is_io_failure(self, tmp_path, capsys):
+        save_volume(small_volume(), tmp_path / "vol.json")
+        (tmp_path / "vol.raw").unlink()
+        (tmp_path / "vol.raw").mkdir()
+        with pytest.raises(IoFailure):
+            load_volume(tmp_path / "vol.json")
+        assert main(["drr", str(tmp_path / "vol.json"), "--out", str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoFailure: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_loaded_array_keeps_its_bytes_when_the_file_is_replaced(self, tmp_path):
+        vol = small_volume()
+        save_volume(vol, tmp_path / "vol.json")
+        before = load_volume(tmp_path / "vol.json")
+        save_volume(VoxelVolume(vol.geometry, np.full(vol.geometry.shape_zyx, 7, np.int16)),
+                    tmp_path / "new.json")
+        os.replace(tmp_path / "new.raw", tmp_path / "vol.raw")
+        np.testing.assert_array_equal(before.values, vol.values)
+        assert (load_volume(tmp_path / "vol.json").values == 7).all()
 
 
 class TestPgm:

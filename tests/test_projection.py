@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lungcover.grid import GridGeometry, Mask2D, Mask3D, VoxelVolume
+from lungcover.grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.projection import (
     DEFAULT_WINDOW,
     WindowSpec,
+    _mean_along_y,
     extrude_mask,
     project_mask,
     render_drr,
@@ -115,6 +116,31 @@ class TestRenderDrr:
         a = render_drr(volume_from(values))
         b = render_drr(volume_from(shuffled))
         np.testing.assert_array_equal(a.pixels, b.pixels)
+
+
+class TestColumnMean:
+    """The integer-accumulated column mean is bit-identical to a float64 mean."""
+
+    @given(dims=geometries(8), seed=st.integers(0, 2**31))
+    def test_extreme_hu_volumes(self, dims, seed):
+        nx, ny, nz = dims
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array([HU_MIN, HU_MAX], np.int16), size=(nz, ny, nx))
+        mean = _mean_along_y(values)
+        assert mean.dtype == np.float64
+        assert mean.tobytes() == values.mean(axis=1, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("hu", [HU_MIN, HU_MAX])
+    def test_column_too_deep_for_int32(self, hu):
+        # 700000 * 3071 > 2**31 - 1: an int32 sum of this column would wrap
+        values = np.full((1, 700_000, 1), hu, np.int16)
+        assert _mean_along_y(values).tobytes() == values.mean(axis=1, dtype=np.float64).tobytes()
+        assert render_drr(volume_from(values)).pixels.tolist() == [[0 if hu == HU_MIN else 255]]
+
+    def test_deepest_int32_column(self):
+        ny = (2**31 - 1) // HU_MAX  # the deepest column still summed in int32
+        values = np.full((1, ny, 1), HU_MAX, np.int16)
+        assert _mean_along_y(values).tolist() == [[float(HU_MAX)]]
 
 
 class TestExtrudeProject:
