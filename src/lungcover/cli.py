@@ -130,8 +130,8 @@ def cmd_phantom(args) -> int:
 # --- drr -----------------------------------------------------------------------
 
 def cmd_drr(args) -> int:
-    volume = load_volume(args.volume)
     window = WindowSpec(args.window_lo, args.window_hi)
+    volume = load_volume(args.volume)
     save_pgm(render_drr(volume, window), args.out)
     print(args.out)
     return 0

@@ -43,6 +43,23 @@ def _check_size(name: str, n) -> None:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
+def _check_spacing(name: str, s) -> None:
+    if not (s > 0.0) or not np.isfinite(s):
+        raise ValueError(f"{name} must be positive and finite, got {s!r}")
+
+
+# Block size of the HU range check: the max pass reads each block while the
+# min pass has left it in cache, so the volume streams from memory once.
+_SCAN_BYTES = 1 << 20
+
+
+def _within_hu(raw: np.ndarray) -> bool:
+    """Every value of a (nz, ny, nx) array lies in [HU_MIN, HU_MAX]; NaN does not."""
+    rows = max(1, _SCAN_BYTES // raw[0].nbytes)
+    return all(HU_MIN <= block.min() and block.max() <= HU_MAX
+               for block in (raw[z:z + rows] for z in range(0, len(raw), rows)))
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Grid dims (voxel counts) and isotropic-per-axis spacing in mm."""
@@ -58,9 +75,7 @@ class GridGeometry:
         for name in ("nx", "ny", "nz"):
             _check_size(name, getattr(self, name))
         for name in ("sx", "sy", "sz"):
-            s = getattr(self, name)
-            if not (s > 0.0) or not np.isfinite(s):
-                raise ValueError(f"{name} must be positive and finite, got {s!r}")
+            _check_spacing(name, getattr(self, name))
 
     @property
     def shape_zyx(self) -> tuple[int, int, int]:
@@ -95,7 +110,7 @@ class VoxelVolume:
                 f"values shape {raw.shape} != geometry {self.geometry.shape_zyx}"
             )
         # range check before the int16 narrowing so nothing wraps silently
-        if raw.size and (raw.min() < HU_MIN or raw.max() > HU_MAX):
+        if not _within_hu(raw):
             raise ValueError(f"values outside [{HU_MIN}, {HU_MAX}]")
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
@@ -147,8 +162,8 @@ class Mask2D:
     def __post_init__(self):
         _check_size("nx", self.nx)
         _check_size("nz", self.nz)
-        if not (self.sx > 0.0 and self.sz > 0.0):
-            raise ValueError("sx and sz must be positive")
+        _check_spacing("sx", self.sx)
+        _check_spacing("sz", self.sz)
         bits = _freeze(self.bits, bool)
         if bits.shape != (self.nz, self.nx):
             raise ValueError(f"bits shape {bits.shape} != (nz, nx) = {(self.nz, self.nx)}")

@@ -10,7 +10,9 @@ into the outputs, so the only 3D arrays made are the volume and the two
 truth masks (256 MB on the 512 x 512 x 244 CT grid). The truth masks are
 the voxelized lung ellipsoids themselves; the contour-style 2D mask is
 the lung silhouette minus the occluder silhouettes, both OR-ed per
-slice; a second annotator is simulated by seeded boundary jitter.
+slice; a second annotator is simulated by seeded boundary jitter, on a
+band found by numpy 4-neighbour dilation and erosion (_grow), so making
+a phantom needs no scipy.
 The oracle is the continuous obscured fraction of every phantom family,
 by one quadrature over the lung (analytic_obscured_fraction).
 
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import SpecViolation
 from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume,
@@ -179,13 +180,32 @@ def _slices(geom: GridGeometry, solid: Ellipsoid | SphereCap):
 
 # --- annotator jitter ---------------------------------------------------------
 
+def _grow(bits: np.ndarray, radius: int, outside: bool) -> np.ndarray:
+    """4-neighbour dilation of a 2D mask, radius times; off-array pixels read as outside.
+
+    The pad of width radius stands in for the off-array pixels of every
+    step; a path through it is never shorter than one inside the array.
+    """
+    grown = np.pad(bits, radius, constant_values=outside)
+    for _ in range(radius):
+        step = grown.copy()
+        step[1:] |= grown[:-1]
+        step[:-1] |= grown[1:]
+        step[:, 1:] |= grown[:, :-1]
+        step[:, :-1] |= grown[:, 1:]
+        grown = step
+    return grown[radius:radius + bits.shape[0], radius:radius + bits.shape[1]]
+
+
 def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.ndarray:
-    """Flip boundary-band pixels independently; at least one pixel changes."""
+    """Flip boundary-band pixels independently; at least one pixel changes.
+
+    The band is the radius-dilation minus the radius-erosion, both with
+    off-array pixels as background: erosion is ~_grow(~bits, radius, True).
+    """
     if radius == 0:
         return bits.copy()
-    band = ndimage.binary_dilation(bits, iterations=radius) & ~ndimage.binary_erosion(
-        bits, iterations=radius
-    )
+    band = _grow(bits, radius, False) & _grow(~bits, radius, True)
     idx = np.flatnonzero(band)
     out = bits.copy().ravel()
     if idx.size:

@@ -8,6 +8,7 @@ and projection (OR along y). project(extrude(m)) == m for every ny >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,19 @@ from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelV
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Display window in HU; lo maps to 0, hi maps to 255."""
+    """Display window in HU; lo maps to 0, hi maps to 255.
+
+    lo, hi and their width hi - lo must be finite: an infinite bound or
+    width would scale every pixel to 0 or NaN.
+    """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"window requires lo < hi, got ({self.lo}, {self.hi})")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(
+                f"window requires finite lo < hi with a finite width, got ({self.lo}, {self.hi})")
 
 
 # Default window spans air to light soft tissue so lungs stay mid-gray.

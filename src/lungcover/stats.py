@@ -6,6 +6,9 @@ approximation with continuity correction, normality through Royston's
 1995 approximation of the Shapiro-Wilk W) so the suite can check them
 against an independent reference implementation instead of re-exporting
 one.
+
+scipy.special is imported inside the two functions that need it, so
+importing lungcover (and every command but cohort) loads numpy only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, ndtri
 
 from .errors import (
     AllZeroDifferences,
@@ -121,6 +123,8 @@ def paired_t_test(xs, ys) -> TestResult:
         raise DegenerateVariance("paired differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
+    from scipy.special import betainc  # deferred: keeps scipy out of import lungcover
+
     p = 1.0 if t == 0.0 else float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TestResult(name="paired_t", statistic=t, p_value=p, n=n, df=df)
 
@@ -178,6 +182,8 @@ def _poly(coeffs, x: float) -> float:
 
 def _shapiro_coefficients(n: int) -> np.ndarray:
     """Weight vector a (antisymmetric, unit norm) for the W numerator."""
+    from scipy.special import ndtri  # deferred: keeps scipy out of import lungcover
+
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     summ2 = float((m * m).sum())
     rsn = 1.0 / math.sqrt(n)

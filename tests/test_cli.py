@@ -7,11 +7,15 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lungcover
 from lungcover.cli import main
 from lungcover.concordance import obscured_fraction
 from lungcover.grid import Mask2D
@@ -241,6 +245,19 @@ def test_drr_inverted_window_rejected(cohort, tmp_path, capsys):
                "--window-lo", "200", "--window-hi", "-1000"])
     assert rc == 1
     one_error_line(capsys)
+
+
+@pytest.mark.parametrize("window", [["--window-lo=-inf"], ["--window-hi", "inf"],
+                                    ["--window-lo=-1e308", "--window-hi=1e308"]],
+                         ids=["lo_-inf", "hi_inf", "width_overflows"])
+def test_drr_infinite_window_rejected(cohort, tmp_path, capsys, window):
+    out = tmp_path / "x.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the window must be refused before any arithmetic
+        rc = main(["drr", str(cohort / "case_000" / "volume.json"), "--out", str(out)] + window)
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: ValueError: window requires finite")
+    assert not out.exists()
 
 
 def test_drr_missing_volume_is_io_failure(tmp_path, capsys):
@@ -533,6 +550,53 @@ def test_cohort_case_dir_must_stay_inside_cohort(cohort, tmp_path, capsys, case_
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     assert main(["cohort", str(tmp_path / "d"), "--quiet"]) == 1
     assert one_error_line(capsys).startswith("error: MalformedHeader:")
+
+
+# --- start-up cost -------------------------------------------------------------------
+
+# Run in a fresh interpreter: prints the scipy modules loaded after each step.
+_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import lungcover, lungcover.cli
+from lungcover.cli import main
+seen = {"import": scipy_modules()}
+spec, out = sys.argv[1], Path(sys.argv[2])
+case = out / "case_000"
+steps = {
+    "phantom": ["phantom", "--out", str(out), "--spec", spec, "--n", "2"],
+    "drr": ["drr", str(case / "volume.json"), "--out", str(out / "a.pgm")],
+    "analyze": ["analyze", "--ct-right", str(case / "truth_right.json"),
+                "--ct-left", str(case / "truth_left.json"),
+                "--mask2d-right", str(case / "sota2d_right.json"),
+                "--mask2d-left", str(case / "sota2d_left.json"), "--out", str(out / "an")],
+    "agreement": ["agreement", str(case / "sota2d_right.json"),
+                  str(case / "annot2_right.json")],
+    "cohort": ["cohort", str(out)],
+}
+for name, argv in steps.items():
+    assert main(argv + ["--quiet"]) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_cohort_loads_scipy(tmp_path, spec_file):
+    """Every command but cohort runs on numpy alone; cohort loads scipy.special."""
+    src = str(Path(lungcover.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(spec_file),
+                           str(tmp_path / "cohort")],
+                          env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    for step in ("import", "phantom", "drr", "analyze", "agreement"):
+        assert seen[step] == [], step
+    assert "scipy.special" in seen["cohort"]
 
 
 # --- benchmark contract ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lungcover import grid
 from lungcover.grid import (
     HU_MAX,
     HU_MIN,
@@ -41,7 +42,7 @@ class TestGridGeometry:
             small_geometry(**{field: True})
 
     @pytest.mark.parametrize("field", ["sx", "sy", "sz"])
-    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_bad_spacing(self, field, value):
         with pytest.raises(ValueError):
             small_geometry(**{field: value})
@@ -84,6 +85,29 @@ class TestVoxelVolume:
         g = small_geometry()
         with pytest.raises(ValueError):
             VoxelVolume(g, np.zeros((2, 3, 5), dtype=np.int16))
+
+    @pytest.mark.parametrize("bad", [HU_MIN - 1, HU_MAX + 1])
+    @pytest.mark.parametrize("where", ["first", "last", "inside_partial_block"])
+    def test_range_check_reads_every_block(self, bad, where):
+        rows = grid._SCAN_BYTES // (256 * 256 * 2)  # int16 slices per scan block
+        g = small_geometry(nx=256, ny=256, nz=rows + rows // 2 + 1)  # ends in a partial block
+        partial = g.nz - g.nz % rows
+        assert 0 < partial < g.nz
+        values = np.zeros(g.shape_zyx, dtype=np.int16)
+        index = {"first": (0, 0, 0), "last": (-1, -1, -1),
+                 "inside_partial_block": (partial + 1, 40, 17)}[where]
+        values[index] = bad
+        with pytest.raises(ValueError, match="outside"):
+            VoxelVolume(g, values)
+        values[index] = HU_MAX
+        assert VoxelVolume(g, values).values[index] == HU_MAX
+
+    def test_rejects_nan(self):
+        g = small_geometry()
+        values = np.zeros(g.shape_zyx)
+        values[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            VoxelVolume(g, values)
 
     def test_values_are_read_only(self):
         g = small_geometry()
@@ -167,6 +191,15 @@ class TestMask2D:
         with pytest.raises(ValueError):
             Mask2D(bits=np.ones((kwargs["nz"], max(kwargs["nx"], 1)), dtype=bool),
                    label="right", **kwargs)
+
+    @pytest.mark.parametrize("field", ["sx", "sz"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_spacing_the_geometry_rejects(self, field, value):
+        spacing = {"sx": 1.0, "sz": 1.0, field: value}
+        with pytest.raises(ValueError, match="positive and finite"):
+            Mask2D(nx=2, nz=2, bits=np.ones((2, 2), dtype=bool), label="right", **spacing)
+        with pytest.raises(ValueError, match="positive and finite"):
+            small_geometry(**spacing)
 
     def test_rejects_bool_sizes(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Synthetic chest phantom: rasterization, jitter, analytic oracle, cohorts.
 
 The slice-streamed painter is checked against the full-volume
-rasterizers it replaced, kept here as the reference painter. The oracle
+rasterizers it replaced, kept here as the reference painter, with the
+scipy.ndimage boundary band that the numpy jitter morphology replaced. The oracle
 is checked against two references kept here. For a straight
 vertical band the spherical-cap identity V_cap/V_sphere = h^2(3-h)/4
 is closed form. Hand-checkable anchors used below: a half-plane through
@@ -42,7 +43,8 @@ from lungcover.phantom import (
     spec_from_dict,
     spec_to_dict,
 )
-from lungcover.phantom import _axis_centers, _index_span, _jitter_bits
+from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _grow, _index_span,
+                               _jitter_bits)
 from lungcover.projection import project_mask
 
 SLAB_Z = 1.0e6  # z semi-axis huge enough that the coronal shadow edge is straight
@@ -181,6 +183,26 @@ def rasterize_cap(geom: GridGeometry, c: SphereCap) -> np.ndarray:
     return out
 
 
+def scipy_band(bits: np.ndarray, radius: int) -> np.ndarray:
+    """Pixels within radius 4-neighbour steps of the mask edge, by scipy.ndimage."""
+    return (ndimage.binary_dilation(bits, iterations=radius)
+            & ~ndimage.binary_erosion(bits, iterations=radius))
+
+
+def reference_jitter(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.ndarray:
+    """The annotator-2 flips drawn on the scipy band, in the same rng order."""
+    out = bits.copy()
+    if radius == 0:
+        return out
+    idx = np.flatnonzero(scipy_band(bits, radius))
+    if idx.size:
+        flips = rng.random(idx.size) < JITTER_FLIP_PROB
+        if not flips.any():
+            flips[0] = True
+        out.flat[idx[flips]] ^= True
+    return out
+
+
 def reference_phantom(spec: PhantomSpec) -> dict[str, np.ndarray]:
     """Every output array, painted by full-volume masks in priority order.
 
@@ -207,8 +229,8 @@ def reference_phantom(spec: PhantomSpec) -> dict[str, np.ndarray]:
     sota_r = truth_r.any(axis=1) & ~occ_sil
     sota_l = truth_l.any(axis=1) & ~occ_sil
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
-    annot2_r = _jitter_bits(sota_r, spec.annotator_jitter_px, rng)
-    annot2_l = _jitter_bits(sota_l, spec.annotator_jitter_px, rng)
+    annot2_r = reference_jitter(sota_r, spec.annotator_jitter_px, rng)
+    annot2_l = reference_jitter(sota_l, spec.annotator_jitter_px, rng)
     return {"volume": values, "truth_right": truth_r, "truth_left": truth_l,
             "sota2d_right": sota_r, "sota2d_left": sota_l,
             "annot2_right": annot2_r, "annot2_left": annot2_l}
@@ -289,7 +311,8 @@ class TestSlicePainter:
         anatomical_spec(),
         ANISO,
         replace(ANISO, diaphragm_left=SphereCap((18.0, 26.0, -30.0), 12.0, -35.0)),  # below
-    ], ids=["default", "anatomical", "anisotropic", "cap-below-grid"])
+        replace(ANISO, annotator_jitter_px=3),
+    ], ids=["default", "anatomical", "anisotropic", "cap-below-grid", "jitter-3px"])
     def test_matches_full_volume_reference(self, spec):
         assert_matches_reference(spec)
 
@@ -450,7 +473,7 @@ class TestAnnotatorJitter:
         case = generate_phantom(default_spec(annotator_jitter_px=1))
         for sota, annot in [(case.sota2d_right, case.annot2_right),
                             (case.sota2d_left, case.annot2_left)]:
-            band = ndimage.binary_dilation(sota.bits) & ~ndimage.binary_erosion(sota.bits)
+            band = scipy_band(sota.bits, 1)
             flipped = sota.bits ^ annot.bits
             assert flipped.any()
             assert not np.any(flipped & ~band)
@@ -469,6 +492,44 @@ class TestAnnotatorJitter:
     def test_default_jitter_dice_near_calibration_point(self):
         case = generate_phantom(default_spec())
         assert 0.93 <= dice(case.sota2d_right, case.annot2_right) <= 0.99
+
+
+def assert_grow_matches_scipy(bits: np.ndarray, radius: int) -> None:
+    """_grow dilation and its dual erosion equal scipy's, off-array pixels as 0."""
+    np.testing.assert_array_equal(_grow(bits, radius, False),
+                                  ndimage.binary_dilation(bits, iterations=radius))
+    np.testing.assert_array_equal(~_grow(~bits, radius, True),
+                                  ndimage.binary_erosion(bits, iterations=radius))
+
+
+class TestGrow:
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (7, 5)])
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 12])  # 12 exceeds every side
+    def test_constant_and_thin_masks(self, shape, fill, radius):
+        assert_grow_matches_scipy(np.full(shape, fill), radius)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (3, 4)])
+    def test_single_pixel_wider_radius(self, shape):
+        bits = np.zeros(shape, bool)
+        bits[-1, -1] = True
+        assert_grow_matches_scipy(bits, max(shape) + 2)
+
+    @settings(max_examples=300)
+    @given(h=st.integers(1, 24), w=st.integers(1, 24), radius=st.integers(1, 6),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_masks(self, h, w, radius, density, seed):
+        bits = np.random.default_rng(seed).random((h, w)) < density
+        assert_grow_matches_scipy(bits, radius)
+
+    @settings(max_examples=100)
+    @given(h=st.integers(1, 24), w=st.integers(1, 24), radius=st.integers(0, 4),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_jitter_flips_the_scipy_band(self, h, w, radius, density, seed):
+        bits = np.random.default_rng(seed).random((h, w)) < density
+        got = _jitter_bits(bits, radius, np.random.default_rng(seed))
+        np.testing.assert_array_equal(
+            got, reference_jitter(bits, radius, np.random.default_rng(seed)))
 
 
 class TestAnalyticOracle:
