@@ -23,10 +23,10 @@ from .concordance import agreement, analyze_case, union2d
 from .errors import IoFailure, LungCoverError, MalformedHeader, SpecViolation, ValidationError
 from .grid import LABELS
 from .io import (
+    load_mask,
     load_mask2d,
     load_mask3d,
     load_volume,
-    read_header,
     relative_path,
     save_mask2d,
     save_mask3d,
@@ -158,15 +158,8 @@ def cmd_analyze(args) -> int:
 
 # --- agreement -------------------------------------------------------------------
 
-def _load_any_mask(path: str):
-    dims = read_header(path).get("dims")
-    if not isinstance(dims, list) or len(dims) not in (2, 3):
-        raise MalformedHeader(f"{path}: dims must list 2 or 3 sizes")
-    return load_mask3d(path) if len(dims) == 3 else load_mask2d(path)
-
-
 def cmd_agreement(args) -> int:
-    report = agreement(_load_any_mask(args.first), _load_any_mask(args.second))
+    report = agreement(load_mask(args.first), load_mask(args.second))
     if args.out:
         write_json(report.as_dict(), args.out)
     print(f"label={report.label} kind={report.mask_kind} "
@@ -179,12 +172,15 @@ def cmd_agreement(args) -> int:
 _ANNOTATORS = {"annotator1": "sota2d", "annotator2": "annot2"}
 
 
-def _case_report(case_dir: Path, case_id: str) -> tuple[dict[str, list], list[tuple]]:
-    """Concordance rows per annotator, and agreement rows, of one case.
+def _case_report(case_dir: Path, case_id: str) -> tuple[tuple, dict[str, list], list[tuple]]:
+    """The exam row, the concordance rows per annotator, and the agreement rows of one case.
 
-    Each mask file is loaded once; the 2D masks also serve the agreement pairs.
+    Each mask file is loaded once; the exam row describes the grid the truth
+    masks were measured on, and the 2D masks also serve the agreement pairs.
     """
     truth = [load_mask3d(case_dir / f"truth_{side}.json") for side in ("right", "left")]
+    g = truth[0].geometry
+    exam_row = (case_id, g.sx, g.sz, g.nz, g.nz * g.sz)
     masks2d = {annot: [load_mask2d(case_dir / f"{prefix}_{side}.json")
                        for side in ("right", "left")]
                for annot, prefix in _ANNOTATORS.items()
@@ -198,7 +194,7 @@ def _case_report(case_dir: Path, case_id: str) -> tuple[dict[str, list], list[tu
                      (union2d(sota_r, sota_l), union2d(ann_r, ann_l))):
             rep = agreement(a, b)
             agreement_rows.append((case_id, rep.label, rep.mask_kind, rep.dsc, rep.ji))
-    return rows, agreement_rows
+    return exam_row, rows, agreement_rows
 
 
 def cmd_cohort(args) -> int:
@@ -224,13 +220,11 @@ def cmd_cohort(args) -> int:
             case_id = entry["case_id"]
             case_dir = cohort_dir / relative_path(entry.get("dir", case_id),
                                                   f"{manifest_path}: case dir")
-            spec = spec_from_dict(entry["spec"])
         except (KeyError, TypeError) as exc:
             raise MalformedHeader(f"{manifest_path}: bad case entry: {exc}") from exc
         case_ids.append(case_id)
-        g = spec.geometry
-        exam_rows.append((case_id, g.sx, g.sz, g.nz, g.nz * g.sz))
-        measured, pair_rows = _case_report(case_dir, case_id)
+        exam_row, measured, pair_rows = _case_report(case_dir, case_id)
+        exam_rows.append(exam_row)
         for annot, annot_rows in measured.items():
             rows[annot].extend(annot_rows)
         agreement_rows.extend(pair_rows)

@@ -32,20 +32,30 @@ def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
 
 
 def is_finite_number(v) -> bool:
-    """A finite JSON number: json reads NaN, Infinity and huge ints; bool is an int."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite Python or numpy number: json reads NaN, Infinity and huge ints; bool is an int."""
+    if isinstance(v, np.generic):
+        v = v.item()  # numpy would compare float16(inf) with float max cast to float16: inf
+    return (isinstance(v, (int, float, np.floating)) and not isinstance(v, bool)
             and -sys.float_info.max <= v <= sys.float_info.max)
 
 
-def _check_size(name: str, n) -> None:
+# The rules every size, spacing and label obeys, whether it comes from Python,
+# a phantom spec or a file header: each value passes or raises ValueError.
+
+def check_size(name: str, n) -> None:
     # bool is a subclass of int
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
-def _check_spacing(name: str, s) -> None:
-    if not (s > 0.0) or not np.isfinite(s):
+def check_spacing(name: str, s) -> None:
+    if not (is_finite_number(s) and s > 0):
         raise ValueError(f"{name} must be positive and finite, got {s!r}")
+
+
+def check_label(label) -> None:
+    if label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
 
 
 # Block size of the HU range check: the max pass reads each block while the
@@ -73,9 +83,9 @@ class GridGeometry:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
-            _check_size(name, getattr(self, name))
+            check_size(name, getattr(self, name))
         for name in ("sx", "sy", "sz"):
-            _check_spacing(name, getattr(self, name))
+            check_spacing(name, getattr(self, name))
 
     @property
     def shape_zyx(self) -> tuple[int, int, int]:
@@ -89,11 +99,6 @@ class GridGeometry:
 def voxel_volume_ml(geometry: GridGeometry) -> float:
     """Volume of one voxel in milliliters (mm^3 / 1000)."""
     return geometry.sx * geometry.sy * geometry.sz / 1000.0
-
-
-def _check_label(label: str) -> None:
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ class Mask3D:
             raise ValueError(
                 f"bits shape {bits.shape} != geometry {self.geometry.shape_zyx}"
             )
-        _check_label(self.label)
+        check_label(self.label)
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -160,14 +165,14 @@ class Mask2D:
     label: str
 
     def __post_init__(self):
-        _check_size("nx", self.nx)
-        _check_size("nz", self.nz)
-        _check_spacing("sx", self.sx)
-        _check_spacing("sz", self.sz)
+        check_size("nx", self.nx)
+        check_size("nz", self.nz)
+        check_spacing("sx", self.sx)
+        check_spacing("sz", self.sz)
         bits = _freeze(self.bits, bool)
         if bits.shape != (self.nz, self.nx):
             raise ValueError(f"bits shape {bits.shape} != (nz, nx) = {(self.nz, self.nx)}")
-        _check_label(self.label)
+        check_label(self.label)
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -184,8 +189,8 @@ class DrrImage:
     pixels: np.ndarray  # (nz, nx) uint8, read-only
 
     def __post_init__(self):
-        if self.nx < 1 or self.nz < 1:
-            raise ValueError("nx and nz must be positive")
+        check_size("nx", self.nx)
+        check_size("nz", self.nz)
         px = _freeze(self.pixels, np.uint8)
         if px.shape != (self.nz, self.nx):
             raise ValueError(f"pixels shape {px.shape} != (nz, nx) = {(self.nz, self.nx)}")

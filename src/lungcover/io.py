@@ -10,7 +10,10 @@ path with no ``..`` part, so a case directory can be moved wholesale:
 Masks additionally carry "label" (right/left/both) and use dtype "u8"
 with one byte per element, value 0 or 1 (not bit-packed). 2D masks store
 dims [nx, nz] and spacing_mm [sx, sz]. Payload element order is always
-x-fastest, then y, then z.
+x-fastest, then y, then z. Every header is read by _load and written by
+_save; its dims, spacing_mm and label obey the grid types' own rules
+(grid.check_size, check_spacing, check_label), and one that breaks them
+is a MalformedHeader.
 
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
@@ -30,6 +33,7 @@ is unsupported (on POSIX the reader gets SIGBUS).
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import secrets
@@ -38,9 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
-from .grid import LABELS, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, is_finite_number
+from .grid import (DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, check_label,
+                   check_size, check_spacing)
 
-_I16 = np.dtype("<i2")
+_DTYPES = {"i16le": np.dtype("<i2"), "u8": np.dtype(np.uint8)}
 
 
 def _create_temp(path: Path) -> tuple[int, Path]:
@@ -72,13 +77,6 @@ def _atomic_write_bytes(path: Path, payload: bytes | np.ndarray) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
 def _header_to_json(header: dict) -> bytes:
     return (json.dumps(header, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
@@ -91,44 +89,8 @@ def relative_path(name, where: str) -> str:
     return name
 
 
-def read_header(path: Path) -> dict:
-    """The JSON object in a header file, unchecked beyond being an object."""
-    try:
-        header = json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedHeader(f"{path}: not a JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise MalformedHeader(f"{path}: header must be a JSON object")
-    return header
-
-
-def _load_header(path: Path, *, ndim: int, want_dtype: str, want_label: bool) -> dict:
-    header = read_header(path)
-    for key in ("dims", "spacing_mm", "dtype", "data"):
-        if key not in header:
-            raise MalformedHeader(f"{path}: missing key {key!r}")
-    dims = header["dims"]
-    spacing = header["spacing_mm"]
-    # bool is a subclass of int
-    if not (isinstance(dims, list) and len(dims) == ndim
-            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)):
-        raise MalformedHeader(f"{path}: dims must be {ndim} positive integers, got {dims!r}")
-    if not (isinstance(spacing, list) and len(spacing) == ndim
-            and all(is_finite_number(s) and s > 0 for s in spacing)):
-        raise MalformedHeader(
-            f"{path}: spacing_mm must be {ndim} positive finite numbers, got {spacing!r}")
-    if header["dtype"] != want_dtype:
-        raise MalformedHeader(f"{path}: expected dtype {want_dtype!r}, got {header['dtype']!r}")
-    relative_path(header["data"], f"{path}: data")
-    if want_label:
-        if header.get("label") not in LABELS:
-            raise MalformedHeader(f"{path}: label must be one of {LABELS}, got {header.get('label')!r}")
-    return header
-
-
-def _load_payload(header_path: Path, header: dict, expect_bytes: int) -> mmap.mmap:
+def _map_payload(data_path: Path, expect_bytes: int) -> mmap.mmap:
     """The payload mapped read-only, once its size is the one the header implies."""
-    data_path = Path(header_path).parent / header["data"]
     try:
         with open(data_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -137,98 +99,109 @@ def _load_payload(header_path: Path, header: dict, expect_bytes: int) -> mmap.mm
                     f"{data_path}: payload is {size} bytes, header implies {expect_bytes}")
             # the map keeps its own duplicate of the descriptor
             return mmap.mmap(fh.fileno(), expect_bytes, access=mmap.ACCESS_READ)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
         raise IoFailure(f"cannot read {data_path}: {exc}") from exc
 
 
-def _mask_bits(payload: mmap.mmap, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """Read-only bool view of a validated 0/1 payload; makes no copy."""
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    if raw.size and raw.max() > 1:
-        bad = int(raw[raw > 1][0])
-        raise MalformedMask(f"{where}: mask bytes must be 0 or 1, found {bad}")
-    return raw.reshape(shape).view(bool)
+def _load(path: str | Path, ndims: tuple[int, ...], dtype: str, labeled: bool):
+    """The checked dims, spacing and label of a header, and its payload as a read-only array.
+
+    The only header reader. dims, spacing_mm and label are checked by the
+    grid types' own rules, their ValueError re-raised as MalformedHeader;
+    a labeled payload must hold 0/1 bytes and comes back as a bool view.
+    """
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise MalformedHeader(f"{path}: not a JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise MalformedHeader(f"{path}: header must be a JSON object")
+    for key in ("dims", "spacing_mm", "dtype", "data"):
+        if key not in header:
+            raise MalformedHeader(f"{path}: missing key {key!r}")
+    dims, spacing, label = header["dims"], header["spacing_mm"], header.get("label")
+    if not (isinstance(dims, list) and len(dims) in ndims
+            and isinstance(spacing, list) and len(spacing) == len(dims)):
+        raise MalformedHeader(f"{path}: dims and spacing_mm must list "
+                              f"{' or '.join(map(str, ndims))} values, got {dims!r}, {spacing!r}")
+    try:
+        for n in dims:
+            check_size("dims", n)
+        for s in spacing:
+            check_spacing("spacing_mm", s)
+        if labeled:
+            check_label(label)
+    except ValueError as exc:
+        raise MalformedHeader(f"{path}: {exc}") from exc
+    if header["dtype"] != dtype:
+        raise MalformedHeader(f"{path}: expected dtype {dtype!r}, got {header['dtype']!r}")
+    data_path = path.parent / relative_path(header["data"], f"{path}: data")
+    item = _DTYPES[dtype]
+    payload = _map_payload(data_path, math.prod(dims) * item.itemsize)
+    array = np.frombuffer(payload, dtype=item).reshape(dims[::-1])
+    if labeled and array.max() > 1:
+        raise MalformedMask(f"{path}: mask bytes must be 0 or 1, found {int(array[array > 1][0])}")
+    return dims, [float(s) for s in spacing], label, array.view(bool) if labeled else array
 
 
-# --- volumes ---------------------------------------------------------------
+def _save(path: str | Path, array: np.ndarray, dims, spacing, dtype: str,
+          label: str | None = None) -> None:
+    """The only header writer: the payload first, then the header that names it."""
+    path = Path(path)
+    data_name = path.stem + ".raw"
+    header = {"dims": [int(n) for n in dims], "spacing_mm": [float(s) for s in spacing],
+              "dtype": dtype, "data": data_name}
+    if label is not None:
+        header["label"] = label
+    # copies only on a big-endian host
+    _atomic_write_bytes(path.parent / data_name, np.ascontiguousarray(array, dtype=_DTYPES[dtype]))
+    _atomic_write_bytes(path, _header_to_json(header))
+
+
+def _mask(dims, spacing, label, bits) -> Mask2D | Mask3D:
+    if len(dims) == 2:
+        return Mask2D(*dims, *spacing, bits, label)
+    return Mask3D(GridGeometry(*dims, *spacing), bits, label)
+
 
 def load_volume(path: str | Path) -> VoxelVolume:
     """Read a volume (header JSON + i16le raw); enforces type invariants."""
-    path = Path(path)
-    header = _load_header(path, ndim=3, want_dtype="i16le", want_label=False)
-    nx, ny, nz = header["dims"]
-    sx, sy, sz = (float(s) for s in header["spacing_mm"])
-    payload = _load_payload(path, header, 2 * nx * ny * nz)
-    values = np.frombuffer(payload, dtype=_I16).reshape(nz, ny, nx)
-    return VoxelVolume(GridGeometry(nx, ny, nz, sx, sy, sz), values)
+    dims, spacing, _, values = _load(path, (3,), "i16le", labeled=False)
+    return VoxelVolume(GridGeometry(*dims, *spacing), values)
+
+
+def load_mask3d(path: str | Path) -> Mask3D:
+    return _mask(*_load(path, (3,), "u8", labeled=True))
+
+
+def load_mask2d(path: str | Path) -> Mask2D:
+    return _mask(*_load(path, (2,), "u8", labeled=True))
+
+
+def load_mask(path: str | Path) -> Mask2D | Mask3D:
+    """A 2D or a 3D mask, whichever its header's dims describe."""
+    return _mask(*_load(path, (2, 3), "u8", labeled=True))
 
 
 def save_volume(volume: VoxelVolume, path: str | Path) -> None:
-    path = Path(path)
     g = volume.geometry
-    data_name = path.stem + ".raw"
-    header = {
-        "dims": [g.nx, g.ny, g.nz],
-        "spacing_mm": [g.sx, g.sy, g.sz],
-        "dtype": "i16le",
-        "data": data_name,
-    }
-    # copies only on a big-endian host
-    _atomic_write_bytes(path.parent / data_name, np.ascontiguousarray(volume.values, dtype=_I16))
-    _atomic_write_bytes(path, _header_to_json(header))
-
-
-# --- 3D masks ---------------------------------------------------------------
-
-def load_mask3d(path: str | Path) -> Mask3D:
-    path = Path(path)
-    header = _load_header(path, ndim=3, want_dtype="u8", want_label=True)
-    nx, ny, nz = header["dims"]
-    sx, sy, sz = (float(s) for s in header["spacing_mm"])
-    payload = _load_payload(path, header, nx * ny * nz)
-    bits = _mask_bits(payload, (nz, ny, nx), str(path))
-    return Mask3D(GridGeometry(nx, ny, nz, sx, sy, sz), bits, header["label"])
+    _save(path, volume.values, (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "i16le")
 
 
 def save_mask3d(mask: Mask3D, path: str | Path) -> None:
-    path = Path(path)
     g = mask.geometry
-    data_name = path.stem + ".raw"
-    header = {
-        "dims": [g.nx, g.ny, g.nz],
-        "spacing_mm": [g.sx, g.sy, g.sz],
-        "dtype": "u8",
-        "data": data_name,
-        "label": mask.label,
-    }
-    _atomic_write_bytes(path.parent / data_name, mask.bits)
-    _atomic_write_bytes(path, _header_to_json(header))
-
-
-# --- 2D masks ---------------------------------------------------------------
-
-def load_mask2d(path: str | Path) -> Mask2D:
-    path = Path(path)
-    header = _load_header(path, ndim=2, want_dtype="u8", want_label=True)
-    nx, nz = header["dims"]
-    sx, sz = (float(s) for s in header["spacing_mm"])
-    payload = _load_payload(path, header, nx * nz)
-    bits = _mask_bits(payload, (nz, nx), str(path))
-    return Mask2D(nx, nz, sx, sz, bits, header["label"])
+    _save(path, mask.bits.view(np.uint8), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u8",
+          mask.label)
 
 
 def save_mask2d(mask: Mask2D, path: str | Path) -> None:
-    path = Path(path)
-    data_name = path.stem + ".raw"
-    header = {
-        "dims": [mask.nx, mask.nz],
-        "spacing_mm": [mask.sx, mask.sz],
-        "dtype": "u8",
-        "data": data_name,
-        "label": mask.label,
-    }
-    _atomic_write_bytes(path.parent / data_name, mask.bits)
-    _atomic_write_bytes(path, _header_to_json(header))
+    _save(path, mask.bits.view(np.uint8), (mask.nx, mask.nz), (mask.sx, mask.sz), "u8",
+          mask.label)
 
 
 # --- PGM --------------------------------------------------------------------

@@ -205,6 +205,8 @@ def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.
     """
     if radius == 0:
         return bits.copy()
+    # at nz + nx the band is already every pixel a larger radius could reach
+    radius = min(radius, bits.shape[0] + bits.shape[1])
     band = _grow(bits, radius, False) & _grow(~bits, radius, True)
     idx = np.flatnonzero(band)
     out = bits.copy().ravel()
@@ -559,8 +561,7 @@ def spec_from_dict(doc: dict) -> PhantomSpec:
     if "geometry" in doc:
         gd = doc["geometry"]
         if not (isinstance(gd, dict) and isinstance(gd.get("dims"), list)
-                and len(gd["dims"]) == 3
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in gd["dims"])):
+                and len(gd["dims"]) == 3):
             raise SpecViolation("geometry.dims must be a list of 3 integers")
         sx, sy, sz = _triple(gd, "spacing_mm", "geometry")
         try:

@@ -187,15 +187,6 @@ def build_cohort_report(
     )
 
 
-def _maybe(node, *path):
-    for key in path:
-        if isinstance(node, dict) and key in node:
-            node = node[key]
-        else:
-            return None
-    return node
-
-
 def _test_p(node) -> float | None:
     if isinstance(node, PairedComparison):
         return node.result.p_value

@@ -170,6 +170,19 @@ def test_phantom_spec_with_nan_center_rejected(tmp_path, capsys):
     assert one_error_line(capsys).startswith("error: SpecViolation:")
 
 
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_phantom_huge_jitter_radius_runs(tmp_path, where):
+    # the radius is clamped to the mask: no allocation grows with it
+    doc = dict(SMALL_SPEC, geometry={"dims": [16, 16, 16], "spacing_mm": [15.0, 15.0, 15.0]})
+    argv = ["phantom", "--out", str(tmp_path / "x"), "--n", "1", "--quiet"]
+    if where == "flag":
+        argv += ["--jitter-px", "1000000"]
+    else:
+        doc["annotator_jitter_px"] = 1000000
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert main(argv + ["--spec", str(tmp_path / "spec.json")]) == 0
+
+
 def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
     from lungcover.phantom import _lung_fraction
     _lung_fraction.cache_clear()
@@ -352,7 +365,8 @@ def test_agreement_malformed_header_is_one_line(tmp_path, capsys, field, value):
     assert one_error_line(capsys).startswith("error: MalformedHeader:")
 
 
-@pytest.mark.parametrize("text", ["[]", '"x"', "null", "3"])
+@pytest.mark.parametrize("text", ["[]", '"x"', "null", "3",
+                                  pytest.param("[" * 100_000 + "]" * 100_000, id="nested")])
 def test_agreement_non_object_header_is_one_line(tmp_path, capsys, text):
     (tmp_path / "h.json").write_text(text)
     mask = str(tmp_path / "h.json")
@@ -513,6 +527,32 @@ def test_cohort_frees_each_case_mapping(cohort, tmp_path, monkeypatch):
     assert at_case_start == [start] * n
     assert len(after_load) == 6 * n and max(after_load) <= start + 6
     assert end == start
+
+
+def test_cohort_exam_rows_come_from_the_mask_headers(cohort, tmp_path):
+    # a manifest spec that disagrees with the masks cannot reach exam.csv
+    pristine = tmp_path / "pristine"
+    assert main(["cohort", str(cohort), "--out", str(pristine), "--quiet"]) == 0
+    clone = tmp_path / "clone"
+    shutil.copytree(cohort, clone, ignore=shutil.ignore_patterns("report"))
+    manifest = json.loads((clone / "manifest.json").read_text())
+    manifest["cases"][1]["spec"]["geometry"]["spacing_mm"] = [9.0, 9.0, 9.0]
+    (clone / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["cohort", str(clone), "--out", str(tmp_path / "edited"), "--quiet"]) == 0
+    assert tree_bytes(tmp_path / "edited") == tree_bytes(pristine)
+
+
+def test_cohort_case_needs_only_id_and_dir(cohort, tmp_path):
+    # a CT-derived cohort has no phantom spec to list
+    pristine = tmp_path / "pristine"
+    assert main(["cohort", str(cohort), "--out", str(pristine), "--quiet"]) == 0
+    clone = tmp_path / "clone"
+    shutil.copytree(cohort, clone, ignore=shutil.ignore_patterns("report"))
+    manifest = json.loads((clone / "manifest.json").read_text())
+    cases = [{"case_id": e["case_id"], "dir": e["dir"]} for e in manifest["cases"]]
+    (clone / "manifest.json").write_text(json.dumps({"cases": cases}))
+    assert main(["cohort", str(clone), "--out", str(tmp_path / "bare"), "--quiet"]) == 0
+    assert tree_bytes(tmp_path / "bare") == tree_bytes(pristine)
 
 
 def test_cohort_without_manifest_rejected(tmp_path, capsys):

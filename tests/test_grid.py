@@ -42,10 +42,21 @@ class TestGridGeometry:
             small_geometry(**{field: True})
 
     @pytest.mark.parametrize("field", ["sx", "sy", "sz"])
-    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    # json reads huge ints; bool is an int; a str compared with a float raised TypeError
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf"), "1",
+                                       pytest.param(10**400, id="10**400"), True])
     def test_rejects_bad_spacing(self, field, value):
         with pytest.raises(ValueError):
             small_geometry(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(2.5), np.int64(2), 3])
+    def test_accepts_numpy_and_integer_spacing(self, value):
+        assert small_geometry(sy=value).sy == value
+
+    @pytest.mark.parametrize("value", [np.float32("nan"), np.float16("inf"), np.bool_(True)])
+    def test_rejects_bad_numpy_spacing(self, value):
+        with pytest.raises(ValueError):
+            small_geometry(sz=value)
 
     def test_voxel_volume_ml(self):
         g = small_geometry(sx=2.5, sy=2.5, sz=2.5)
@@ -193,7 +204,9 @@ class TestMask2D:
                    label="right", **kwargs)
 
     @pytest.mark.parametrize("field", ["sx", "sz"])
-    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    # json reads huge ints; bool is an int; a str compared with a float raised TypeError
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf"), "1",
+                                       pytest.param(10**400, id="10**400"), True])
     def test_rejects_spacing_the_geometry_rejects(self, field, value):
         spacing = {"sx": 1.0, "sz": 1.0, field: value}
         with pytest.raises(ValueError, match="positive and finite"):
@@ -216,6 +229,13 @@ class TestDrrImage:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DrrImage(nx=4, nz=2, pixels=np.zeros((4, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize("sizes", [dict(nx=True, nz=1), dict(nx=1, nz=True),
+                                       dict(nx=2.0, nz=1), dict(nx=1, nz=1.0)],
+                             ids=["bool_nx", "bool_nz", "float_nx", "float_nz"])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="positive integer"):
+            DrrImage(pixels=np.zeros((int(sizes["nz"]), int(sizes["nx"])), np.uint8), **sizes)
 
     def test_pixels_are_read_only(self):
         img = DrrImage(nx=2, nz=2, pixels=np.zeros((2, 2), dtype=np.uint8))

@@ -4,6 +4,9 @@ Round trips must be lossless and saves byte-deterministic; malformed
 inputs fail with typed errors, never partial objects.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import stat
@@ -18,6 +21,7 @@ from lungcover.cli import main
 from lungcover.errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
 from lungcover.grid import DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import (
+    load_mask,
     load_mask2d,
     load_mask3d,
     load_volume,
@@ -95,6 +99,10 @@ class TestVolumeRoundTrip:
         lambda h: h.update(spacing_mm=[10**400, 0.66, 1.25]),
         lambda h: h.update(data="../vol.raw"),
         lambda h: h.update(data="sub/../../vol.raw"),
+        lambda h: h.update(dims=[4, "3", 2]),
+        lambda h: h.update(dims=[4.0, 3, 2]),
+        lambda h: h.update(spacing_mm=["0.66", 0.66, 1.25]),
+        lambda h: h.update(dtype=["i16le"]),
     ])
     def test_malformed_header(self, tmp_path, mutate):
         save_volume(small_volume(), tmp_path / "vol.json")
@@ -190,6 +198,129 @@ class TestMaskRoundTrip:
         path = tmp_path_factory.mktemp("masks") / "m.json"
         save_mask3d(Mask3D(g, bits, "both"), path)
         np.testing.assert_array_equal(load_mask3d(path).bits, bits)
+
+
+class TestLoadMask:
+    """load_mask takes the mask kind from the header's dims."""
+
+    def test_dispatches_on_dims(self, tmp_path):
+        g = GridGeometry(nx=3, ny=2, nz=2, sx=1.0, sy=2.0, sz=3.0)
+        bits = np.zeros(g.shape_zyx, dtype=bool)
+        bits[1, 0, 2] = True
+        save_mask3d(Mask3D(g, bits, "left"), tmp_path / "m3.json")
+        save_mask2d(Mask2D(3, 2, 1.0, 3.0, bits[:, 0], "right"), tmp_path / "m2.json")
+        m3, m2 = load_mask(tmp_path / "m3.json"), load_mask(tmp_path / "m2.json")
+        assert isinstance(m3, Mask3D) and (m3.geometry, m3.label) == (g, "left")
+        assert isinstance(m2, Mask2D) and (m2.nx, m2.nz, m2.sz, m2.label) == (3, 2, 3.0, "right")
+        np.testing.assert_array_equal(m3.bits, bits)
+        np.testing.assert_array_equal(m2.bits, bits[:, 0])
+
+    @pytest.mark.parametrize("dims, spacing", [([6], [1.0]), ([1, 1, 2, 3], [1.0] * 4),
+                                               ([2, 3], [1.0, 1.0, 1.0]), ([], [])])
+    def test_other_dims_rejected(self, tmp_path, dims, spacing):
+        save_mask2d(Mask2D(2, 3, 1.0, 1.0, np.ones((3, 2), bool), "right"), tmp_path / "m.json")
+        header = json.loads((tmp_path / "m.json").read_text())
+        header.update(dims=dims, spacing_mm=spacing)
+        (tmp_path / "m.json").write_text(json.dumps(header))
+        with pytest.raises(MalformedHeader):
+            load_mask(tmp_path / "m.json")
+
+
+# --- header mutations: every malformed header is one of the package's errors ---
+
+LOAD_ERRORS = (MalformedHeader, SizeMismatch, MalformedMask, IoFailure)
+HEADER_KEYS = ("dims", "spacing_mm", "dtype", "data", "label")
+ODD_VALUES = st.one_of(
+    st.sampled_from([
+        True, False, None, "", "1", "u8", "i16le", "right", "both", [], {}, [1], ["u8"],
+        {"label": "right"}, [2, 2], [2, 2, 2], [1.0, 1.0, 1.0], [True, 2, 2],
+        float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 2**40, 2**64,
+        [2**40, 2**40, 2**40], 0, -1, 0.5, 2.0, 1e308, 5e-324,
+        "/etc/passwd", "/m3.raw", "../m3.raw", "sub/../../m2.raw", ".", "m2.raw", "vol.raw",
+        "twos.raw", "a\0b.raw", "\ud800.raw",
+    ]),
+    st.integers(), st.floats(), st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated(draw, header: dict) -> dict:
+    """``header`` with 1-3 keys dropped, replaced, or with one list element replaced."""
+    header = copy.deepcopy(header)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(HEADER_KEYS))
+        how = draw(st.sampled_from(["drop", "replace", "element"]))
+        value = copy.deepcopy(draw(ODD_VALUES))  # the sampled lists are shared
+        if how == "drop":
+            header.pop(key, None)
+        elif how == "element" and isinstance(header.get(key), list) and header[key]:
+            header[key][draw(st.integers(0, len(header[key]) - 1))] = value
+        else:
+            header[key] = value
+    return header
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """One valid volume, 3D mask and 2D mask (nonempty masks), and a 2D-mask-sized bad payload."""
+    root = tmp_path_factory.mktemp("headers")
+    g = GridGeometry(nx=3, ny=2, nz=2, sx=0.5, sy=1.0, sz=2.0)
+    save_volume(VoxelVolume(g, np.full(g.shape_zyx, -500, np.int16)), root / "vol.json")
+    bits = np.zeros(g.shape_zyx, dtype=bool)
+    bits[:, 1, 1] = True
+    save_mask3d(Mask3D(g, bits, "right"), root / "m3.json")
+    save_mask2d(Mask2D(3, 2, 0.5, 2.0, bits[:, 1], "left"), root / "m2.json")
+    (root / "twos.raw").write_bytes(bytes([2] * 6))
+    return root
+
+
+def write_mutation(root, header: dict):
+    path = root / "mutated.json"
+    path.write_text(json.dumps(header))
+    return path
+
+
+@pytest.mark.parametrize("stem, load", [
+    ("vol", load_volume), ("m3", load_mask3d), ("m2", load_mask2d),
+    ("m3", load_mask), ("m2", load_mask),
+], ids=["volume", "mask3d", "mask2d", "mask_3d", "mask_2d"])
+@given(data=st.data())
+def test_mutated_header_raises_only_load_errors(saved, stem, load, data):
+    header = json.loads((saved / f"{stem}.json").read_text())
+    path = write_mutation(saved, data.draw(mutated(header)))
+    with contextlib.suppress(*LOAD_ERRORS):
+        load(path)
+
+
+@pytest.mark.parametrize("stem", ["m3", "m2"])
+@given(data=st.data())
+def test_agreement_on_mutated_header_is_one_error_line(saved, stem, data):
+    header = json.loads((saved / f"{stem}.json").read_text())
+    path = str(write_mutation(saved, data.draw(mutated(header))))
+    try:
+        load_mask(path)
+        want = 0
+    except IoFailure:
+        want = 2
+    except (MalformedHeader, SizeMismatch, MalformedMask):
+        want = 1
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["agreement", path, path])
+    assert rc == want
+    if want:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("data", ["a\0b.raw", "\ud800.raw"], ids=["nul", "surrogate"])
+def test_unopenable_payload_name_is_io_failure(saved, data):
+    header = json.loads((saved / "m2.json").read_text())
+    header["data"] = data
+    with pytest.raises(IoFailure):
+        load_mask2d(write_mutation(saved, header))
 
 
 class TestPayloadWrites:

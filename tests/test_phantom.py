@@ -14,6 +14,7 @@ on the outside, the transposed order of the oracle's own quadrature.
 
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -530,6 +531,21 @@ class TestGrow:
         got = _jitter_bits(bits, radius, np.random.default_rng(seed))
         np.testing.assert_array_equal(
             got, reference_jitter(bits, radius, np.random.default_rng(seed)))
+
+
+    @pytest.mark.parametrize("shape", [(16, 16), (9, 20)])
+    def test_jitter_radius_beyond_the_mask_is_clamped(self, shape):
+        # past nz + nx the band is every pixel a radius can reach: a huge
+        # radius draws what the unclamped reference draws a little past it
+        bits = np.zeros(shape, bool)
+        bits[3:7, 4:11] = True
+        start = time.perf_counter()
+        got = _jitter_bits(bits, 10**6, np.random.default_rng(5))
+        assert time.perf_counter() - start < 2.0
+        np.testing.assert_array_equal(
+            got, _jitter_bits(bits, sum(shape), np.random.default_rng(5)))
+        np.testing.assert_array_equal(
+            got, reference_jitter(bits, sum(shape) + 8, np.random.default_rng(5)))
 
 
 class TestAnalyticOracle:
