@@ -7,14 +7,13 @@ Subcommands:
   agreement  Dice/Jaccard between two masks of the same kind
   cohort     aggregate a cohort directory into report tables
 
-Exit codes: 0 success, 1 invalid input or arguments, 2 I/O failure.
+Exit codes: 0 success, 1 invalid input or arguments, 2 I/O failure or out of memory.
 Errors print exactly one line on stderr: ``error: <Kind>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .io import (
     load_mask2d,
     load_mask3d,
     load_volume,
+    read_json,
     relative_path,
     save_mask2d,
     save_mask3d,
@@ -80,8 +80,7 @@ def _load_spec(name_or_path: str, seed: int, jitter_px: int | None):
     if builder is not None:
         return builder(rng_seed=seed,
                        annotator_jitter_px=1 if jitter_px is None else jitter_px)
-    doc = json.loads(Path(name_or_path).read_text(encoding="utf-8"))
-    spec = spec_from_dict(doc)
+    spec = spec_from_dict(read_json(name_or_path, SpecViolation))
     if jitter_px is not None:
         spec = replace(spec, annotator_jitter_px=jitter_px)
     return spec
@@ -202,10 +201,7 @@ def cmd_cohort(args) -> int:
     manifest_path = cohort_dir / "manifest.json"
     if not manifest_path.exists():
         raise SpecViolation(f"{cohort_dir}: no manifest.json, not a cohort directory")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict):
-        raise SpecViolation(f"{manifest_path}: manifest must be a JSON object")
-    cases = manifest.get("cases")
+    cases = read_json(manifest_path, SpecViolation).get("cases")
     if not (isinstance(cases, list) and cases):
         raise SpecViolation(f"{manifest_path}: cohort lists no cases")
 
@@ -218,6 +214,9 @@ def cmd_cohort(args) -> int:
     for entry in cases:
         try:
             case_id = entry["case_id"]
+            if not (isinstance(case_id, str) and case_id):
+                raise MalformedHeader(f"{manifest_path}: case_id must be a non-empty string, "
+                                      f"got {case_id!r}")
             case_dir = cohort_dir / relative_path(entry.get("dir", case_id),
                                                   f"{manifest_path}: case dir")
         except (KeyError, TypeError) as exc:
@@ -343,7 +342,7 @@ def main(argv=None) -> int:
     except (ValidationError, LungCoverError, ValueError) as exc:
         _fail(exc)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         _fail(exc)
         return 2
 

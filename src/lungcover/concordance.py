@@ -21,7 +21,7 @@ voxel-by-voxel reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,8 +106,7 @@ class AgreementReport:
     ji: float
 
     def as_dict(self) -> dict:
-        return {"label": self.label, "mask_kind": self.mask_kind,
-                "dsc": self.dsc, "ji": self.ji}
+        return asdict(self)
 
 
 def agreement(a, b) -> AgreementReport:
@@ -128,15 +127,7 @@ class LabelMeasures:
     obscured_fraction_pct: float
 
     def as_dict(self) -> dict:
-        return {
-            "total_voxels": self.total_voxels,
-            "covered_voxels": self.covered_voxels,
-            "obscured_voxels": self.obscured_voxels,
-            "total_ml": self.total_ml,
-            "covered_ml": self.covered_ml,
-            "obscured_ml": self.obscured_ml,
-            "obscured_fraction_pct": self.obscured_fraction_pct,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -147,10 +138,7 @@ class ConcordanceReport:
     labels: dict  # label -> LabelMeasures
 
     def as_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "labels": {k: v.as_dict() for k, v in self.labels.items()},
-        }
+        return asdict(self)
 
 
 def _measure(cols: np.ndarray, g: GridGeometry, mask2d: Mask2D) -> LabelMeasures:

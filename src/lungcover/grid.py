@@ -72,7 +72,7 @@ def _within_hu(raw: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Grid dims (voxel counts) and isotropic-per-axis spacing in mm."""
+    """Grid dims (int voxel counts; their product fits np.intp) and per-axis spacing (float mm)."""
 
     nx: int
     ny: int
@@ -84,8 +84,12 @@ class GridGeometry:
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
             check_size(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("sx", "sy", "sz"):
             check_spacing(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.voxel_count > np.iinfo(np.intp).max:  # numpy's own indexing limit
+            raise ValueError(f"dims {self.nx} x {self.ny} x {self.nz}: too many voxels for numpy")
 
     @property
     def shape_zyx(self) -> tuple[int, int, int]:

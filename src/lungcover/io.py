@@ -10,10 +10,11 @@ path with no ``..`` part, so a case directory can be moved wholesale:
 Masks additionally carry "label" (right/left/both) and use dtype "u8"
 with one byte per element, value 0 or 1 (not bit-packed). 2D masks store
 dims [nx, nz] and spacing_mm [sx, sz]. Payload element order is always
-x-fastest, then y, then z. Every header is read by _load and written by
-_save; its dims, spacing_mm and label obey the grid types' own rules
-(grid.check_size, check_spacing, check_label), and one that breaks them
-is a MalformedHeader.
+x-fastest, then y, then z. Every header is read by _load (through
+read_json, which reads every JSON input) and written by _save; its dims,
+spacing_mm and label obey the grid types' own rules (grid.check_size,
+check_spacing, check_label), and one that breaks them is a
+MalformedHeader.
 
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
@@ -103,6 +104,25 @@ def _map_payload(data_path: Path, expect_bytes: int) -> mmap.mmap:
         raise IoFailure(f"cannot read {data_path}: {exc}") from exc
 
 
+def read_json(path: str | Path, kind: type[Exception]) -> dict:
+    """The JSON object a file holds: the one reader of headers, specs and manifests.
+
+    A file that cannot be read is IoFailure; one that is not UTF-8 JSON,
+    is nested too deeply to parse, or holds anything but an object is kind.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a huge int
+        raise kind(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise kind(f"{path}: must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _load(path: str | Path, ndims: tuple[int, ...], dtype: str, labeled: bool):
     """The checked dims, spacing and label of a header, and its payload as a read-only array.
 
@@ -111,16 +131,7 @@ def _load(path: str | Path, ndims: tuple[int, ...], dtype: str, labeled: bool):
     a labeled payload must hold 0/1 bytes and comes back as a bool view.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise MalformedHeader(f"{path}: not a JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise MalformedHeader(f"{path}: header must be a JSON object")
+    header = read_json(path, MalformedHeader)
     for key in ("dims", "spacing_mm", "dtype", "data"):
         if key not in header:
             raise MalformedHeader(f"{path}: missing key {key!r}")

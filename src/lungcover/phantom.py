@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+import reprlib
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +42,30 @@ JITTER_FLIP_PROB = 0.3
 MAX_COHORT_RETRIES = 8
 
 
+def _floats(obj, name: str, n: int = 0, positive: bool = False) -> None:
+    """Store obj.name as a float (n = 0) or a tuple of n floats, each finite (and > 0).
+
+    The one number rule of the spec types: bool, NaN, +-Infinity, huge
+    ints and strings are SpecViolation, as are lists of the wrong length.
+    """
+    v = getattr(obj, name)
+    items = v if n else [v]
+    if not (isinstance(items, (list, tuple)) and len(items) == max(n, 1)
+            and all(is_finite_number(x) and (x > 0 or not positive) for x in items)):
+        raise SpecViolation(f"{type(obj).__name__} {name} must be {n or 'one'} "
+                            f"{'positive ' * positive}finite number(s), got {reprlib.repr(v)}")
+    floats = tuple(float(x) for x in items)
+    object.__setattr__(obj, name, floats if n else floats[0])
+
+
+def _int(obj, name: str, lo: int, hi: float = math.inf) -> None:
+    """Store obj.name as an int in [lo, hi]; bool is not an int here."""
+    v = getattr(obj, name)
+    if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi):
+        raise SpecViolation(f"{name} must be an integer in [{lo}, {hi}], got {reprlib.repr(v)}")
+    object.__setattr__(obj, name, int(v))
+
+
 @dataclass(frozen=True)
 class Ellipsoid:
     """Axis-aligned ellipsoid: center and semi-axes in mm."""
@@ -49,11 +74,8 @@ class Ellipsoid:
     semi_axes: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.center) != 3 or len(self.semi_axes) != 3 or not all(
-                map(math.isfinite, self.center)):
-            raise SpecViolation("ellipsoid needs 3 finite center and 3 semi-axis values")
-        if not all(a > 0 and math.isfinite(a) for a in self.semi_axes):
-            raise SpecViolation(f"semi-axes must be positive, got {self.semi_axes}")
+        _floats(self, "center", 3)
+        _floats(self, "semi_axes", 3, positive=True)
 
     def scaled(self, factor: float) -> "Ellipsoid":
         return Ellipsoid(self.center, tuple(a * factor for a in self.semi_axes))
@@ -72,10 +94,9 @@ class SphereCap:
     cap_z: float
 
     def __post_init__(self):
-        if len(self.center) != 3 or not all(map(math.isfinite, (*self.center, self.cap_z))):
-            raise SpecViolation("sphere cap needs a finite 3-component center and cap_z")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise SpecViolation(f"radius must be positive, got {self.radius}")
+        _floats(self, "center", 3)
+        _floats(self, "radius", positive=True)
+        _floats(self, "cap_z")
 
 
 @dataclass(frozen=True)
@@ -87,10 +108,18 @@ class TissueHu:
     diaphragm: int = 50
 
     def __post_init__(self):
-        for name in ("air", "lung", "soft", "heart", "diaphragm"):
-            v = getattr(self, name)
-            if not (HU_MIN <= v <= HU_MAX):
-                raise SpecViolation(f"HU for {name} outside [{HU_MIN}, {HU_MAX}]: {v}")
+        for f in fields(self):
+            _int(self, f.name, HU_MIN, HU_MAX)
+
+
+# The JSON form: each part of a spec document and its type, and each type's
+# JSON keys in constructor order.
+_PARTS = {"lung_right": Ellipsoid, "lung_left": Ellipsoid, "torso": Ellipsoid,
+          "heart": Ellipsoid, "diaphragm_right": SphereCap, "diaphragm_left": SphereCap,
+          "hu": TissueHu}
+_KEYS = {Ellipsoid: ("center_mm", "semi_axes_mm"),
+         SphereCap: ("center_mm", "radius_mm", "cap_z_mm"),
+         TissueHu: ("air", "lung", "soft", "heart", "diaphragm")}
 
 
 @dataclass(frozen=True)
@@ -107,8 +136,8 @@ class PhantomSpec:
     annotator_jitter_px: int = 1
 
     def __post_init__(self):
-        if self.annotator_jitter_px < 0:
-            raise SpecViolation("annotator_jitter_px must be nonnegative")
+        _int(self, "rng_seed", 0)
+        _int(self, "annotator_jitter_px", 0)
         g = self.geometry
         fov = (g.nx * g.sx, g.ny * g.sy, g.nz * g.sz)
         for name, lung in (("lung_right", self.lung_right), ("lung_left", self.lung_left)):
@@ -499,105 +528,54 @@ def generate_cohort(base: PhantomSpec, n: int, seed: int,
 
 # --- JSON form ----------------------------------------------------------------
 
-def _ellipsoid_to_dict(e: Ellipsoid) -> dict:
-    return {"center_mm": list(e.center), "semi_axes_mm": list(e.semi_axes)}
-
-
-def _cap_to_dict(c: SphereCap) -> dict:
-    return {"center_mm": list(c.center), "radius_mm": c.radius, "cap_z_mm": c.cap_z}
-
-
 def spec_to_dict(spec: PhantomSpec) -> dict:
     g = spec.geometry
-    out: dict = {
-        "geometry": {"dims": [g.nx, g.ny, g.nz], "spacing_mm": [g.sx, g.sy, g.sz]},
-        "lung_right": _ellipsoid_to_dict(spec.lung_right),
-        "lung_left": _ellipsoid_to_dict(spec.lung_left),
-        "hu": {"air": spec.hu.air, "lung": spec.hu.lung, "soft": spec.hu.soft,
-               "heart": spec.hu.heart, "diaphragm": spec.hu.diaphragm},
-        "rng_seed": spec.rng_seed,
-        "annotator_jitter_px": spec.annotator_jitter_px,
-    }
-    if spec.torso is not None:
-        out["torso"] = _ellipsoid_to_dict(spec.torso)
-    if spec.heart is not None:
-        out["heart"] = _ellipsoid_to_dict(spec.heart)
-    if spec.diaphragm_right is not None:
-        out["diaphragm_right"] = _cap_to_dict(spec.diaphragm_right)
-    if spec.diaphragm_left is not None:
-        out["diaphragm_left"] = _cap_to_dict(spec.diaphragm_left)
+    out: dict = {"geometry": {"dims": [g.nx, g.ny, g.nz], "spacing_mm": [g.sx, g.sy, g.sz]},
+                 "rng_seed": spec.rng_seed, "annotator_jitter_px": spec.annotator_jitter_px}
+    for name, cls in _PARTS.items():
+        part = getattr(spec, name)
+        if part is not None:
+            out[name] = {key: list(v) if isinstance(v, tuple) else v
+                         for key, v in zip(_KEYS[cls], astuple(part))}
     return out
 
 
-def _triple(d: dict, key: str, where: str) -> tuple[float, float, float]:
-    v = d.get(key)
-    if not (isinstance(v, list) and len(v) == 3 and all(is_finite_number(x) for x in v)):
-        raise SpecViolation(f"{where}: {key} must be a list of 3 finite numbers, got {v!r}")
-    return (float(v[0]), float(v[1]), float(v[2]))
-
-
-def _ellipsoid_from_dict(d, where: str) -> Ellipsoid:
-    if not isinstance(d, dict):
-        raise SpecViolation(f"{where}: expected an object, got {d!r}")
-    return Ellipsoid(_triple(d, "center_mm", where), _triple(d, "semi_axes_mm", where))
-
-
-def _cap_from_dict(d, where: str) -> SphereCap:
-    if not isinstance(d, dict):
-        raise SpecViolation(f"{where}: expected an object, got {d!r}")
-    for key in ("radius_mm", "cap_z_mm"):
-        if not is_finite_number(d.get(key)):
-            raise SpecViolation(f"{where}: {key} must be a finite number, got {d.get(key)!r}")
-    return SphereCap(_triple(d, "center_mm", where), float(d["radius_mm"]), float(d["cap_z_mm"]))
+def _object(doc, keys, required, where: str) -> dict:
+    """doc, once it is a JSON object with every required key and no other key."""
+    if not isinstance(doc, dict):
+        raise SpecViolation(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown, missing = sorted(set(doc) - set(keys)), sorted(set(required) - set(doc))
+    if unknown or missing:
+        raise SpecViolation(f"{where}: unknown keys {unknown}, missing keys {missing} "
+                            f"(keys: {', '.join(keys)})")
+    return doc
 
 
 def spec_from_dict(doc: dict) -> PhantomSpec:
-    """Parse the JSON spec form; omitted geometry defaults to the CT-scale grid."""
-    if not isinstance(doc, dict):
-        raise SpecViolation("phantom spec must be a JSON object")
-    for key in ("lung_right", "lung_left"):
-        if key not in doc:
-            raise SpecViolation(f"phantom spec missing {key!r}")
+    """Parse the JSON spec form; omitted geometry defaults to the CT-scale grid.
+
+    Only the document's structure is checked here: an object at every
+    level, no unknown key, every required key. The values are checked by
+    the types they build.
+    """
+    _object(doc, [f.name for f in fields(PhantomSpec)], ("lung_right", "lung_left"),
+            "phantom spec")
+    kwargs = {"geometry": DEFAULT_JSON_GEOMETRY, **doc}
     if "geometry" in doc:
-        gd = doc["geometry"]
-        if not (isinstance(gd, dict) and isinstance(gd.get("dims"), list)
-                and len(gd["dims"]) == 3):
-            raise SpecViolation("geometry.dims must be a list of 3 integers")
-        sx, sy, sz = _triple(gd, "spacing_mm", "geometry")
+        gd = _object(doc["geometry"], ("dims", "spacing_mm"), ("dims", "spacing_mm"), "geometry")
+        if not all(isinstance(v, list) and len(v) == 3 for v in gd.values()):
+            raise SpecViolation("geometry: dims and spacing_mm must each list 3 values")
         try:
-            geometry = GridGeometry(*gd["dims"], sx, sy, sz)
+            kwargs["geometry"] = GridGeometry(*gd["dims"], *gd["spacing_mm"])
         except ValueError as exc:
             raise SpecViolation(f"geometry: {exc}") from exc
-    else:
-        geometry = DEFAULT_JSON_GEOMETRY
-    hu = TissueHu()
-    if "hu" in doc:
-        if not isinstance(doc["hu"], dict):
-            raise SpecViolation("hu must be an object")
-        known = {"air", "lung", "soft", "heart", "diaphragm"}
-        bad = set(doc["hu"]) - known
-        if bad:
-            raise SpecViolation(f"unknown hu keys: {sorted(bad)}")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in doc["hu"].values()):
-            raise SpecViolation("hu values must be integers")
-        hu = TissueHu(**doc["hu"])
-    seed = doc.get("rng_seed", 0)
-    jitter = doc.get("annotator_jitter_px", 1)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SpecViolation(f"rng_seed must be an integer, got {seed!r}")
-    if not isinstance(jitter, int) or isinstance(jitter, bool) or jitter < 0:
-        raise SpecViolation(f"annotator_jitter_px must be a nonnegative integer, got {jitter!r}")
-    return PhantomSpec(
-        geometry=geometry,
-        lung_right=_ellipsoid_from_dict(doc["lung_right"], "lung_right"),
-        lung_left=_ellipsoid_from_dict(doc["lung_left"], "lung_left"),
-        torso=_ellipsoid_from_dict(doc["torso"], "torso") if "torso" in doc else None,
-        heart=_ellipsoid_from_dict(doc["heart"], "heart") if "heart" in doc else None,
-        diaphragm_right=_cap_from_dict(doc["diaphragm_right"], "diaphragm_right")
-        if "diaphragm_right" in doc else None,
-        diaphragm_left=_cap_from_dict(doc["diaphragm_left"], "diaphragm_left")
-        if "diaphragm_left" in doc else None,
-        hu=hu,
-        rng_seed=seed,
-        annotator_jitter_px=jitter,
-    )
+    for name, cls in _PARTS.items():
+        if name in doc:
+            pairs = list(zip(_KEYS[cls], fields(cls)))
+            required = [k for k, f in pairs if f.default is MISSING]
+            part = _object(doc[name], _KEYS[cls], required, name)
+            try:
+                kwargs[name] = cls(**{f.name: part[k] for k, f in pairs if k in part})
+            except SpecViolation as exc:
+                raise SpecViolation(f"{name}: {exc}") from exc
+    return PhantomSpec(**kwargs)

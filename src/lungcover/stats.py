@@ -14,7 +14,7 @@ importing lungcover (and every command but cohort) loads numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class DescriptiveSummary:
     max: float
 
     def as_dict(self) -> dict:
-        return {"n": self.n, "mean": self.mean, "sd": self.sd,
-                "min": self.min, "max": self.max}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,7 @@ class QuartileSummary:
     max: float
 
     def as_dict(self) -> dict:
-        return {"n": self.n, "median": self.median, "q1": self.q1,
-                "q3": self.q3, "min": self.min, "max": self.max}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """End-to-end command line tests: every subcommand, exit codes, determinism."""
 
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lungcover
 from lungcover.cli import main
@@ -23,6 +27,8 @@ from lungcover.io import load_mask2d, load_mask3d, save_mask2d
 from lungcover.phantom import analytic_obscured_fraction, spec_from_dict
 from lungcover.stats import describe, describe_quartiles
 
+from strategies import JSON_VALUES, mutated
+
 # Small slab phantom: the analytic fractions are ~5.5% (right) and
 # exactly 15.625% (left) before per-case size perturbation.
 SMALL_SPEC = {
@@ -31,6 +37,9 @@ SMALL_SPEC = {
     "lung_left": {"center_mm": [60.0, 120.0, 120.0], "semi_axes_mm": [30.0, 30.0, 30.0]},
     "heart": {"center_mm": [105.0, 120.0, 120.0], "semi_axes_mm": [30.0, 40.0, 1.0e6]},
 }
+
+# Deeper than any JSON reader can parse.
+NESTED = "[" * 100_000 + "]" * 100_000
 
 CASE_FILES = ("volume.json", "truth_right.json", "truth_left.json",
               "sota2d_right.json", "sota2d_left.json",
@@ -148,9 +157,28 @@ def test_phantom_bad_arguments(tmp_path, capsys):
 
 def test_phantom_invalid_spec_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2, 3]", encoding="utf-8")
-    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(bad)]) == 1
+    for text in ("[1, 2, 3]", NESTED):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(bad)]) == 1
+        assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
+def test_phantom_spec_with_unindexable_grid_rejected(tmp_path, capsys):
+    spec = tmp_path / "huge_dims.json"
+    spec.write_text(json.dumps(dict(SMALL_SPEC, geometry={"dims": [10**400, 48, 48],
+                                                          "spacing_mm": [5.0, 5.0, 5.0]})))
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec), "--n", "1"]) == 1
     assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
+def test_phantom_out_of_memory_is_one_line(tmp_path, spec_file, capsys, monkeypatch):
+    # a grid numpy can index but the machine cannot hold: no real allocation is tried
+    def full(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB for an array")
+    monkeypatch.setattr(np, "full", full)
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec_file),
+                 "--n", "1", "--quiet"]) == 2
+    assert one_error_line(capsys).startswith("error: MemoryError:")
 
 
 def test_phantom_spec_with_bool_dims_rejected(tmp_path, capsys):
@@ -366,7 +394,7 @@ def test_agreement_malformed_header_is_one_line(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("text", ["[]", '"x"', "null", "3",
-                                  pytest.param("[" * 100_000 + "]" * 100_000, id="nested")])
+                                  pytest.param(NESTED, id="nested")])
 def test_agreement_non_object_header_is_one_line(tmp_path, capsys, text):
     (tmp_path / "h.json").write_text(text)
     mask = str(tmp_path / "h.json")
@@ -571,13 +599,26 @@ def test_cohort_with_no_cases_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["[]", '"cohort"', '{"cases": {"case_000": {}}}',
-                                  '{"cases": "case_000"}'])
+                                  '{"cases": "case_000"}', pytest.param(NESTED, id="nested")])
 def test_cohort_manifest_must_be_object_with_case_list(tmp_path, capsys, text):
     d = tmp_path / "c"
     d.mkdir()
     (d / "manifest.json").write_text(text)
     assert main(["cohort", str(d)]) == 1
     assert one_error_line(capsys).startswith("error: SpecViolation:")
+
+
+@pytest.mark.parametrize("entry", [
+    {"case_id": ["case_000"], "dir": "case_000"}, {"case_id": 0, "dir": "case_000"},
+    {"case_id": "", "dir": "case_000"}, {"dir": "case_000"}, ["case_000"], "case_000",
+], ids=["list_id", "int_id", "empty_id", "no_id", "list", "string"])
+def test_cohort_bad_case_entry_is_malformed_header(cohort, tmp_path, capsys, entry):
+    manifest = json.loads((cohort / "manifest.json").read_text())
+    manifest["cases"][1] = entry
+    shutil.copytree(cohort, tmp_path / "c", ignore=shutil.ignore_patterns("report"))
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["cohort", str(tmp_path / "c"), "--quiet"]) == 1
+    assert one_error_line(capsys).startswith("error: MalformedHeader:")
 
 
 @pytest.mark.parametrize("case_dir", ["../c/{id}", "{id}/../../c/{id}", "{root}/c/{id}"])
@@ -590,6 +631,50 @@ def test_cohort_case_dir_must_stay_inside_cohort(cohort, tmp_path, capsys, case_
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     assert main(["cohort", str(tmp_path / "d"), "--quiet"]) == 1
     assert one_error_line(capsys).startswith("error: MalformedHeader:")
+
+
+# --- manifest mutations: every malformed manifest is one error line ---------------
+
+MANIFEST_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        True, False, None, "", ".", "case_000", "case_001", "../case_000", "/case_000",
+        "case_000/..", ["case_000"], [], {}, {"case_id": "case_000"}, [[[[["case_000"]]]]],
+        0, -1, 10**400, float("nan"), float("inf"), 0.5,
+    ]),
+    JSON_VALUES,
+)
+
+
+def manifest_keys(manifest: dict) -> list:
+    """The case list and the case id and dir of each entry: what cohort reads."""
+    cases = manifest.get("cases")
+    entries = [e for e in cases if isinstance(e, dict)] if isinstance(cases, list) else []
+    return [(manifest, ["cases", "bogus"])] + [(e, ["case_id", "dir", "bogus"]) for e in entries]
+
+
+@pytest.fixture(scope="module")
+def two_case_cohort(tmp_path_factory, spec_file) -> Path:
+    out = tmp_path_factory.mktemp("two") / "cohort"
+    make_cohort(out, spec_file, n=2)
+    return out
+
+
+@given(data=st.data())
+def test_cohort_on_mutated_manifest_is_one_error_line(two_case_cohort, data):
+    pristine = json.loads((two_case_cohort / "manifest.json").read_text())
+    clone = two_case_cohort.parent / "mutated"
+    if not clone.exists():
+        shutil.copytree(two_case_cohort, clone)
+    manifest = data.draw(mutated(pristine, manifest_keys, MANIFEST_ODD_VALUES))
+    (clone / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["cohort", str(clone), "--out", str(clone / "report"), "--quiet"])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 # --- start-up cost -------------------------------------------------------------------

@@ -53,6 +53,19 @@ class TestGridGeometry:
     def test_accepts_numpy_and_integer_spacing(self, value):
         assert small_geometry(sy=value).sy == value
 
+    def test_stores_int_counts_and_float_spacing(self):
+        g = small_geometry(nx=np.int64(5), sy=np.float32(0.5), sz=3)
+        assert (g.nx, g.sy, g.sz) == (5, 0.5, 3.0)
+        assert type(g.nx) is int and type(g.sy) is float and type(g.sz) is float
+
+    @pytest.mark.parametrize("dims", [(2**40, 2**40, 1), (10**400, 1, 1), (2**21, 2**21, 2**21)])
+    def test_rejects_counts_numpy_cannot_index(self, dims):
+        with pytest.raises(ValueError, match="too many voxels"):
+            small_geometry(nx=dims[0], ny=dims[1], nz=dims[2])
+
+    def test_accepts_the_largest_indexable_grid(self):
+        assert small_geometry(nx=np.iinfo(np.intp).max, ny=1, nz=1).voxel_count > 0
+
     @pytest.mark.parametrize("value", [np.float32("nan"), np.float16("inf"), np.bool_(True)])
     def test_rejects_bad_numpy_spacing(self, value):
         with pytest.raises(ValueError):

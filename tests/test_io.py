@@ -5,7 +5,6 @@ inputs fail with typed errors, never partial objects.
 """
 
 import contextlib
-import copy
 import io
 import json
 import os
@@ -32,6 +31,8 @@ from lungcover.io import (
     save_volume,
     write_json,
 )
+
+from strategies import mutated
 
 
 def small_volume() -> VoxelVolume:
@@ -243,21 +244,8 @@ ODD_VALUES = st.one_of(
 )
 
 
-@st.composite
-def mutated(draw, header: dict) -> dict:
-    """``header`` with 1-3 keys dropped, replaced, or with one list element replaced."""
-    header = copy.deepcopy(header)
-    for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.sampled_from(HEADER_KEYS))
-        how = draw(st.sampled_from(["drop", "replace", "element"]))
-        value = copy.deepcopy(draw(ODD_VALUES))  # the sampled lists are shared
-        if how == "drop":
-            header.pop(key, None)
-        elif how == "element" and isinstance(header.get(key), list) and header[key]:
-            header[key][draw(st.integers(0, len(header[key]) - 1))] = value
-        else:
-            header[key] = value
-    return header
+def header_keys(header: dict) -> list:
+    return [(header, HEADER_KEYS)]
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +275,7 @@ def write_mutation(root, header: dict):
 @given(data=st.data())
 def test_mutated_header_raises_only_load_errors(saved, stem, load, data):
     header = json.loads((saved / f"{stem}.json").read_text())
-    path = write_mutation(saved, data.draw(mutated(header)))
+    path = write_mutation(saved, data.draw(mutated(header, header_keys, ODD_VALUES)))
     with contextlib.suppress(*LOAD_ERRORS):
         load(path)
 
@@ -296,7 +284,7 @@ def test_mutated_header_raises_only_load_errors(saved, stem, load, data):
 @given(data=st.data())
 def test_agreement_on_mutated_header_is_one_error_line(saved, stem, data):
     header = json.loads((saved / f"{stem}.json").read_text())
-    path = str(write_mutation(saved, data.draw(mutated(header))))
+    path = str(write_mutation(saved, data.draw(mutated(header, header_keys, ODD_VALUES))))
     try:
         load_mask(path)
         want = 0

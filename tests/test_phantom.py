@@ -12,6 +12,8 @@ inside the near side obscures h=1/2, i.e. (1/2)^2 (3 - 1/2) / 4 = 5/32
 on the outside, the transposed order of the oracle's own quadrature.
 """
 
+import contextlib
+import io
 import json
 import math
 import time
@@ -47,6 +49,9 @@ from lungcover.phantom import (
 from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _grow, _index_span,
                                _jitter_bits)
 from lungcover.projection import project_mask
+
+from strategies import JSON_VALUES, mutated
+
 
 SLAB_Z = 1.0e6  # z semi-axis huge enough that the coronal shadow edge is straight
 BAND_Z = 1.0e7  # straight to 1e-9 in fraction: the closed form's error falls as 1/az^2
@@ -449,6 +454,16 @@ class TestGeneratePhantom:
         lambda: Ellipsoid((float("nan"), 160.0, 160.0), (40.0, 40.0, 40.0)),
         lambda: SphereCap((222.0, float("inf"), 30.0), 75.0, 80.0),
         lambda: SphereCap((222.0, 160.0, 30.0), 75.0, float("nan")),
+        # a misspelled solid and an unknown key inside one, through the spec
+        # document; then a string center and a string radius
+        lambda: spec_from_dict(dict(spec_to_dict(anatomical_spec()),
+                                    hart={"center_mm": [135.0, 180.0, 110.0],
+                                          "semi_axes_mm": [48.0, 42.0, 50.0]})),
+        lambda: spec_from_dict(dict(spec_to_dict(anatomical_spec()),
+                                    heart={"center_mm": [135.0, 180.0, 110.0],
+                                           "semi_axes_mm": [48.0, 42.0, 50.0], "hu": 40})),
+        lambda: Ellipsoid(("135.0", 180.0, 110.0), (48.0, 42.0, 50.0)),
+        lambda: SphereCap((222.0, 160.0, 30.0), "75.0", 80.0),
     ])
     def test_non_finite_solid_rejected(self, build):
         with pytest.raises(SpecViolation):
@@ -457,6 +472,27 @@ class TestGeneratePhantom:
     def test_hu_values_validated(self):
         with pytest.raises(SpecViolation):
             TissueHu(air=-2000)
+
+    @pytest.mark.parametrize("build", [
+        lambda: TissueHu(air=-1000.5),
+        lambda: TissueHu(heart=True),
+        lambda: replace(default_spec(), rng_seed=1.0),
+        lambda: replace(default_spec(), rng_seed=-1),  # SeedSequence takes no negative seed
+        lambda: replace(default_spec(), annotator_jitter_px=False),
+    ])
+    def test_spec_integers_are_ints_not_bools(self, build):
+        with pytest.raises(SpecViolation):
+            build()
+
+    def test_solids_store_tuples_of_floats(self):
+        e = Ellipsoid([98, np.float32(160.0), 175], [55.0, 75, np.float64(105.0)])
+        assert e == Ellipsoid((98.0, 160.0, 175.0), (55.0, 75.0, 105.0))
+        assert all(type(v) is float for v in (*e.center, *e.semi_axes))
+        cap = SphereCap([1, 2, 3], np.float64(4.0), 5)
+        assert (cap.center, cap.radius, cap.cap_z) == ((1.0, 2.0, 3.0), 4.0, 5.0)
+        assert type(cap.radius) is float and type(cap.cap_z) is float
+        hu = TissueHu(air=np.int16(-900))
+        assert hu.air == -900 and type(hu.air) is int
 
 
 class TestAnnotatorJitter:
@@ -549,6 +585,14 @@ class TestGrow:
 
 
 class TestAnalyticOracle:
+    def test_list_solids_are_hashable_for_the_cache(self):
+        tuples = two_sphere_spec(heart=Ellipsoid((122.0, 160.0, 160.0), (100.0, 50.0, SLAB_Z)))
+        lists = replace(tuples, heart=Ellipsoid([122.0, 160.0, 160.0], [100.0, 50.0, SLAB_Z]),
+                        lung_right=Ellipsoid([222, 160, 160], [40, 40, 40]))
+        for side in ("right", "left", "both"):
+            want = analytic_obscured_fraction(tuples, side)
+            assert analytic_obscured_fraction(lists, side) == want
+
     def test_no_occluders_is_zero(self):
         spec = two_sphere_spec(heart=None)
         for side in ("right", "left", "both"):
@@ -780,6 +824,13 @@ class TestSpecJson:
                                             "radius_mm": 75.0, "cap_z_mm": float("-inf")}),
         lambda d: d.update(diaphragm_left={"center_mm": [98.0, float("nan"), 20.0],
                                            "radius_mm": 75.0, "cap_z_mm": 78.0}),
+        # a misspelled key is an error, not a solid left out
+        lambda d: d.update(hart=d.pop("heart")),
+        lambda d: d["heart"].update(hu=40),
+        lambda d: d["heart"].update(center_mm=["156.25", 160.0, 160.0]),
+        lambda d: d["geometry"].update(origin_mm=[0.0, 0.0, 0.0]),
+        lambda d: d["geometry"].update(dims=[10 ** 400, 128, 128]),
+        lambda d: d["geometry"].update(dims=[2 ** 40, 2 ** 40, 128]),  # more than numpy indexes
     ])
     def test_malformed_documents_rejected(self, mutate):
         doc = spec_to_dict(default_spec())
@@ -790,3 +841,83 @@ class TestSpecJson:
     def test_named_specs_generate(self):
         for build in (default_spec, anatomical_spec):
             assert generate_phantom(build()).truth_right.voxel_count > 0
+
+    def test_integer_spacing_reads_as_float(self):
+        doc = spec_to_dict(two_sphere_spec(heart=None))
+        doc["geometry"]["spacing_mm"] = [5, 5, 5]
+        spacing = spec_to_dict(spec_from_dict(doc))["geometry"]["spacing_mm"]
+        assert spacing == [5.0, 5.0, 5.0] and all(type(v) is float for v in spacing)
+
+
+# --- spec mutations: every malformed spec is one SpecViolation -----------------
+
+SPEC_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        True, False, None, "", "1", "heart", [], {}, [1.0], [1.0, 2.0], [1.0, 2.0, 3.0],
+        [True, 2.0, 3.0], ["1", 2.0, 3.0], [[1.0, 2.0, 3.0]], [[[[[1.0]]]]],
+        {"center_mm": [1.0, 2.0, 3.0]}, {"dims": [24, 24, 24]},
+        float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 2**40, 2**64,
+        [2**40, 24, 24], [10**400, 24, 24], 0, -1, 0.5, 24, 1e308, 5e-324,
+    ]),
+    JSON_VALUES,
+)
+
+
+def spec_keys(doc: dict) -> list:
+    """The document and each of its objects, with misspelled ("hart", "centre_mm") and new keys."""
+    objects = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+    return [(o, sorted(o) * 2 + ["hart", "centre_mm", "bogus"]) for o in objects]
+
+
+@given(data=st.data())
+def test_mutated_spec_parses_or_is_spec_violation(data):
+    doc = data.draw(mutated(spec_to_dict(anatomical_spec()), spec_keys, SPEC_ODD_VALUES))
+    try:
+        spec = spec_from_dict(doc)
+    except SpecViolation:
+        return
+    out = spec_to_dict(spec)
+    for key, value in doc.items():  # no key was ignored
+        assert key in out and (not isinstance(value, dict) or set(value) <= set(out[key]))
+    assert spec_from_dict(out) == spec
+
+
+# The anatomical phantom on a 24^3 grid of 13.5 mm voxels: a 324 mm field of
+# view, which holds the built-in 320 mm one.
+SMALL_ANATOMICAL = spec_to_dict(replace(anatomical_spec(),
+                                        geometry=GridGeometry(24, 24, 24, 13.5, 13.5, 13.5)))
+
+
+@pytest.fixture(scope="module")
+def spec_run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated_spec")
+
+
+@given(data=st.data())
+def test_phantom_on_mutated_spec_is_one_error_line(spec_run_dir, data):
+    doc = data.draw(mutated(SMALL_ANATOMICAL, spec_keys, SPEC_ODD_VALUES))
+    try:
+        voxels = spec_from_dict(doc).geometry.voxel_count
+    except SpecViolation:
+        voxels = 0
+    if voxels > 24 ** 3:  # a dropped geometry is the CT grid; a mutated dims may be huge
+        return
+    path = spec_run_dir / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["phantom", "--out", str(spec_run_dir / "out"), "--spec", str(path),
+                   "--n", "1", "--quiet"])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+def test_small_anatomical_spec_runs(spec_run_dir):
+    # the unmutated base of the test above makes a phantom
+    path = spec_run_dir / "base.json"
+    path.write_text(json.dumps(SMALL_ANATOMICAL), encoding="utf-8")
+    assert main(["phantom", "--out", str(spec_run_dir / "base"), "--spec", str(path),
+                 "--n", "1", "--quiet"]) == 0
