@@ -205,12 +205,7 @@ def cmd_cohort(args) -> int:
     if not (isinstance(cases, list) and cases):
         raise SpecViolation(f"{manifest_path}: cohort lists no cases")
 
-    out_dir = Path(args.out) if args.out else cohort_dir / "report"
-    case_ids: list[str] = []
-    exam_rows: list[tuple] = []
-    rows: dict[str, list] = {annot: [] for annot in _ANNOTATORS}
-    agreement_rows: list[tuple] = []
-
+    case_dirs: dict[str, Path] = {}  # case id -> case dir, in manifest order
     for entry in cases:
         try:
             case_id = entry["case_id"]
@@ -221,7 +216,19 @@ def cmd_cohort(args) -> int:
                                                   f"{manifest_path}: case dir")
         except (KeyError, TypeError) as exc:
             raise MalformedHeader(f"{manifest_path}: bad case entry: {exc}") from exc
-        case_ids.append(case_id)
+        # a case listed twice would count as two examinations in every summary
+        if case_id in case_dirs or case_dir in case_dirs.values():
+            raise MalformedHeader(f"{manifest_path}: case {case_id!r} in {case_dir} "
+                                  "repeats an earlier case id or dir")
+        case_dirs[case_id] = case_dir
+
+    out_dir = Path(args.out) if args.out else cohort_dir / "report"
+    case_ids = list(case_dirs)
+    exam_rows: list[tuple] = []
+    rows: dict[str, list] = {annot: [] for annot in _ANNOTATORS}
+    agreement_rows: list[tuple] = []
+
+    for case_id, case_dir in case_dirs.items():
         exam_row, measured, pair_rows = _case_report(case_dir, case_id)
         exam_rows.append(exam_row)
         for annot, annot_rows in measured.items():

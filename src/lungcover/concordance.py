@@ -10,9 +10,11 @@ number of reference voxels in column (z, x),
     obscured = sum of cols - covered
 
 These are the same integers the voxel-by-voxel split counts, computed
-from one pass over the reference and no 3D temporary. ``cols`` is
-``Mask3D.column_counts``, a cached property of the immutable mask, so a
-mask measured against several 2D masks is counted once. The counts
+from one popcount pass over the reference's packed bits (one bit per
+voxel) and no 3D bool temporary. ``cols`` is ``Mask3D.column_counts``,
+a cached property of the immutable mask, so a mask measured against
+several 2D masks is counted once. Dice, Jaccard and the voxelwise AND
+work on the packed bytes too. The counts
 partition the reference, so covered_ml + obscured_ml == total_ml holds
 bit-exactly (one shared voxel-volume factor, applied once at the end).
 ``extrude_mask`` with ``overlap_mask``/``obscured_mask`` is the
@@ -44,15 +46,16 @@ def _combined_label(a: str, b: str) -> str:
 
 
 def overlap_mask(a: Mask3D, b: Mask3D) -> Mask3D:
-    """Voxelwise AND."""
+    """Voxelwise AND, on the packed bytes."""
     _require_same_grid(a, b)
-    return Mask3D(a.geometry, a.bits & b.bits, _combined_label(a.label, b.label))
+    return Mask3D.from_packed(a.geometry, a.packed & b.packed, _combined_label(a.label, b.label))
 
 
 def obscured_mask(reference: Mask3D, cover: Mask3D) -> Mask3D:
-    """Reference voxels not inside the cover (AND NOT)."""
+    """Reference voxels not inside the cover (AND NOT); the reference's padding bits are 0."""
     _require_same_grid(reference, cover)
-    return Mask3D(reference.geometry, reference.bits & ~cover.bits, reference.label)
+    return Mask3D.from_packed(reference.geometry, reference.packed & ~cover.packed,
+                              reference.label)
 
 
 def union2d(a: Mask2D, b: Mask2D) -> Mask2D:
@@ -85,15 +88,12 @@ def jaccard(a, b) -> float:
 
 def _pair_counts(a, b) -> tuple[int, int, int]:
     if isinstance(a, Mask3D) and isinstance(b, Mask3D):
-        _require_same_grid(a, b)
-    elif isinstance(a, Mask2D) and isinstance(b, Mask2D):
+        inter = overlap_mask(a, b).voxel_count  # checks the grids first
+        return a.voxel_count, b.voxel_count, inter
+    if isinstance(a, Mask2D) and isinstance(b, Mask2D):
         _require_same_plane(a, b)
-    else:
-        raise GeometryMismatch(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    ca = int(np.count_nonzero(a.bits))
-    cb = int(np.count_nonzero(b.bits))
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    return ca, cb, inter
+        return a.pixel_count, b.pixel_count, int(np.count_nonzero(a.bits & b.bits))
+    raise GeometryMismatch(f"cannot compare {type(a).__name__} with {type(b).__name__}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,8 @@ def _union_column_counts(right: Mask3D, left: Mask3D) -> np.ndarray:
     inter = np.zeros_like(cols_l)
     zs, xs = np.nonzero((cols_r > 0) & (cols_l > 0))
     if zs.size:
-        inter[zs, xs] = np.count_nonzero(right.bits[zs, :, xs] & left.bits[zs, :, xs], axis=1)
+        both = right.packed[zs, :, xs] & left.packed[zs, :, xs]
+        inter[zs, xs] = np.bitwise_count(both).sum(axis=1, dtype=inter.dtype)
     return cols_r + (cols_l - inter)
 
 

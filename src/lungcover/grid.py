@@ -5,6 +5,9 @@ projection axis), z runs cranio-caudal. The coronal plane is x-z.
 Arrays are stored C-contiguous with shape (nz, ny, nx), so the flat
 element order is x-fastest, then y, then z: offset = x + nx*(y + ny*z).
 2D coronal arrays use shape (nz, nx) with the same x-fastest order.
+A 3D mask keeps one bit per voxel: 8 consecutive y voxels of a column
+share one byte (pack_y), so the column counts the covered/obscured split
+needs are a popcount summed over y.
 
 All types are immutable: constructors take ownership of the array and
 mark it read-only. So a value derived from a mask's bits, such as
@@ -13,6 +16,7 @@ mark it read-only. So a value derived from a mask's bits, such as
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,22 +44,24 @@ def is_finite_number(v) -> bool:
 
 
 # The rules every size, spacing and label obeys, whether it comes from Python,
-# a phantom spec or a file header: each value passes or raises ValueError.
+# a phantom spec or a file header: each value passes or raises ValueError,
+# whose message shows the value abridged by reprlib (a spec or header value
+# may be a list nested hundreds deep).
 
 def check_size(name: str, n) -> None:
     # bool is a subclass of int
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+        raise ValueError(f"{name} must be a positive integer, got {reprlib.repr(n)}")
 
 
 def check_spacing(name: str, s) -> None:
     if not (is_finite_number(s) and s > 0):
-        raise ValueError(f"{name} must be positive and finite, got {s!r}")
+        raise ValueError(f"{name} must be positive and finite, got {reprlib.repr(s)}")
 
 
 def check_label(label) -> None:
     if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+        raise ValueError(f"label must be one of {LABELS}, got {reprlib.repr(label)}")
 
 
 # Block size of the HU range check: the max pass reads each block while the
@@ -96,6 +102,11 @@ class GridGeometry:
         return (self.nz, self.ny, self.nx)
 
     @property
+    def packed_zyx(self) -> tuple[int, int, int]:
+        """Shape of a 3D mask's packed bits (pack_y): 8 y voxels per byte."""
+        return (self.nz, -(-self.ny // 8), self.nx)
+
+    @property
     def voxel_count(self) -> int:
         return self.nx * self.ny * self.nz
 
@@ -124,26 +135,74 @@ class VoxelVolume:
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
 
-@dataclass(frozen=True)
+def pack_y(bits: np.ndarray) -> np.ndarray:
+    """(nz, ny, nx) bool -> (nz, ceil(ny/8), nx) uint8, one bit per voxel.
+
+    Byte (z, j, x) holds y = 8j .. 8j+7 of column (z, x), bit k being
+    y = 8j + k (numpy's bitorder="little"); the bits past ny are 0. Eight
+    shift-OR passes over strided rows: 3x faster than np.packbits along a
+    middle axis.
+    """
+    nz, ny, nx = bits.shape
+    rows = np.asarray(bits, dtype=bool).view(np.uint8)
+    packed = np.zeros((nz, -(-ny // 8), nx), np.uint8)
+    for k in range(min(8, ny)):
+        row_k = rows[:, k::8]
+        packed[:, :row_k.shape[1]] |= row_k << k
+    return packed
+
+
+@dataclass(frozen=True, init=False)
 class Mask3D:
-    """Binary voxel mask on a grid, labeled right/left/both."""
+    """Binary voxel mask on a grid, labeled right/left/both, one bit per voxel.
+
+    ``packed`` is the read-only uint8 array of pack_y, shape
+    ``geometry.packed_zyx``: the only copy of the mask kept.
+    ``Mask3D(geometry, bits, label)`` packs a bool (or 0/1) array;
+    ``Mask3D.from_packed`` takes packed bytes as they are, once their
+    padding bits (y >= ny) are 0.
+    """
 
     geometry: GridGeometry
-    bits: np.ndarray  # (nz, ny, nx) bool, read-only
+    packed: np.ndarray  # (nz, ceil(ny/8), nx) uint8, read-only
     label: str
 
-    def __post_init__(self):
-        bits = _freeze(self.bits, bool)
-        if bits.shape != self.geometry.shape_zyx:
-            raise ValueError(
-                f"bits shape {bits.shape} != geometry {self.geometry.shape_zyx}"
-            )
-        check_label(self.label)
-        object.__setattr__(self, "bits", bits)
+    def __init__(self, geometry: GridGeometry, bits, label: str):
+        bits = np.asarray(bits)
+        if bits.shape != geometry.shape_zyx:
+            raise ValueError(f"bits shape {bits.shape} != geometry {geometry.shape_zyx}")
+        self._set(geometry, pack_y(bits), label)
+
+    @classmethod
+    def from_packed(cls, geometry: GridGeometry, packed, label: str) -> "Mask3D":
+        packed = np.asarray(packed)
+        if packed.dtype != np.uint8 or packed.shape != geometry.packed_zyx:
+            raise ValueError(f"packed bits must be uint8 of shape {geometry.packed_zyx}, "
+                             f"got {packed.dtype} {packed.shape}")
+        tail = geometry.ny % 8
+        if tail and (packed[:, -1] >> tail).any():
+            raise ValueError(f"packed bits beyond ny = {geometry.ny} must be 0")
+        mask = cls.__new__(cls)
+        mask._set(geometry, packed, label)
+        return mask
+
+    def _set(self, geometry: GridGeometry, packed: np.ndarray, label: str) -> None:
+        check_label(label)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "packed", _freeze(packed, np.uint8))
+        object.__setattr__(self, "label", label)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only (nz, ny, nx) bool unpack of the mask, made on first use and cached."""
+        bits = np.unpackbits(self.packed, axis=1, count=self.geometry.ny,
+                             bitorder="little").view(bool)
+        bits.flags.writeable = False
+        return bits
 
     @property
     def voxel_count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        return int(self.column_counts.sum(dtype=np.int64))
 
     @cached_property
     def column_counts(self) -> np.ndarray:
@@ -152,7 +211,8 @@ class Mask3D:
         Cached: the bits cannot change. The dtype is the smallest unsigned
         type that holds ny, so the sum cannot overflow.
         """
-        cols = self.bits.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.geometry.ny))
+        cols = np.bitwise_count(self.packed).sum(
+            axis=1, dtype=np.min_scalar_type(self.geometry.ny))
         cols.flags.writeable = False
         return cols
 

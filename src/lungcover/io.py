@@ -7,9 +7,15 @@ path with no ``..`` part, so a case directory can be moved wholesale:
     {"dims": [nx, ny, nz], "spacing_mm": [sx, sy, sz],
      "dtype": "i16le", "data": "volume.raw"}
 
-Masks additionally carry "label" (right/left/both) and use dtype "u8"
-with one byte per element, value 0 or 1 (not bit-packed). 2D masks store
-dims [nx, nz] and spacing_mm [sx, sz]. Payload element order is always
+Masks additionally carry "label" (right/left/both). A 3D mask is
+written with dtype "u1y", one bit per voxel packed along y: byte (z, j, x)
+holds the voxels y = 8j .. 8j+7 of column (z, x), bit k (value 1 << k)
+being y = 8j + k, which is numpy's bitorder="little". Bytes run x-fastest,
+then j, then z, so the payload is nz * ceil(ny/8) * nx bytes; the bits
+for y >= ny in the last byte row must be 0, and a set one is a
+MalformedMask. A 3D "u8" payload (one byte 0 or 1 per voxel, the format
+before "u1y") is still read, and packed on load. 2D masks use "u8" and
+store dims [nx, nz] and spacing_mm [sx, sz]. Element order is always
 x-fastest, then y, then z. Every header is read by _load (through
 read_json, which reads every JSON input) and written by _save; its dims,
 spacing_mm and label obey the grid types' own rules (grid.check_size,
@@ -37,6 +43,7 @@ import json
 import math
 import mmap
 import os
+import reprlib
 import secrets
 from pathlib import Path
 
@@ -46,7 +53,10 @@ from .errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
 from .grid import (DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, check_label,
                    check_size, check_spacing)
 
-_DTYPES = {"i16le": np.dtype("<i2"), "u8": np.dtype(np.uint8)}
+_DTYPES = {"i16le": np.dtype("<i2"), "u8": np.dtype(np.uint8), "u1y": np.dtype(np.uint8)}
+# The payload dtypes a header may name, by its number of dims.
+_VOLUME = {3: ("i16le",)}
+_MASKS = {2: ("u8",), 3: ("u1y", "u8")}
 
 
 def _create_temp(path: Path) -> tuple[int, Path]:
@@ -86,7 +96,8 @@ def relative_path(name, where: str) -> str:
     """``name`` if, joined to a directory, it stays inside; else MalformedHeader."""
     if not (isinstance(name, str) and name and not Path(name).is_absolute()
             and ".." not in Path(name).parts):
-        raise MalformedHeader(f"{where} must be a relative path with no '..', got {name!r}")
+        raise MalformedHeader(f"{where} must be a relative path with no '..', "
+                              f"got {reprlib.repr(name)}")
     return name
 
 
@@ -123,12 +134,14 @@ def read_json(path: str | Path, kind: type[Exception]) -> dict:
     return doc
 
 
-def _load(path: str | Path, ndims: tuple[int, ...], dtype: str, labeled: bool):
+def _load(path: str | Path, dtypes: dict[int, tuple[str, ...]], labeled: bool):
     """The checked dims, spacing and label of a header, and its payload as a read-only array.
 
     The only header reader. dims, spacing_mm and label are checked by the
-    grid types' own rules, their ValueError re-raised as MalformedHeader;
-    a labeled payload must hold 0/1 bytes and comes back as a bool view.
+    grid types' own rules, their ValueError re-raised as MalformedHeader,
+    and dtype must be one that dtypes lists for that many dims. A "u8"
+    mask payload must hold 0/1 bytes and comes back as a bool view; a
+    "u1y" one comes back as its packed bytes, shape (nz, ceil(ny/8), nx).
     """
     path = Path(path)
     header = read_json(path, MalformedHeader)
@@ -136,10 +149,11 @@ def _load(path: str | Path, ndims: tuple[int, ...], dtype: str, labeled: bool):
         if key not in header:
             raise MalformedHeader(f"{path}: missing key {key!r}")
     dims, spacing, label = header["dims"], header["spacing_mm"], header.get("label")
-    if not (isinstance(dims, list) and len(dims) in ndims
+    if not (isinstance(dims, list) and len(dims) in dtypes
             and isinstance(spacing, list) and len(spacing) == len(dims)):
         raise MalformedHeader(f"{path}: dims and spacing_mm must list "
-                              f"{' or '.join(map(str, ndims))} values, got {dims!r}, {spacing!r}")
+                              f"{' or '.join(map(str, dtypes))} values, "
+                              f"got {reprlib.repr(dims)}, {reprlib.repr(spacing)}")
     try:
         for n in dims:
             check_size("dims", n)
@@ -149,15 +163,18 @@ def _load(path: str | Path, ndims: tuple[int, ...], dtype: str, labeled: bool):
             check_label(label)
     except ValueError as exc:
         raise MalformedHeader(f"{path}: {exc}") from exc
-    if header["dtype"] != dtype:
-        raise MalformedHeader(f"{path}: expected dtype {dtype!r}, got {header['dtype']!r}")
+    dtype = header["dtype"]
+    if dtype not in dtypes[len(dims)]:
+        raise MalformedHeader(f"{path}: expected dtype {' or '.join(map(repr, dtypes[len(dims)]))}"
+                              f", got {reprlib.repr(dtype)}")
     data_path = path.parent / relative_path(header["data"], f"{path}: data")
     item = _DTYPES[dtype]
-    payload = _map_payload(data_path, math.prod(dims) * item.itemsize)
-    array = np.frombuffer(payload, dtype=item).reshape(dims[::-1])
-    if labeled and array.max() > 1:
+    shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
+    payload = _map_payload(data_path, math.prod(shape) * item.itemsize)
+    array = np.frombuffer(payload, dtype=item).reshape(shape)
+    if dtype == "u8" and array.max() > 1:
         raise MalformedMask(f"{path}: mask bytes must be 0 or 1, found {int(array[array > 1][0])}")
-    return dims, [float(s) for s in spacing], label, array.view(bool) if labeled else array
+    return dims, [float(s) for s in spacing], label, array.view(bool) if dtype == "u8" else array
 
 
 def _save(path: str | Path, array: np.ndarray, dims, spacing, dtype: str,
@@ -174,29 +191,36 @@ def _save(path: str | Path, array: np.ndarray, dims, spacing, dtype: str,
     _atomic_write_bytes(path, _header_to_json(header))
 
 
-def _mask(dims, spacing, label, bits) -> Mask2D | Mask3D:
+def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
+    dims, spacing, label, array = _load(path, {n: _MASKS[n] for n in ndims}, labeled=True)
     if len(dims) == 2:
-        return Mask2D(*dims, *spacing, bits, label)
-    return Mask3D(GridGeometry(*dims, *spacing), bits, label)
+        return Mask2D(*dims, *spacing, array, label)
+    g = GridGeometry(*dims, *spacing)
+    if array.dtype == bool:  # a "u8" payload, packed here
+        return Mask3D(g, array, label)
+    try:
+        return Mask3D.from_packed(g, array, label)
+    except ValueError as exc:  # a padding bit is set
+        raise MalformedMask(f"{path}: {exc}") from exc
 
 
 def load_volume(path: str | Path) -> VoxelVolume:
     """Read a volume (header JSON + i16le raw); enforces type invariants."""
-    dims, spacing, _, values = _load(path, (3,), "i16le", labeled=False)
+    dims, spacing, _, values = _load(path, _VOLUME, labeled=False)
     return VoxelVolume(GridGeometry(*dims, *spacing), values)
 
 
 def load_mask3d(path: str | Path) -> Mask3D:
-    return _mask(*_load(path, (3,), "u8", labeled=True))
+    return _load_mask(path, (3,))
 
 
 def load_mask2d(path: str | Path) -> Mask2D:
-    return _mask(*_load(path, (2,), "u8", labeled=True))
+    return _load_mask(path, (2,))
 
 
 def load_mask(path: str | Path) -> Mask2D | Mask3D:
     """A 2D or a 3D mask, whichever its header's dims describe."""
-    return _mask(*_load(path, (2, 3), "u8", labeled=True))
+    return _load_mask(path, (2, 3))
 
 
 def save_volume(volume: VoxelVolume, path: str | Path) -> None:
@@ -206,8 +230,7 @@ def save_volume(volume: VoxelVolume, path: str | Path) -> None:
 
 def save_mask3d(mask: Mask3D, path: str | Path) -> None:
     g = mask.geometry
-    _save(path, mask.bits.view(np.uint8), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u8",
-          mask.label)
+    _save(path, mask.packed, (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label)
 
 
 def save_mask2d(mask: Mask2D, path: str | Path) -> None:

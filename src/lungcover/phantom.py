@@ -5,14 +5,15 @@ ellipsoids, an optional heart/mediastinum ellipsoid and optional
 diaphragm domes (sphere caps protruding into the lungs from below).
 Voxel membership is voxel-center inclusion, painted with priority
 heart/diaphragm > lung > soft tissue > air, so brute-force counts are
-exact. Each solid is painted one z-slice at a time (_slices) straight
-into the outputs, so the only 3D arrays made are the volume and the two
-truth masks (256 MB on the 512 x 512 x 244 CT grid). The truth masks are
-the voxelized lung ellipsoids themselves; the contour-style 2D mask is
-the lung silhouette minus the occluder silhouettes, both OR-ed per
-slice; a second annotator is simulated by seeded boundary jitter, on a
-band found by numpy 4-neighbour dilation and erosion (_grow), so making
-a phantom needs no scipy.
+exact. Each solid is painted in z-slabs of at most 64 K voxels (_slabs)
+straight into the outputs, and each lung slab is bit-packed (grid.pack_y)
+while it is still in cache, so the only 3D arrays made are the volume
+and the two packed truth masks (128 MB + 2 x 8 MB on the 512 x 512 x 244
+CT grid). The truth masks are the voxelized lung ellipsoids themselves;
+the contour-style 2D mask is the lung silhouette minus the occluder
+silhouettes, both OR-ed per slab; a second annotator is simulated by
+seeded boundary jitter, on a band found by numpy 4-neighbour dilation
+and erosion (_grow), so making a phantom needs no scipy.
 The oracle is the continuous obscured fraction of every phantom family,
 by one quadrature over the lung (analytic_obscured_fraction).
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import SpecViolation
 from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume,
-                   is_finite_number)
+                   is_finite_number, pack_y)
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -176,11 +177,19 @@ def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]
     return lo, max(lo, hi)
 
 
-def _slices(geom: GridGeometry, solid: Ellipsoid | SphereCap):
-    """Yield (z, ys, xs, inside) for each z-slice of the solid's index box.
+# A solid is painted in z-slabs of at most this many voxels (at least one
+# slice): few numpy calls per solid, and each slab is packed while in cache.
+_SLAB_VOXELS = 1 << 16
 
-    inside is the bool voxel-center test of the block [z, ys, xs]; a dome
-    yields no slice below its cap plane.
+
+def _slabs(geom: GridGeometry, solid: Ellipsoid | SphereCap):
+    """Yield (zs, ys, xs, inside) for each z-slab of the solid's index box.
+
+    inside is the bool voxel-center test of the block [zs, ys, xs], in a
+    buffer that the next slab overwrites. The y-span starts on a multiple
+    of 8, so a slab packs into whole bytes of a packed mask (grid.pack_y);
+    widening the box is exact, because membership is the voxel-center
+    test itself. A dome yields no slice below its cap plane.
     """
     cx, cy, cz = solid.center
     if isinstance(solid, Ellipsoid):
@@ -191,20 +200,49 @@ def _slices(geom: GridGeometry, solid: Ellipsoid | SphereCap):
     x0, x1 = _index_span(cx - hx, cx + hx, geom.nx, geom.sx)
     y0, y1 = _index_span(cy - hy, cy + hy, geom.ny, geom.sy)
     z0, z1 = _index_span(max(cut, cz - hz), cz + hz, geom.nz, geom.sz)
+    zs = _axis_centers(geom.nz, geom.sz)[z0:z1]
+    z0 += int(np.count_nonzero(zs < cut))  # the centers ascend: drop those below the cap
+    zs = zs[zs >= cut]
     if x0 >= x1 or y0 >= y1 or z0 >= z1:
         return
+    y0 -= y0 % 8  # only now: a box beyond the grid must stay empty
     tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / unit[0]) ** 2
     ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / unit[1]) ** 2
     txy = ty[:, None] + tx[None, :]
-    zs = _axis_centers(geom.nz, geom.sz)[z0:z1]
     if isinstance(solid, Ellipsoid):
         bounds = 1.0 - ((zs - cz) / hz) ** 2
     else:  # scalar ** is C pow, which can round differently from the array square
-        bounds = [hz * hz - (z - cz) ** 2 for z in zs]
+        bounds = np.array([hz * hz - (z - cz) ** 2 for z in zs])
     ys, xs = slice(y0, y1), slice(x0, x1)
-    for z, zc, bound in zip(range(z0, z1), zs, bounds):
-        if zc >= cut:
-            yield z, ys, xs, txy <= bound
+    step = max(1, _SLAB_VOXELS // txy.size)
+    buf = np.empty((min(step, z1 - z0), *txy.shape), bool)
+    for z in range(z0, z1, step):
+        inside = buf[:z1 - z]
+        # one plane at a time: a broadcast compare into the slab buffers its operands
+        for plane, bound in zip(inside, bounds[z - z0:]):
+            np.less_equal(txy, bound, out=plane)
+        yield slice(z, z + len(inside)), ys, xs, inside
+
+
+def _paint(g: GridGeometry, values: np.ndarray, solid: Ellipsoid | SphereCap, hu: int,
+           sil: np.ndarray | None = None, truth: np.ndarray | None = None,
+           other: np.ndarray | None = None) -> None:
+    """Set the solid's voxels of values to hu, slab by slab.
+
+    The solid's coronal silhouette is OR-ed into sil, if given. A lung
+    also gets its voxels packed into truth, once no voxel of them is set
+    in the other lung's packed mask.
+    """
+    for zs, ys, xs, inside in _slabs(g, solid):
+        if truth is not None:
+            packed = pack_y(inside)
+            js = slice(ys.start // 8, ys.start // 8 + packed.shape[1])
+            if (other[zs, js, xs] & packed).any():  # no lung is empty then: check it first
+                raise SpecViolation("lungs intersect")
+            truth[zs, js, xs] = packed
+        values[zs, ys, xs][inside] = hu
+        if sil is not None:
+            sil[zs, xs] |= inside.any(axis=1)
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -250,23 +288,17 @@ def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.
 # --- generation ---------------------------------------------------------------
 
 def generate_phantom(spec: PhantomSpec) -> PhantomCase:
-    """Paint the spec, slice by slice, into a volume, truth masks and 2D annotator masks."""
+    """Paint the spec, slab by slab, into a volume, packed truth masks and 2D annotator masks."""
     g = spec.geometry
     values = np.full(g.shape_zyx, spec.hu.air, dtype=np.int16)
     if spec.torso is not None:
-        for z, ys, xs, inside in _slices(g, spec.torso):
-            values[z, ys, xs][inside] = spec.hu.soft
+        _paint(g, values, spec.torso, spec.hu.soft)
 
-    truth_r, truth_l = np.zeros(g.shape_zyx, bool), np.zeros(g.shape_zyx, bool)
+    # the truth masks are painted packed, one bit per voxel (grid.pack_y)
+    truth_r, truth_l = np.zeros(g.packed_zyx, np.uint8), np.zeros(g.packed_zyx, np.uint8)
     sil_r, sil_l = np.zeros((g.nz, g.nx), bool), np.zeros((g.nz, g.nx), bool)
-    for lung, truth, other, sil in ((spec.lung_right, truth_r, truth_l, sil_r),
-                                    (spec.lung_left, truth_l, truth_r, sil_l)):
-        for z, ys, xs, inside in _slices(g, lung):
-            if (other[z, ys, xs] & inside).any():  # no lung is empty then: check it first
-                raise SpecViolation("lungs intersect")
-            truth[z, ys, xs] = inside
-            values[z, ys, xs][inside] = spec.hu.lung
-            sil[z, xs] = inside.any(axis=0)
+    _paint(g, values, spec.lung_right, spec.hu.lung, sil_r, truth_r, truth_l)
+    _paint(g, values, spec.lung_left, spec.hu.lung, sil_l, truth_l, truth_r)
     if not sil_r.any() or not sil_l.any():
         raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
 
@@ -275,9 +307,7 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
                       (spec.diaphragm_right, spec.hu.diaphragm),
                       (spec.diaphragm_left, spec.hu.diaphragm)):
         if solid is not None:
-            for z, ys, xs, inside in _slices(g, solid):
-                values[z, ys, xs][inside] = hu
-                occ_sil[z, xs] |= inside.any(axis=0)
+            _paint(g, values, solid, hu, occ_sil)
 
     sota_r_bits, sota_l_bits = sil_r & ~occ_sil, sil_l & ~occ_sil
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
@@ -290,8 +320,8 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     return PhantomCase(
         spec=spec,
         volume=VoxelVolume(g, values),
-        truth_right=Mask3D(g, truth_r, "right"),
-        truth_left=Mask3D(g, truth_l, "left"),
+        truth_right=Mask3D.from_packed(g, truth_r, "right"),
+        truth_left=Mask3D.from_packed(g, truth_l, "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
         sota2d_left=m2d(sota_l_bits, "left"),
         annot2_right=m2d(annot2_r, "right"),

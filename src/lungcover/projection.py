@@ -70,6 +70,6 @@ def extrude_mask(mask: Mask2D, ny: int, sy: float) -> Mask3D:
 
 
 def project_mask(mask: Mask3D) -> Mask2D:
-    """Coronal silhouette: OR along y."""
+    """Coronal silhouette: OR along y, on the packed bytes."""
     g = mask.geometry
-    return Mask2D(g.nx, g.nz, g.sx, g.sz, mask.bits.any(axis=1), mask.label)
+    return Mask2D(g.nx, g.nz, g.sx, g.sz, mask.packed.any(axis=1), mask.label)

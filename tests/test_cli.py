@@ -171,6 +171,23 @@ def test_phantom_spec_with_unindexable_grid_rejected(tmp_path, capsys):
     assert one_error_line(capsys).startswith("error: SpecViolation:")
 
 
+def test_phantom_deeply_nested_dims_is_one_short_line(tmp_path):
+    # a fresh interpreter's json parses a list nested 980 deep; the message
+    # shows it abridged, not as ~2 KB of brackets
+    dims = "[" * 980 + "1" + "]" * 980
+    spec = tmp_path / "nested_dims.json"
+    spec.write_text(json.dumps(SMALL_SPEC).replace('"dims": [48,', f'"dims": [{dims},'))
+    src = str(Path(lungcover.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "lungcover.cli", "phantom", "--out",
+                           str(tmp_path / "x"), "--spec", str(spec), "--n", "1"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: SpecViolation: geometry: nx must be a positive integer")
+    assert len(done.stderr) < 300, len(done.stderr)
+
+
 def test_phantom_out_of_memory_is_one_line(tmp_path, spec_file, capsys, monkeypatch):
     # a grid numpy can index but the machine cannot hold: no real allocation is tried
     def full(*args, **kwargs):
@@ -583,6 +600,38 @@ def test_cohort_case_needs_only_id_and_dir(cohort, tmp_path):
     assert tree_bytes(tmp_path / "bare") == tree_bytes(pristine)
 
 
+def test_cohort_reads_legacy_u8_truth_masks(cohort, tmp_path, legacy_u8):
+    # a cohort written before the packed format measures to the same bytes
+    packed = tmp_path / "packed"
+    assert main(["cohort", str(cohort), "--out", str(packed), "--quiet"]) == 0
+    legacy = tmp_path / "legacy"
+    shutil.copytree(cohort, legacy, ignore=shutil.ignore_patterns("report"))
+    for header in sorted(legacy.glob("case_*/truth_*.json")):
+        legacy_u8(header, header)
+        assert json.loads(header.read_text())["dtype"] == "u8"
+    assert main(["cohort", str(legacy), "--out", str(tmp_path / "u8"), "--quiet"]) == 0
+    assert tree_bytes(tmp_path / "u8") == tree_bytes(packed)
+
+
+@pytest.mark.parametrize("command", ["agreement", "cohort"])
+def test_set_padding_bit_is_one_error_line(tmp_path, capsys, command):
+    # ny = 45: the last byte row of each column holds 5 voxels and 3 padding bits
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(SMALL_SPEC, geometry={"dims": [48, 45, 48],
+                                                          "spacing_mm": [5.0, 5.0, 5.0]})))
+    out = tmp_path / "c"
+    assert main(["phantom", "--out", str(out), "--spec", str(spec), "--n", "2", "--quiet"]) == 0
+    raw = out / "case_001" / "truth_left.raw"
+    data = bytearray(raw.read_bytes())
+    data[-1] |= 0x80  # y = 47 of the last column
+    raw.write_bytes(bytes(data))
+    capsys.readouterr()
+    truth = str(out / "case_001" / "truth_left.json")
+    argv = ["agreement", truth, truth] if command == "agreement" else ["cohort", str(out)]
+    assert main(argv + ["--quiet"]) == 1
+    assert one_error_line(capsys).startswith("error: MalformedMask: ")
+
+
 def test_cohort_without_manifest_rejected(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -611,7 +660,11 @@ def test_cohort_manifest_must_be_object_with_case_list(tmp_path, capsys, text):
 @pytest.mark.parametrize("entry", [
     {"case_id": ["case_000"], "dir": "case_000"}, {"case_id": 0, "dir": "case_000"},
     {"case_id": "", "dir": "case_000"}, {"dir": "case_000"}, ["case_000"], "case_000",
-], ids=["list_id", "int_id", "empty_id", "no_id", "list", "string"])
+    # a case listed twice, by id or by dir, would count as two examinations
+    {"case_id": "case_000", "dir": "case_001"}, {"case_id": "case_001", "dir": "case_000"},
+    {"case_id": "case_001", "dir": "./case_000/"}, {"case_id": "case_000"},
+], ids=["list_id", "int_id", "empty_id", "no_id", "list", "string",
+        "repeated_id", "repeated_dir", "repeated_dir_spelled_apart", "repeated_id_and_dir"])
 def test_cohort_bad_case_entry_is_malformed_header(cohort, tmp_path, capsys, entry):
     manifest = json.loads((cohort / "manifest.json").read_text())
     manifest["cases"][1] = entry

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lungcover.concordance import (
+    _union_column_counts,
     agreement,
     analyze_case,
     dice,
@@ -21,7 +22,7 @@ from lungcover.concordance import (
 from lungcover.errors import BothEmpty, EmptyReference, GeometryMismatch
 from lungcover.grid import GridGeometry, Mask2D, Mask3D
 from lungcover.phantom import default_spec, generate_phantom
-from lungcover.projection import extrude_mask
+from lungcover.projection import extrude_mask, project_mask
 
 
 def grid(nx=4, ny=3, nz=2, s=1.0) -> GridGeometry:
@@ -355,3 +356,30 @@ class TestColumnCountsMatchExtrusion:
         self._assert_matches_reference(Mask3D(g, full, "right"), Mask3D(g, full, "left"),
                                        random_plane(rng, g, "random", "right"),
                                        random_plane(rng, g, "full", "left"))
+
+
+class TestPackedCountsMatchBoolReference:
+    """Every 3D count and mask operation works on the packed bits (one bit per voxel).
+
+    Plain numpy on the bool arrays is the reference; ny runs over both sides
+    of the byte boundaries, where a partial last byte row holds padding bits.
+    """
+
+    @given(ny=st.sampled_from([1, 5, 7, 8, 9, 13, 244]), seed=st.integers(0, 2**32 - 1))
+    def test_counts_and_masks(self, ny, seed):
+        rng = np.random.default_rng(seed)
+        g = grid(nx=int(rng.integers(1, 6)), ny=ny, nz=int(rng.integers(1, 6)))
+        a = rng.random(g.shape_zyx) < rng.random()
+        b = rng.random(g.shape_zyx) < rng.random()
+        a.flat[0] = True  # Dice and Jaccard need a nonempty mask
+        right, left = Mask3D(g, a, "right"), Mask3D(g, b, "left")
+        np.testing.assert_array_equal(_union_column_counts(right, left), (a | b).sum(axis=1))
+        inter, total = np.count_nonzero(a & b), np.count_nonzero(a) + np.count_nonzero(b)
+        assert dice(right, left) == 2.0 * inter / total
+        assert jaccard(right, left) == inter / (total - inter)
+        np.testing.assert_array_equal(overlap_mask(right, left).bits, a & b)
+        np.testing.assert_array_equal(obscured_mask(right, left).bits, a & ~b)
+        np.testing.assert_array_equal(project_mask(left).bits, b.any(axis=1))
+        plane = Mask2D(g.nx, g.nz, g.sx, g.sz, b.any(axis=1), "left")
+        np.testing.assert_array_equal(extrude_mask(plane, ny, g.sy).bits,
+                                      np.broadcast_to(plane.bits[:, None, :], g.shape_zyx))

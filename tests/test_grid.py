@@ -195,6 +195,59 @@ class TestMask3D:
             del m.column_counts
 
 
+class TestPackedMask3D:
+    """Mask3D keeps one bit per voxel: byte (z, j, x) holds y = 8j + k in bit k."""
+
+    @given(ny=st.sampled_from([1, 5, 7, 8, 9, 13, 244]), seed=st.integers(0, 2**32 - 1))
+    def test_packs_and_counts_like_numpy(self, ny, seed):
+        rng = np.random.default_rng(seed)
+        g = small_geometry(nx=int(rng.integers(1, 6)), ny=ny, nz=int(rng.integers(1, 6)))
+        bits = rng.random(g.shape_zyx) < rng.random()
+        m = Mask3D(g, bits, "left")
+        want = np.packbits(bits, axis=1, bitorder="little")
+        assert m.packed.dtype == np.uint8 and not m.packed.flags.writeable
+        np.testing.assert_array_equal(m.packed, want)
+        np.testing.assert_array_equal(grid.pack_y(bits), want)
+        np.testing.assert_array_equal(m.bits, bits)
+        np.testing.assert_array_equal(m.column_counts, bits.sum(axis=1))
+        assert m.column_counts.dtype == np.min_scalar_type(ny)
+        assert m.voxel_count == np.count_nonzero(bits)
+        back = Mask3D.from_packed(g, want, "right")
+        np.testing.assert_array_equal(back.bits, bits)
+        assert back.packed is want and back.label == "right"
+
+    def test_keeps_no_bool_array(self):
+        g = small_geometry(ny=13)
+        m = Mask3D(g, np.ones(g.shape_zyx, bool), "right")
+        assert "bits" not in vars(m)  # unpacked on first use only
+        assert m.packed.shape == (g.nz, 2, g.nx)
+        assert m.bits is m.bits and not m.bits.flags.writeable
+
+    @pytest.mark.parametrize("ny", [1, 5, 7, 9, 13])
+    def test_from_packed_rejects_set_padding_bits(self, ny):
+        g = small_geometry(ny=ny)
+        packed = np.zeros((g.nz, -(-ny // 8), g.nx), np.uint8)
+        for k in range(ny % 8, 8):
+            bad = packed.copy()
+            bad[-1, -1, -1] = 1 << k
+            with pytest.raises(ValueError, match="beyond ny"):
+                Mask3D.from_packed(g, bad, "right")
+        packed[:] = 0xFF
+        packed[:, -1] = (1 << (ny % 8)) - 1  # every bit below ny is allowed
+        assert Mask3D.from_packed(g, packed, "right").voxel_count == g.nz * g.nx * ny
+
+    @pytest.mark.parametrize("packed", [
+        np.zeros((2, 1, 4), np.uint16), np.zeros((2, 3, 4), np.uint8), np.zeros((2, 4), np.uint8),
+    ], ids=["dtype", "unpacked_shape", "2d"])
+    def test_from_packed_rejects_other_arrays(self, packed):
+        with pytest.raises(ValueError, match="packed bits must be uint8"):
+            Mask3D.from_packed(small_geometry(), packed, "right")
+
+    def test_from_packed_rejects_unknown_label(self):
+        with pytest.raises(ValueError, match="label"):
+            Mask3D.from_packed(small_geometry(), np.zeros((2, 1, 4), np.uint8), "upper")
+
+
 class TestMask2D:
     def test_shape_is_z_x(self):
         m = Mask2D(nx=4, nz=3, sx=1.0, sz=2.0, bits=np.ones((3, 4), dtype=bool),

@@ -131,12 +131,17 @@ class TestMaskRoundTrip:
         assert back.label == "left"
         np.testing.assert_array_equal(back.bits, bits)
 
-    def test_mask3d_payload_one_byte_per_voxel(self, tmp_path):
-        g = GridGeometry(nx=2, ny=2, nz=2, sx=1.0, sy=1.0, sz=1.0)
+    def test_mask3d_payload_one_bit_per_voxel(self, tmp_path):
+        # byte (z, j, x) holds y = 8j .. 8j+7 of column (z, x); bit k is y = 8j + k
+        g = GridGeometry(nx=2, ny=9, nz=2, sx=1.0, sy=1.0, sz=1.0)
         bits = np.zeros(g.shape_zyx, dtype=bool)
         bits[0, 0, 1] = True
+        bits[1, 1, 0] = True
+        bits[1, 7, 0] = True
+        bits[1, 8, 1] = True
         save_mask3d(Mask3D(g, bits, "right"), tmp_path / "m.json")
-        assert (tmp_path / "m.raw").read_bytes() == bytes([0, 1, 0, 0, 0, 0, 0, 0])
+        assert (tmp_path / "m.raw").read_bytes() == bytes([0, 1, 0, 0, 0x82, 0, 0, 1])
+        assert json.loads((tmp_path / "m.json").read_text())["dtype"] == "u1y"
 
     def test_mask2d(self, tmp_path):
         bits = np.zeros((3, 4), dtype=bool)
@@ -153,10 +158,12 @@ class TestMaskRoundTrip:
         bits = np.zeros(g.shape_zyx, dtype=bool)
         bits[1, 0, 2] = True
         save_mask3d(Mask3D(g, bits, "right"), tmp_path / "m.json")
-        back = load_mask3d(tmp_path / "m.json").bits
-        assert not back.flags.owndata and not back.flags.writeable
-        assert back.dtype == bool
-        np.testing.assert_array_equal(back, bits)
+        back = load_mask3d(tmp_path / "m.json")
+        # the packed bits are the mapped payload; bits is a read-only unpack of them
+        assert not back.packed.flags.owndata and not back.packed.flags.writeable
+        assert back.packed.tobytes() == (tmp_path / "m.raw").read_bytes()
+        assert back.bits.dtype == bool and not back.bits.flags.writeable
+        np.testing.assert_array_equal(back.bits, bits)
 
     def test_mask3d_payload_values_above_one_rejected(self, tmp_path):
         g = GridGeometry(nx=2, ny=1, nz=2, sx=1.0, sy=1.0, sz=1.0)
@@ -199,6 +206,75 @@ class TestMaskRoundTrip:
         path = tmp_path_factory.mktemp("masks") / "m.json"
         save_mask3d(Mask3D(g, bits, "both"), path)
         np.testing.assert_array_equal(load_mask3d(path).bits, bits)
+
+
+# ny values around the byte boundaries; the desk and CT grids (ny 128 and
+# 512) are multiples of 8, so only tests reach a partial last byte row.
+PACKED_NY = [1, 5, 7, 8, 9, 13, 244]
+
+
+class TestPackedMask3D:
+    """3D masks are stored one bit per voxel along y ("u1y"); "u8" is still read."""
+
+    @given(ny=st.sampled_from(PACKED_NY), nx=st.integers(1, 5), nz=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, tmp_path_factory, ny, nx, nz, seed):
+        rng = np.random.default_rng(seed)
+        g = GridGeometry(nx=nx, ny=ny, nz=nz, sx=1.0, sy=1.0, sz=1.0)
+        bits = rng.random(g.shape_zyx) < rng.random()
+        path = tmp_path_factory.mktemp("packed") / "m.json"
+        save_mask3d(Mask3D(g, bits, "left"), path)
+        assert path.with_suffix(".raw").read_bytes() == np.packbits(
+            bits, axis=1, bitorder="little").tobytes()
+        back = load_mask3d(path)
+        assert back.packed.shape == (nz, -(-ny // 8), nx)
+        np.testing.assert_array_equal(back.bits, bits)
+        np.testing.assert_array_equal(back.column_counts, bits.sum(axis=1))
+
+    @pytest.mark.parametrize("ny", [1, 5, 7, 9, 13])
+    @pytest.mark.parametrize("load", [load_mask3d, load_mask])
+    def test_set_padding_bit_is_malformed_mask(self, tmp_path, ny, load):
+        g = GridGeometry(nx=3, ny=ny, nz=2, sx=1.0, sy=1.0, sz=1.0)
+        save_mask3d(Mask3D(g, np.ones(g.shape_zyx, bool), "right"), tmp_path / "m.json")
+        raw = tmp_path / "m.raw"
+        full = raw.read_bytes()
+        assert load(tmp_path / "m.json").voxel_count == g.voxel_count
+        rows = -(-ny // 8)
+        # byte (z, j, x) is at (z * rows + j) * nx + x: the last byte row of
+        # column (0, 0), then of column (1, 2); its bits from y = ny on are past the grid
+        for at in ((rows - 1) * 3, len(full) - 1):
+            for k in range(ny % 8, 8):
+                data = bytearray(full)
+                data[at] |= 1 << k
+                raw.write_bytes(bytes(data))
+                with pytest.raises(MalformedMask, match="beyond ny"):
+                    load(tmp_path / "m.json")
+
+    def test_legacy_u8_payload_loads_as_the_same_mask(self, tmp_path, rng, legacy_u8):
+        g = GridGeometry(nx=7, ny=13, nz=6, sx=1.0, sy=2.0, sz=3.0)
+        mask = Mask3D(g, rng.random(g.shape_zyx) < 0.5, "left")
+        save_mask3d(mask, tmp_path / "m.json")
+        legacy_u8(tmp_path / "m.json", tmp_path / "old.json")
+        assert json.loads((tmp_path / "old.json").read_text())["dtype"] == "u8"
+        assert (tmp_path / "old.raw").stat().st_size == g.voxel_count
+        for load in (load_mask3d, load_mask):
+            back = load(tmp_path / "old.json")
+            assert (back.geometry, back.label) == (g, "left")
+            assert back.packed.tobytes() == mask.packed.tobytes()
+        data = bytearray((tmp_path / "old.raw").read_bytes())
+        data[5] = 2
+        (tmp_path / "old.raw").write_bytes(bytes(data))
+        with pytest.raises(MalformedMask, match="0 or 1"):
+            load_mask3d(tmp_path / "old.json")
+
+    def test_2d_masks_stay_one_byte_per_pixel(self, tmp_path):
+        save_mask2d(Mask2D(4, 3, 1.0, 1.0, np.ones((3, 4), bool), "right"), tmp_path / "m.json")
+        header = json.loads((tmp_path / "m.json").read_text())
+        assert header["dtype"] == "u8" and (tmp_path / "m.raw").read_bytes() == bytes([1] * 12)
+        header["dtype"] = "u1y"
+        (tmp_path / "m.json").write_text(json.dumps(header))
+        with pytest.raises(MalformedHeader, match="expected dtype"):
+            load_mask2d(tmp_path / "m.json")
 
 
 class TestLoadMask:
@@ -315,10 +391,11 @@ class TestPayloadWrites:
     """Payloads are written from the arrays' own memory: same bytes, no copy."""
 
     def test_mask3d_payload_bytes(self, tmp_path, rng):
-        g = GridGeometry(nx=7, ny=5, nz=6, sx=1.0, sy=1.0, sz=1.0)
+        g = GridGeometry(nx=7, ny=13, nz=6, sx=1.0, sy=1.0, sz=1.0)
         bits = rng.random(g.shape_zyx) < 0.5
         save_mask3d(Mask3D(g, bits, "left"), tmp_path / "m.json")
-        assert (tmp_path / "m.raw").read_bytes() == bits.astype(np.uint8).tobytes()
+        assert (tmp_path / "m.raw").read_bytes() == np.packbits(
+            bits, axis=1, bitorder="little").tobytes()
 
     def test_mask2d_payload_bytes(self, tmp_path, rng):
         bits = rng.random((6, 7)) < 0.5
@@ -333,7 +410,8 @@ class TestPayloadWrites:
     ], ids=["volume", "mask3d", "mask2d"])
     def test_save_makes_no_payload_copy(self, tmp_path, save, build):
         obj = build(GridGeometry(128, 128, 128, 2.5, 2.5, 2.5))
-        payload = obj.values.nbytes if save is save_volume else obj.bits.nbytes
+        payload = {save_volume: lambda: obj.values, save_mask3d: lambda: obj.packed,
+                   save_mask2d: lambda: obj.bits}[save]().nbytes
         save(obj, tmp_path / "warm.json")
         tracemalloc.start()
         try:
@@ -387,7 +465,7 @@ class TestPayloadLoads:
     @pytest.mark.parametrize("save, load, attr, build", [
         (save_volume, load_volume, "values",
          lambda g: VoxelVolume(g, np.full(g.shape_zyx, -1000, np.int16))),
-        (save_mask3d, load_mask3d, "bits",
+        (save_mask3d, load_mask3d, "packed",
          lambda g: Mask3D(g, np.ones(g.shape_zyx, bool), "right")),
     ], ids=["volume", "mask3d"])
     def test_load_makes_no_payload_copy(self, tmp_path, save, load, attr, build):

@@ -318,7 +318,11 @@ class TestSlicePainter:
         ANISO,
         replace(ANISO, diaphragm_left=SphereCap((18.0, 26.0, -30.0), 12.0, -35.0)),  # below
         replace(ANISO, annotator_jitter_px=3),
-    ], ids=["default", "anatomical", "anisotropic", "cap-below-grid", "jitter-3px"])
+        # index box past the grid's y end, at y = 84..: rounding its start down to
+        # a multiple of 8 must not make it a box of no voxels but nonzero size
+        replace(ANISO, heart=Ellipsoid((29.0, 60.0, 30.0), (9.0, 3.0, 200.0))),
+    ], ids=["default", "anatomical", "anisotropic", "cap-below-grid", "jitter-3px",
+            "heart-beyond-y"])
     def test_matches_full_volume_reference(self, spec):
         assert_matches_reference(spec)
 
@@ -348,8 +352,9 @@ class TestSlicePainter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = sum(case_arrays(case)[name].nbytes
-                      for name in ("volume", "truth_right", "truth_left"))
+        # the truth masks are held packed, one bit per voxel
+        outputs = (case.volume.values.nbytes + case.truth_right.packed.nbytes
+                   + case.truth_left.packed.nbytes)
         assert peak <= 1.05 * outputs, (peak, outputs)
 
     @pytest.mark.parametrize("name", ["default", "anatomical"])
@@ -365,13 +370,15 @@ class TestSlicePainter:
             for stem, arr in reference_phantom(spec).items():
                 dims, spacing = (([g.nx, g.ny, g.nz], [g.sx, g.sy, g.sz]) if arr.ndim == 3
                                  else ([g.nx, g.nz], [g.sx, g.sz]))
-                header = {"dims": dims, "spacing_mm": spacing,
-                          "dtype": "i16le" if stem == "volume" else "u8",
+                dtype = {"volume": "i16le", "truth": "u1y"}.get(stem.split("_")[0], "u8")
+                header = {"dims": dims, "spacing_mm": spacing, "dtype": dtype,
                           "data": stem + ".raw"}
                 if stem != "volume":
                     header["label"] = stem.rsplit("_", 1)[1]
                 want[stem + ".json"] = (json.dumps(header, sort_keys=True, indent=2)
                                         + "\n").encode()
+                if dtype == "u1y":  # 8 y voxels per byte, y = 8j + k in bit k
+                    arr = np.packbits(arr, axis=1, bitorder="little")
                 want[stem + ".raw"] = arr.astype("<i2" if stem == "volume" else np.uint8
                                                  ).tobytes()
             case_dir = out / entry["dir"]
