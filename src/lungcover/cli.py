@@ -51,7 +51,6 @@ from .reporting import (
     concordance_rows,
     read_csv,
     report_from_json,  # noqa: F401  (bench/tracing.py wraps it under this name)
-    write_concordance_csv,
     write_cohort_tables,
     write_csv,
 )
@@ -148,7 +147,7 @@ def cmd_analyze(args) -> int:
     )
     out = Path(args.out)
     write_json(report.as_dict(), out / "report.json")
-    write_concordance_csv(report, out / "report.csv")
+    write_csv(out / "report.csv", CASE_COLUMNS, concordance_rows(report))
     vals = {label: report.labels[label].obscured_fraction_pct for label in LABELS}
     print(f"{report.case_id}: obscured right {vals['right']:.2f}% "
           f"left {vals['left']:.2f}% both {vals['both']:.2f}%")
@@ -255,13 +254,13 @@ def cmd_cohort(args) -> int:
     if not args.quiet:
         for label in LABELS:
             parts = []
-            for annot in sorted(report.fractions):
-                s = report.fractions[annot][label]
-                sd = "n/a" if s.sd is None else f"{s.sd:.2f}"
-                parts.append(f"{annot} {s.mean:.2f}% (sd {sd})")
-            test = report.fraction_tests.get(label)
-            if hasattr(test, "result"):
-                parts.append(f"p={test.result.p_value:.4g} ({test.chosen})")
+            for annot in sorted(report["fractions"]):
+                s = report["fractions"][annot][label]
+                sd = "n/a" if s["sd"] is None else f"{s['sd']:.2f}"
+                parts.append(f"{annot} {s['mean']:.2f}% (sd {sd})")
+            test = report["fraction_tests"].get(label, {})
+            if "result" in test:
+                parts.append(f"p={test['result']['p_value']:.4g} ({test['chosen']})")
             print(f"{label}: obscured " + "; ".join(parts))
     print(out_dir / "cohort_report.json")
     return 0
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         _fail(exc)
         return 2
-    except (ValidationError, LungCoverError, ValueError) as exc:
+    except (LungCoverError, ValueError) as exc:
         _fail(exc)
         return 1
     except (OSError, MemoryError) as exc:

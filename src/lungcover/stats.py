@@ -261,12 +261,13 @@ class PairedComparison:
         }
 
 
-def paired_compare(xs, ys, alpha: float = ALPHA) -> PairedComparison:
+def paired_compare(xs, ys) -> PairedComparison:
     """Paired test with a normality-driven choice of method.
 
-    Shapiro-Wilk runs on the paired differences; p < alpha selects the
-    signed-rank test, otherwise the paired t test. When a method's
-    preconditions fail the other one runs instead and the note says so.
+    Shapiro-Wilk runs on the paired differences; p below the fixed
+    cutoff ALPHA = 0.05 selects the signed-rank test, otherwise the
+    paired t test. When a method's preconditions fail the other one
+    runs instead and the note says so.
     Raises AllZeroDifferences when the samples are identical.
     """
     d = _paired_diffs(xs, ys)
@@ -275,9 +276,9 @@ def paired_compare(xs, ys, alpha: float = ALPHA) -> PairedComparison:
     normality: TestResult | None = None
     try:
         normality = shapiro_wilk(d)
-        prefer = "wilcoxon" if normality.p_value < alpha else "paired_t"
+        prefer = "wilcoxon" if normality.p_value < ALPHA else "paired_t"
         note = (f"shapiro_wilk on differences: p={normality.p_value:.4g} "
-                f"{'<' if normality.p_value < alpha else '>='} {alpha}")
+                f"{'<' if normality.p_value < ALPHA else '>='} {ALPHA}")
     except DegenerateVariance:
         prefer = "wilcoxon"
         note = "differences have zero variance, treated as non-normal"

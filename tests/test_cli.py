@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 import lungcover
 from lungcover.cli import main
 from lungcover.concordance import obscured_fraction
-from lungcover.grid import Mask2D
+from lungcover.grid import LABELS, Mask2D
 from lungcover.io import load_mask2d, load_mask3d, save_mask2d
 from lungcover.phantom import analytic_obscured_fraction, spec_from_dict
+from lungcover.reporting import fmt
 from lungcover.stats import describe, describe_quartiles
 
 from strategies import JSON_VALUES, mutated
@@ -485,6 +486,76 @@ def test_cohort_aggregates_recompute_from_csvs(cohort, tmp_path):
     dscs = [float(r["dsc"]) for r in rows if r["label"] == "left"]
     assert doc["agreement"]["drr2d"]["dsc"]["left"]["median"] == \
         describe_quartiles(dscs).median
+
+
+def _test_cells(node: dict) -> list[str]:
+    """The p_value and test cells of a paired-test node of the report document."""
+    if "skipped" in node:
+        return ["", ""]
+    return [fmt(node["result"]["p_value"]), node["chosen"]]
+
+
+def _expected_tables(doc: dict) -> dict[str, list[list[str]]]:
+    """table1..table4 rebuilt from cohort_report.json, one fmt() cell per JSON value."""
+    def cells(*values) -> list[str]:
+        return [fmt(v) for v in values]
+
+    t1 = [cells(metric, *(doc["exam"][metric][k] for k in ("n", "mean", "sd", "min", "max")))
+          for metric in ("pixel_spacing_mm", "num_slices", "scan_length_mm")]
+    t2 = [cells(kind, metric, label, *(q[k] for k in ("n", "median", "q1", "q3", "min", "max")))
+          for kind in sorted(doc["agreement"]) for metric in ("dsc", "ji")
+          for label in LABELS if (q := doc["agreement"][kind][metric].get(label))]
+    t3, t4 = [], []
+    for annot in sorted(doc["volumes"]):
+        for label in LABELS:
+            tot, cov = (doc["volumes"][annot][label][k] for k in ("total", "covered"))
+            t3.append(cells(annot, label, tot["n"], tot["mean"], tot["sd"], tot["min"],
+                            tot["max"], cov["mean"], cov["sd"], cov["min"], cov["max"])
+                      + _test_cells(doc["volume_tests"][annot][label]))
+            s = doc["fractions"][annot][label]
+            t4.append(cells(annot, label, s["n"], s["mean"], s["sd"], s["min"], s["max"])
+                      + _test_cells(doc["fraction_tests"][label]))
+    return {"table1.csv": t1, "table2.csv": t2, "table3.csv": t3, "table4.csv": t4}
+
+
+@pytest.mark.parametrize("n_cases", [3, 1])
+def test_cohort_tables_mirror_the_report_document(cohort, tmp_path, capsys, n_cases):
+    # each table cell is fmt() of the cohort_report.json value it shows; one
+    # case leaves every paired test skipped and every sd undefined
+    source = cohort
+    if n_cases == 1:
+        source = tmp_path / "one"
+        shutil.copytree(cohort / "case_000", source / "case_000")
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        manifest["cases"] = manifest["cases"][:1]
+        (source / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert main(["cohort", str(source), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    doc = json.loads((out / "cohort_report.json").read_text())
+    assert doc["n_cases"] == n_cases
+
+    for name, rows in _expected_tables(doc).items():
+        with open(out / name, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == rows, name
+
+    tests = [*doc["fraction_tests"].values(),
+             *(node for by_label in doc["volume_tests"].values() for node in by_label.values())]
+    assert len(tests) == 9
+    if n_cases == 3:
+        assert all("result" in node for node in tests)
+        assert "sd n/a" not in stdout and stdout.count("p=") == 3
+        return
+    assert all(set(node) == {"skipped"} and node["skipped"].startswith("TooFewSamples: ")
+               for node in tests)
+    empty = {"table1.csv": ("sd",),
+             "table3.csv": ("total_ml_sd", "covered_ml_sd", "p_value", "test"),
+             "table4.csv": ("sd_pct", "p_value", "test")}
+    for name, columns in empty.items():
+        with open(out / name, newline="") as fh:
+            assert all(row[c] == "" for row in csv.DictReader(fh) for c in columns), name
+    assert stdout.count("(sd n/a)") == 6 and "p=" not in stdout
 
 
 def stage_report(case: Path, kind: str) -> None:
