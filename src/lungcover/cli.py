@@ -9,11 +9,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input or arguments, 2 I/O failure or out of memory.
 Errors print exactly one line on stderr: ``error: <Kind>: <message>``.
+
+``main(argv)`` may be called repeatedly in one process, as
+``scripts/run_pipeline.py`` and the benchmark do. The parser is built on the
+first call and reused; each call looks up ``cmd_<command>`` in this module
+when it runs, so a wrapper set on a ``cmd_*`` attribute still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -268,7 +274,9 @@ def cmd_cohort(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: every ``main`` call shares it, so nothing may modify it."""
     common = _Parser(add_help=False)
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines (result paths still print)")
@@ -288,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second-annotator boundary jitter radius in pixels")
     p.add_argument("--perturb-pct", type=float, default=15.0,
                    help="size perturbation range in percent (default 15)")
-    p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("drr", parents=[common],
                        help="render a mean-intensity projection to PGM")
@@ -298,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="HU mapped to black (default %(default)s)")
     p.add_argument("--window-hi", type=float, default=DEFAULT_WINDOW.hi,
                    help="HU mapped to white (default %(default)s)")
-    p.set_defaults(func=cmd_drr)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="partition 3D lung masks against 2D coverage masks")
@@ -308,21 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask2d-left", required=True, help="left lung 2D mask header")
     p.add_argument("--case-id", default="case", help="identifier in the report")
     p.add_argument("--out", required=True, help="directory for report.json/report.csv")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("agreement", parents=[common],
                        help="Dice/Jaccard between two masks of the same kind")
     p.add_argument("first", help="mask header (.json), 2D or 3D")
     p.add_argument("second", help="mask header of the same kind and grid")
     p.add_argument("--out", default=None, help="optional JSON report path")
-    p.set_defaults(func=cmd_agreement)
 
     p = sub.add_parser("cohort", parents=[common],
                        help="aggregate a cohort directory into report tables")
     p.add_argument("cohort", help="cohort directory containing manifest.json")
     p.add_argument("--out", default=None,
                    help="report output directory (default <cohort>/report)")
-    p.set_defaults(func=cmd_cohort)
     return parser
 
 
@@ -341,7 +344,9 @@ def main(argv=None) -> int:
         _fail(exc)
         return 1
     try:
-        return args.func(args)
+        # looked up per call, not a parser default: a cmd_* rebound after the parser
+        # was built (a timing or tracing wrapper) must still be the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except IoFailure as exc:
         _fail(exc)
         return 2

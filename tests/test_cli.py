@@ -96,6 +96,78 @@ def test_unknown_command_rejected(capsys):
     one_error_line(capsys)
 
 
+def test_main_reuses_one_parser_and_looks_up_the_command_per_call(cohort, tmp_path,
+                                                                  monkeypatch):
+    import lungcover.cli as cli
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    vol = str(cohort / "case_000" / "volume.json")
+    first, second = tmp_path / "first.pgm", tmp_path / "second.pgm"
+    assert main(["drr", vol, "--out", str(first), "--quiet"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_drr", lambda args: seen.append(args.out) or 0)
+    assert main(["drr", vol, "--out", str(second), "--quiet"]) == 0
+    assert seen == [str(second)] and first.exists() and not second.exists()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+def _jitter_px(result) -> int:
+    return json.loads(result["files"]["manifest.json"])["base_spec"]["annotator_jitter_px"]
+
+
+# name: (perturbing call, clean call, check(perturbed, clean)); "{out}" is each
+# call's own output directory
+_STATELESS_CASES = {
+    "usage_error": (
+        ["drr", "{vol}", "--out", "{out}/chest.pgm", "--window-lo", "dark"],
+        ["drr", "{vol}", "--out", "{out}/chest.pgm"],
+        lambda a, b: (a["rc"], b["rc"]) == (1, 0) and a["err"].count("\n") == 1
+        and a["err"].startswith("error: UsageError:") and b["files"]),
+    "help": (
+        ["drr", "--help"],
+        ["drr", "--help"],
+        lambda a, b: (a["rc"], b["rc"]) == (0, 0) and "usage" in a["out"] and a == b),
+    "jitter": (
+        ["phantom", "--out", "{out}", "--spec", "{spec}", "--n", "1", "--jitter-px", "3"],
+        ["phantom", "--out", "{out}", "--spec", "{spec}", "--n", "1"],
+        lambda a, b: (_jitter_px(a), _jitter_px(b)) == (3, 1)),
+    "window": (
+        ["drr", "{vol}", "--out", "{out}/chest.pgm", "--window-lo", "-500"],
+        ["drr", "{vol}", "--out", "{out}/chest.pgm"],
+        lambda a, b: a["files"]["chest.pgm"] != b["files"]["chest.pgm"]),
+    "quiet": (
+        ["phantom", "--out", "{out}", "--spec", "{spec}", "--n", "1", "--quiet"],
+        ["phantom", "--out", "{out}", "--spec", "{spec}", "--n", "1"],
+        lambda a, b: "wrote" not in a["out"] and "wrote" in b["out"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_STATELESS_CASES))
+def test_reused_parser_carries_nothing_between_calls(cohort, spec_file, tmp_path, capsys,
+                                                     name):
+    """The clean call gives the same result before and after the perturbing one."""
+    perturbing, clean, check = _STATELESS_CASES[name]
+
+    def run(argv, out):
+        out.mkdir(exist_ok=True)
+        values = {"vol": cohort / "case_000" / "volume.json", "spec": spec_file, "out": out}
+        rc = main([arg.format(**values) for arg in argv])
+        captured = capsys.readouterr()
+        return {"rc": rc, "out": captured.out, "err": captured.err, "files": tree_bytes(out)}
+
+    before = run(clean, tmp_path / "clean")
+    perturbed = run(perturbing, tmp_path / "perturbed")
+    after = run(clean, tmp_path / "clean")
+    assert after == before
+    assert check(perturbed, after)
+
+
 # --- phantom -----------------------------------------------------------------------
 
 def test_phantom_layout(cohort):
