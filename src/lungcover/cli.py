@@ -117,7 +117,7 @@ def cmd_phantom(args) -> int:
             "spec": spec_to_dict(case.spec),
         })
         _say(args, f"wrote {case_dir}")
-        del case  # a CT case is ~256 MB: free it before the next one is built
+        del case  # a CT case holds 2 x 8 MB of truth masks: free it before the next one
     manifest = {
         "kind": "lungcover-cohort",
         "n_cases": args.n,

@@ -134,6 +134,10 @@ class VoxelVolume:
             raise ValueError(f"values outside [{HU_MIN}, {HU_MAX}]")
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
+    def chunks(self) -> tuple[np.ndarray]:
+        """The values as the one z-chunk io.save_volume writes."""
+        return (self.values,)
+
 
 def pack_y(bits: np.ndarray) -> np.ndarray:
     """(nz, ny, nx) bool -> (nz, ceil(ny/8), nx) uint8, one bit per voxel.

@@ -24,6 +24,11 @@ MalformedHeader.
 
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
+A payload is written from an iterable of buffers, one after another: a
+mask is one buffer, and a volume is its z-chunks (``volume.chunks()``).
+A phantom's volume paints each chunk as it is written, so the volume is
+never held whole; if a chunk fails to paint or write, the temp file is
+removed and no payload is left.
 A written file gets the mode ``open()`` would give it: 0o666 less the
 umask.
 
@@ -45,6 +50,7 @@ import mmap
 import os
 import reprlib
 import secrets
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +76,18 @@ def _create_temp(path: Path) -> tuple[int, Path]:
             continue
 
 
-def _atomic_write_bytes(path: Path, payload: bytes | np.ndarray) -> None:
+def _atomic_write_bytes(path: Path, chunks: Iterable) -> None:
+    """Write each buffer of chunks, in order, to a temp file beside path; then rename it to path."""
     path = Path(path)
-    view = memoryview(payload).cast("B")  # a C-contiguous array's bytes, not a copy
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = _create_temp(path)
         try:
             with os.fdopen(fd, "wb", buffering=0) as fh:
-                while view:  # an unbuffered write may be partial
-                    view = view[fh.write(view):]
+                for chunk in chunks:
+                    view = memoryview(chunk).cast("B")  # a C-contiguous array's bytes, not a copy
+                    while view:  # an unbuffered write may be partial
+                        view = view[fh.write(view):]
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -177,9 +185,9 @@ def _load(path: str | Path, dtypes: dict[int, tuple[str, ...]], labeled: bool):
     return dims, [float(s) for s in spacing], label, array.view(bool) if dtype == "u8" else array
 
 
-def _save(path: str | Path, array: np.ndarray, dims, spacing, dtype: str,
+def _save(path: str | Path, chunks: Iterable[np.ndarray], dims, spacing, dtype: str,
           label: str | None = None) -> None:
-    """The only header writer: the payload first, then the header that names it."""
+    """The only header writer: the payload first, chunk by chunk, then the header that names it."""
     path = Path(path)
     data_name = path.stem + ".raw"
     header = {"dims": [int(n) for n in dims], "spacing_mm": [float(s) for s in spacing],
@@ -187,8 +195,9 @@ def _save(path: str | Path, array: np.ndarray, dims, spacing, dtype: str,
     if label is not None:
         header["label"] = label
     # copies only on a big-endian host
-    _atomic_write_bytes(path.parent / data_name, np.ascontiguousarray(array, dtype=_DTYPES[dtype]))
-    _atomic_write_bytes(path, _header_to_json(header))
+    _atomic_write_bytes(path.parent / data_name,
+                        (np.ascontiguousarray(c, dtype=_DTYPES[dtype]) for c in chunks))
+    _atomic_write_bytes(path, (_header_to_json(header),))
 
 
 def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
@@ -224,17 +233,18 @@ def load_mask(path: str | Path) -> Mask2D | Mask3D:
 
 
 def save_volume(volume: VoxelVolume, path: str | Path) -> None:
+    """Write a volume from its z-chunks: a loaded one, or a phantom's, painted as it is written."""
     g = volume.geometry
-    _save(path, volume.values, (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "i16le")
+    _save(path, volume.chunks(), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "i16le")
 
 
 def save_mask3d(mask: Mask3D, path: str | Path) -> None:
     g = mask.geometry
-    _save(path, mask.packed, (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label)
+    _save(path, (mask.packed,), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label)
 
 
 def save_mask2d(mask: Mask2D, path: str | Path) -> None:
-    _save(path, mask.bits.view(np.uint8), (mask.nx, mask.nz), (mask.sx, mask.sz), "u8",
+    _save(path, (mask.bits.view(np.uint8),), (mask.nx, mask.nz), (mask.sx, mask.sz), "u8",
           mask.label)
 
 
@@ -246,13 +256,13 @@ def pgm_bytes(image: DrrImage) -> bytes:
 
 
 def save_pgm(image: DrrImage, path: str | Path) -> None:
-    _atomic_write_bytes(Path(path), pgm_bytes(image))
+    _atomic_write_bytes(Path(path), (pgm_bytes(image),))
 
 
 def write_json(obj: dict | list, path: str | Path) -> None:
     """Write a report JSON: UTF-8, sorted keys, trailing newline, atomic."""
-    _atomic_write_bytes(Path(path), _header_to_json(obj))
+    _atomic_write_bytes(Path(path), (_header_to_json(obj),))
 
 
 def write_text(text: str, path: str | Path) -> None:
-    _atomic_write_bytes(Path(path), text.encode("utf-8"))
+    _atomic_write_bytes(Path(path), (text.encode("utf-8"),))

@@ -5,15 +5,21 @@ ellipsoids, an optional heart/mediastinum ellipsoid and optional
 diaphragm domes (sphere caps protruding into the lungs from below).
 Voxel membership is voxel-center inclusion, painted with priority
 heart/diaphragm > lung > soft tissue > air, so brute-force counts are
-exact. Each solid is painted in z-slabs of at most 64 K voxels (_slabs)
-straight into the outputs, and each lung slab is bit-packed (grid.pack_y)
-while it is still in cache, so the only 3D arrays made are the volume
-and the two packed truth masks (128 MB + 2 x 8 MB on the 512 x 512 x 244
-CT grid). The truth masks are the voxelized lung ellipsoids themselves;
-the contour-style 2D mask is the lung silhouette minus the occluder
-silhouettes, both OR-ed per slab; a second annotator is simulated by
-seeded boundary jitter, on a band found by numpy 4-neighbour dilation
-and erosion (_grow), so making a phantom needs no scipy.
+exact. Every painter uses one voxel-center test per solid, over the
+solid's index box (_box). generate_phantom paints the two lungs in
+z-slabs of at most 64 K voxels (_slabs) and bit-packs each slab
+(grid.pack_y) while it is still in cache, so the two packed truth masks
+(2 x 8 MB on the 512 x 512 x 244 CT grid) are the only 3D arrays it
+makes. Each coronal silhouette is made in 2D from its box's column
+minima, which is exactly the OR over y of the voxel test. The HU volume
+(PhantomVolume) is a pure function of the spec, painted only when read:
+io.save_volume streams it to disk in z-chunks of ~512 KB, so a case is
+written without ever holding its 128 MB volume. The truth masks are the
+voxelized lung ellipsoids themselves; the contour-style 2D mask is the
+lung silhouette minus the occluder silhouettes; a second annotator is
+simulated by seeded boundary jitter, on a band found by numpy
+4-neighbour dilation and erosion (_grow), so making a phantom needs no
+scipy.
 The oracle is the continuous obscured fraction of every phantom family,
 by one quadrature over the lung (analytic_obscured_fraction).
 
@@ -32,8 +38,7 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import SpecViolation
-from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume,
-                   is_finite_number, pack_y)
+from .grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, is_finite_number, pack_y
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -155,7 +160,7 @@ class PhantomSpec:
 @dataclass(frozen=True)
 class PhantomCase:
     spec: PhantomSpec
-    volume: VoxelVolume
+    volume: PhantomVolume
     truth_right: Mask3D
     truth_left: Mask3D
     sota2d_right: Mask2D
@@ -180,16 +185,38 @@ def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]
 # A solid is painted in z-slabs of at most this many voxels (at least one
 # slice): few numpy calls per solid, and each slab is packed while in cache.
 _SLAB_VOXELS = 1 << 16
+# The volume is painted in z-chunks of about this many bytes (at least one
+# slice): a chunk stays in cache from its painting to its write.
+_CHUNK_BYTES = 1 << 19
 
 
-def _slabs(geom: GridGeometry, solid: Ellipsoid | SphereCap):
-    """Yield (zs, ys, xs, inside) for each z-slab of the solid's index box.
+@dataclass(frozen=True)
+class _Box:
+    """A solid's index box and the terms of its voxel-center test.
 
-    inside is the bool voxel-center test of the block [zs, ys, xs], in a
-    buffer that the next slab overwrites. The y-span starts on a multiple
-    of 8, so a slab packs into whole bytes of a packed mask (grid.pack_y);
-    widening the box is exact, because membership is the voxel-center
-    test itself. A dome yields no slice below its cap plane.
+    Voxel (z, y, x) of the box, z in [z0, z0 + len(bounds)), is inside
+    the solid when txy[y - ys.start, x - xs.start] <= bounds[z - z0]:
+    the one test every mask, silhouette and volume is painted with.
+    """
+
+    z0: int
+    ys: slice
+    xs: slice
+    txy: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def z1(self) -> int:
+        return self.z0 + len(self.bounds)
+
+
+def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
+    """The solid's index box, or None when no voxel center can fall in the solid.
+
+    The y-span starts on a multiple of 8, so a slab packs into whole bytes
+    of a packed mask (grid.pack_y); widening the box is exact, because
+    membership is the voxel-center test itself. A dome's box starts at its
+    first slice at or above its cap plane.
     """
     cx, cy, cz = solid.center
     if isinstance(solid, Ellipsoid):
@@ -204,45 +231,112 @@ def _slabs(geom: GridGeometry, solid: Ellipsoid | SphereCap):
     z0 += int(np.count_nonzero(zs < cut))  # the centers ascend: drop those below the cap
     zs = zs[zs >= cut]
     if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return
+        return None
     y0 -= y0 % 8  # only now: a box beyond the grid must stay empty
     tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / unit[0]) ** 2
     ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / unit[1]) ** 2
-    txy = ty[:, None] + tx[None, :]
     if isinstance(solid, Ellipsoid):
         bounds = 1.0 - ((zs - cz) / hz) ** 2
     else:  # scalar ** is C pow, which can round differently from the array square
         bounds = np.array([hz * hz - (z - cz) ** 2 for z in zs])
-    ys, xs = slice(y0, y1), slice(x0, x1)
-    step = max(1, _SLAB_VOXELS // txy.size)
-    buf = np.empty((min(step, z1 - z0), *txy.shape), bool)
-    for z in range(z0, z1, step):
-        inside = buf[:z1 - z]
-        # one plane at a time: a broadcast compare into the slab buffers its operands
-        for plane, bound in zip(inside, bounds[z - z0:]):
-            np.less_equal(txy, bound, out=plane)
-        yield slice(z, z + len(inside)), ys, xs, inside
+    return _Box(z0, slice(y0, y1), slice(x0, x1), ty[:, None] + tx[None, :], bounds)
 
 
-def _paint(g: GridGeometry, values: np.ndarray, solid: Ellipsoid | SphereCap, hu: int,
-           sil: np.ndarray | None = None, truth: np.ndarray | None = None,
-           other: np.ndarray | None = None) -> None:
-    """Set the solid's voxels of values to hu, slab by slab.
+def _slabs(box: _Box, z_lo: int = 0, z_hi: float = math.inf):
+    """Yield (zs, inside) for each z-slab of the box within slices [z_lo, z_hi).
 
-    The solid's coronal silhouette is OR-ed into sil, if given. A lung
-    also gets its voxels packed into truth, once no voxel of them is set
-    in the other lung's packed mask.
+    inside is the bool voxel-center test of the block [zs, box.ys, box.xs],
+    in a buffer that the next slab overwrites.
     """
-    for zs, ys, xs, inside in _slabs(g, solid):
-        if truth is not None:
-            packed = pack_y(inside)
-            js = slice(ys.start // 8, ys.start // 8 + packed.shape[1])
-            if (other[zs, js, xs] & packed).any():  # no lung is empty then: check it first
-                raise SpecViolation("lungs intersect")
-            truth[zs, js, xs] = packed
-        values[zs, ys, xs][inside] = hu
-        if sil is not None:
-            sil[zs, xs] |= inside.any(axis=1)
+    lo, hi = max(box.z0, z_lo), min(box.z1, z_hi)
+    if lo >= hi:
+        return
+    step = max(1, _SLAB_VOXELS // box.txy.size)
+    buf = np.empty((min(step, hi - lo), *box.txy.shape), bool)
+    for z in range(lo, hi, step):
+        inside = buf[:hi - z]
+        # one plane at a time: a broadcast compare into the slab buffers its operands
+        for plane, bound in zip(inside, box.bounds[z - box.z0:]):
+            np.less_equal(box.txy, bound, out=plane)
+        yield slice(z, z + len(inside)), inside
+
+
+def _silhouette(geom: GridGeometry, box: _Box | None) -> np.ndarray:
+    """The solid's coronal (nz, nx) silhouette: the OR over y of its voxel test.
+
+    Made in 2D and exact: some y of a column passes txy[y, x] <= bound
+    exactly when the column's minimum does.
+    """
+    sil = np.zeros((geom.nz, geom.nx), bool)
+    if box is not None:
+        sil[box.z0:box.z1, box.xs] = box.txy.min(axis=0) <= box.bounds[:, None]
+    return sil
+
+
+def _paint_truth(box: _Box | None, truth: np.ndarray, other: np.ndarray) -> None:
+    """Pack a lung's voxels into truth, slab by slab, once none is set in other.
+
+    other is the other lung's packed mask (grid.pack_y).
+    """
+    if box is None:
+        return
+    j0 = box.ys.start // 8
+    for zs, inside in _slabs(box):
+        packed = pack_y(inside)
+        js = slice(j0, j0 + packed.shape[1])
+        if (other[zs, js, box.xs] & packed).any():  # no lung is empty then: check it first
+            raise SpecViolation("lungs intersect")
+        truth[zs, js, box.xs] = packed
+
+
+@dataclass(frozen=True)
+class PhantomVolume:
+    """A phantom's int16 HU volume: a pure function of its spec, painted when read.
+
+    chunks() paints it in z order, ~512 KB of slices at a time, into one
+    buffer, so io.save_volume writes it without ever holding it. values
+    paints it whole, once, for library callers, and caches it. Each slice
+    is air, then the torso, the lungs, the heart and the domes, each
+    solid painted over the ones before it.
+    """
+
+    spec: PhantomSpec
+
+    @property
+    def geometry(self) -> GridGeometry:
+        return self.spec.geometry
+
+    def _solids(self) -> list[tuple[_Box, int]]:
+        """(box, HU) of each solid with voxels, in paint order."""
+        s, hu = self.spec, self.spec.hu
+        return [(box, value) for solid, value in (
+                    (s.torso, hu.soft), (s.lung_right, hu.lung), (s.lung_left, hu.lung),
+                    (s.heart, hu.heart), (s.diaphragm_right, hu.diaphragm),
+                    (s.diaphragm_left, hu.diaphragm))
+                if solid is not None and (box := _box(s.geometry, solid)) is not None]
+
+    def _paint(self, out: np.ndarray, z0: int, solids: list) -> np.ndarray:
+        """Paint slices z0 .. z0 + len(out) of the volume into out, and return it."""
+        out.fill(self.spec.hu.air)
+        for box, hu in solids:
+            for zs, inside in _slabs(box, z0, z0 + len(out)):
+                np.copyto(out[zs.start - z0:zs.stop - z0, box.ys, box.xs], hu, where=inside)
+        return out
+
+    def chunks(self):
+        """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
+        g, solids = self.geometry, self._solids()
+        depth = max(1, _CHUNK_BYTES // (2 * g.ny * g.nx))
+        buf = np.empty((min(depth, g.nz), g.ny, g.nx), np.int16)
+        for z in range(0, g.nz, depth):
+            yield self._paint(buf[:g.nz - z], z, solids)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The read-only (nz, ny, nx) int16 volume, painted as one chunk on first use."""
+        values = self._paint(np.empty(self.geometry.shape_zyx, np.int16), 0, self._solids())
+        values.flags.writeable = False
+        return values
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -288,26 +382,24 @@ def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.
 # --- generation ---------------------------------------------------------------
 
 def generate_phantom(spec: PhantomSpec) -> PhantomCase:
-    """Paint the spec, slab by slab, into a volume, packed truth masks and 2D annotator masks."""
-    g = spec.geometry
-    values = np.full(g.shape_zyx, spec.hu.air, dtype=np.int16)
-    if spec.torso is not None:
-        _paint(g, values, spec.torso, spec.hu.soft)
+    """Paint the spec's packed truth masks and 2D annotator masks; its volume is painted when read.
 
+    Every SpecViolation comes from here, before any volume slice is painted.
+    """
+    g = spec.geometry
     # the truth masks are painted packed, one bit per voxel (grid.pack_y)
     truth_r, truth_l = np.zeros(g.packed_zyx, np.uint8), np.zeros(g.packed_zyx, np.uint8)
-    sil_r, sil_l = np.zeros((g.nz, g.nx), bool), np.zeros((g.nz, g.nx), bool)
-    _paint(g, values, spec.lung_right, spec.hu.lung, sil_r, truth_r, truth_l)
-    _paint(g, values, spec.lung_left, spec.hu.lung, sil_l, truth_l, truth_r)
+    box_r, box_l = _box(g, spec.lung_right), _box(g, spec.lung_left)
+    _paint_truth(box_r, truth_r, truth_l)
+    _paint_truth(box_l, truth_l, truth_r)
+    sil_r, sil_l = _silhouette(g, box_r), _silhouette(g, box_l)
     if not sil_r.any() or not sil_l.any():
         raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
 
     occ_sil = np.zeros((g.nz, g.nx), dtype=bool)
-    for solid, hu in ((spec.heart, spec.hu.heart),
-                      (spec.diaphragm_right, spec.hu.diaphragm),
-                      (spec.diaphragm_left, spec.hu.diaphragm)):
+    for solid in (spec.heart, spec.diaphragm_right, spec.diaphragm_left):
         if solid is not None:
-            _paint(g, values, solid, hu, occ_sil)
+            occ_sil |= _silhouette(g, _box(g, solid))
 
     sota_r_bits, sota_l_bits = sil_r & ~occ_sil, sil_l & ~occ_sil
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
@@ -319,7 +411,7 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
 
     return PhantomCase(
         spec=spec,
-        volume=VoxelVolume(g, values),
+        volume=PhantomVolume(spec),
         truth_right=Mask3D.from_packed(g, truth_r, "right"),
         truth_left=Mask3D.from_packed(g, truth_l, "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
@@ -550,7 +642,11 @@ def cohort_case(base: PhantomSpec, index: int, seed: int,
 
 def generate_cohort(base: PhantomSpec, n: int, seed: int,
                     perturb_pct: float = 15.0) -> list[PhantomCase]:
-    """n perturbed cases, deterministic given (base, n, seed, perturb_pct)."""
+    """n perturbed cases, deterministic given (base, n, seed, perturb_pct).
+
+    The list holds each case's masks, not its volume: a volume is painted
+    only when it is read (PhantomVolume), and then cached on its case.
+    """
     if n < 1:
         raise ValueError("cohort size must be at least 1")
     return [cohort_case(base, i, seed, perturb_pct) for i in range(n)]

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -11,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -262,13 +264,73 @@ def test_phantom_deeply_nested_dims_is_one_short_line(tmp_path):
 
 
 def test_phantom_out_of_memory_is_one_line(tmp_path, spec_file, capsys, monkeypatch):
-    # a grid numpy can index but the machine cannot hold: no real allocation is tried
-    def full(*args, **kwargs):
+    # a grid numpy can index but the machine cannot hold: no real allocation is tried.
+    # The painter's first large allocation is the packed truth masks' np.zeros.
+    def zeros(*args, **kwargs):
         raise MemoryError("Unable to allocate 128. GiB for an array")
-    monkeypatch.setattr(np, "full", full)
+    monkeypatch.setattr(np, "zeros", zeros)
     assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec_file),
                  "--n", "1", "--quiet"]) == 2
     assert one_error_line(capsys).startswith("error: MemoryError:")
+
+
+def _fail_on_second_chunk_write(monkeypatch):
+    """The disk fills up on the second write of the first file written (volume.raw's chunk 2)."""
+    real, writes = os.fdopen, []
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(data)
+
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: Full(real(*args, **kwargs)))
+
+
+def _fail_painting_the_second_chunk(monkeypatch):
+    from lungcover import phantom
+    real = phantom._slabs
+
+    def slabs(box, z_lo=0, z_hi=math.inf):
+        if z_lo > 0:  # the truth masks are painted whole: only the volume paints from z > 0
+            raise MemoryError("Unable to allocate 512. KiB for an array")
+        return real(box, z_lo, z_hi)
+    monkeypatch.setattr(phantom, "_slabs", slabs)
+
+
+@pytest.mark.parametrize("fail, kind", [(_fail_on_second_chunk_write, "IoFailure"),
+                                        (_fail_painting_the_second_chunk, "MemoryError")],
+                         ids=["disk_full", "out_of_memory"])
+def test_phantom_failing_mid_stream_leaves_no_volume(tmp_path, capsys, monkeypatch, fail, kind):
+    """A volume that fails after its first chunk is written leaves neither payload nor temp file."""
+    fail(monkeypatch)
+    # the default 128^3 grid streams its volume in 8 chunks of 16 slices
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--n", "1", "--quiet"]) == 2
+    assert one_error_line(capsys).startswith(f"error: {kind}:")
+    assert list((tmp_path / "x" / "case_000").iterdir()) == []
+
+
+def test_phantom_peak_memory_is_below_one_volume(tmp_path):
+    """phantom never holds a case's volume: it paints and writes it a z-chunk at a time."""
+    argv = ["phantom", "--n", "1", "--quiet", "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0  # first-call allocations are not phantom's
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "x")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 ** 3 * 2, peak  # one int16 volume of the default 128^3 spec is 4 MB
 
 
 def test_phantom_spec_with_bool_dims_rejected(tmp_path, capsys):
@@ -312,7 +374,8 @@ def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
 
 
 def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):
-    """A CT case is ~256 MB: the previous one must be gone when the next is built."""
+    """A CT case holds 2 x 8 MB of truth masks (and 128 MB more once its volume is read):
+    the previous one must be gone when the next is built."""
     import gc
     import weakref
 

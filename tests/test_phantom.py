@@ -19,6 +19,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,9 @@ from lungcover.phantom import (
     spec_from_dict,
     spec_to_dict,
 )
-from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _grow, _index_span,
+from lungcover import phantom
+from lungcover.io import save_volume
+from lungcover.phantom import (_SLAB_VOXELS, JITTER_FLIP_PROB, _axis_centers, _grow, _index_span,
                                _jitter_bits)
 from lungcover.projection import project_mask
 
@@ -311,18 +314,22 @@ def phantom_specs(draw) -> PhantomSpec:
     )
 
 
+PAINTER_SPECS = {
+    "default": default_spec(),
+    "anatomical": anatomical_spec(),
+    "anisotropic": ANISO,
+    "cap-below-grid": replace(ANISO, diaphragm_left=SphereCap((18.0, 26.0, -30.0), 12.0, -35.0)),
+    "jitter-3px": replace(ANISO, annotator_jitter_px=3),
+    # index box past the grid's y end, at y = 84..: rounding its start down to
+    # a multiple of 8 must not make it a box of no voxels but nonzero size
+    "heart-beyond-y": replace(ANISO, heart=Ellipsoid((29.0, 60.0, 30.0), (9.0, 3.0, 200.0))),
+    # ny not a multiple of 8: the lung boxes' packed byte rows end in padding bits
+    "ny-70": replace(ANISO, geometry=GridGeometry(96, 70, 72, 0.66, 0.66, 1.25)),
+}
+
+
 class TestSlicePainter:
-    @pytest.mark.parametrize("spec", [
-        default_spec(),
-        anatomical_spec(),
-        ANISO,
-        replace(ANISO, diaphragm_left=SphereCap((18.0, 26.0, -30.0), 12.0, -35.0)),  # below
-        replace(ANISO, annotator_jitter_px=3),
-        # index box past the grid's y end, at y = 84..: rounding its start down to
-        # a multiple of 8 must not make it a box of no voxels but nonzero size
-        replace(ANISO, heart=Ellipsoid((29.0, 60.0, 30.0), (9.0, 3.0, 200.0))),
-    ], ids=["default", "anatomical", "anisotropic", "cap-below-grid", "jitter-3px",
-            "heart-beyond-y"])
+    @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
     def test_matches_full_volume_reference(self, spec):
         assert_matches_reference(spec)
 
@@ -343,8 +350,14 @@ class TestSlicePainter:
 
     @pytest.mark.parametrize("build", [default_spec, anatomical_spec])
     def test_peak_memory_is_the_outputs(self, build):
-        """No 3D temporary: the traced peak stays within 5 % of the output arrays."""
+        """No 3D temporary and no volume: the traced peak is the masks and a little work.
+
+        The work is the slab buffer and its packed copy, and the 2D
+        temporaries of the silhouettes and the jitter. An int16 volume
+        (4 MB here) or a bool one (2 MB) would be many times that.
+        """
         spec = build()
+        g = spec.geometry
         generate_phantom(spec)  # first-call allocations are not the painter's
         tracemalloc.start()
         try:
@@ -352,10 +365,12 @@ class TestSlicePainter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert "values" not in vars(case.volume)  # painted only when read
         # the truth masks are held packed, one bit per voxel
-        outputs = (case.volume.values.nbytes + case.truth_right.packed.nbytes
-                   + case.truth_left.packed.nbytes)
-        assert peak <= 1.05 * outputs, (peak, outputs)
+        outputs = (case.truth_right.packed.nbytes + case.truth_left.packed.nbytes
+                   + 4 * case.sota2d_right.bits.nbytes)
+        work = 2 * _SLAB_VOXELS + 8 * g.nz * g.nx
+        assert peak <= outputs + work, (peak, outputs, work)
 
     @pytest.mark.parametrize("name", ["default", "anatomical"])
     def test_phantom_command_writes_reference_bytes(self, tmp_path, name):
@@ -385,6 +400,41 @@ class TestSlicePainter:
             assert sorted(p.name for p in case_dir.iterdir()) == sorted(want)
             for file_name, data in want.items():
                 assert (case_dir / file_name).read_bytes() == data, file_name
+
+
+def assert_streams_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> None:
+    """volume.raw as save_volume streams it in chunks of chunk_bytes is the painted values."""
+    try:
+        case = generate_phantom(spec)
+    except SpecViolation:
+        return
+    want = case.volume.values.astype("<i2").tobytes()  # painted as one chunk
+    with mock.patch.object(phantom, "_CHUNK_BYTES", chunk_bytes):
+        save_volume(case.volume, out_dir / "volume.json")
+    assert (out_dir / "volume.raw").read_bytes() == want
+
+
+class TestStreamedVolume:
+    @pytest.mark.parametrize("planes", [0, 1, 5, 1000], ids=lambda n: f"{n}-planes")
+    @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
+    def test_payload_is_the_values(self, spec, planes, tmp_path):
+        """Chunks of depth 1 (a plane larger than a chunk), 1, 5 (not dividing nz) and all of nz."""
+        plane = 2 * spec.geometry.ny * spec.geometry.nx
+        assert_streams_its_values(spec, max(1, planes * plane), tmp_path)
+
+    @settings(max_examples=60)
+    @given(spec=phantom_specs(), chunk_bytes=st.integers(1, 4 * 2 * 22 * 22))
+    def test_random_specs_stream_their_values(self, spec, chunk_bytes, tmp_path_factory):
+        assert_streams_its_values(spec, chunk_bytes, tmp_path_factory.mktemp("stream"))
+
+    def test_chunks_repeat_and_do_not_share_a_buffer(self):
+        volume = generate_phantom(ANISO).volume
+        once = b"".join(c.tobytes() for c in volume.chunks())
+        pairs = list(zip(volume.chunks(), volume.chunks()))
+        assert len(pairs) == 3  # 72 slices in chunks of 34
+        assert all(np.array_equal(a, b) and not np.shares_memory(a, b) for a, b in pairs)
+        assert b"".join(c.tobytes() for c in volume.chunks()) == once
+        assert once == volume.values.tobytes()
 
 
 class TestGeneratePhantom:
