@@ -64,14 +64,38 @@ def check_label(label) -> None:
         raise ValueError(f"label must be one of {LABELS}, got {reprlib.repr(label)}")
 
 
-# Block size of the HU range check: the max pass reads each block while the
-# min pass has left it in cache, so the volume streams from memory once.
-_SCAN_BYTES = 1 << 20
+# A volume is painted, read, range-checked and summed in z-chunks of about
+# this many bytes (at least one slice): each chunk stays in cache from the
+# pass that fills it to the passes that use it. The one depth rule of every
+# volume kind and of the HU range check.
+_CHUNK_BYTES = 1 << 19
+
+
+def chunk_depth(slice_bytes: int) -> int:
+    """Slices per z-chunk when one slice takes slice_bytes: ~_CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // slice_bytes)
+
+
+def z_chunks(geometry: GridGeometry, fill):
+    """Yield an int16 volume's z-chunks in order, in one buffer that the next chunk overwrites.
+
+    fill(out, z0) writes slices z0 .. z0 + len(out) of the volume into
+    out and returns it; out holds chunk_depth slices, fewer at the end.
+    """
+    g = geometry
+    depth = chunk_depth(2 * g.ny * g.nx)
+    buf = np.empty((min(depth, g.nz), g.ny, g.nx), "<i2")  # the payload's dtype
+    for z in range(0, g.nz, depth):
+        yield fill(buf[:g.nz - z], z)
 
 
 def _within_hu(raw: np.ndarray) -> bool:
-    """Every value of a (nz, ny, nx) array lies in [HU_MIN, HU_MAX]; NaN does not."""
-    rows = max(1, _SCAN_BYTES // raw[0].nbytes)
+    """Every value of a (nz, ny, nx) array lies in [HU_MIN, HU_MAX]; NaN does not.
+
+    The max pass reads each z-chunk while the min pass has left it in
+    cache, so the array streams from memory once.
+    """
+    rows = chunk_depth(raw[0].nbytes)
     return all(HU_MIN <= block.min() and block.max() <= HU_MAX
                for block in (raw[z:z + rows] for z in range(0, len(raw), rows)))
 
@@ -135,7 +159,7 @@ class VoxelVolume:
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
     def chunks(self) -> tuple[np.ndarray]:
-        """The values as the one z-chunk io.save_volume writes."""
+        """The values as one z-chunk, for io.save_volume and projection.render_drr."""
         return (self.values,)
 
 

@@ -32,32 +32,40 @@ removed and no payload is left.
 A written file gets the mode ``open()`` would give it: 0o666 less the
 umask.
 
-Payloads are read by mapping them read-only, not by copying them: a
-loaded array is a read-only view of the page cache, and the validation
-scans and every computation read the mapped bytes in place. The map
-holds a duplicate of the file descriptor, so each live loaded array
-keeps one descriptor open until the array is freed. Because writes
-replace a file by rename, a mapped payload's bytes never change under
-it; truncating a payload in place while another process has it loaded
+A volume's payload is read as it is used, not mapped: load_volume checks
+the header and the payload's size, and returns a FileVolume that holds a
+duplicate of the payload's descriptor until it is freed. Its chunks() read
+~512 KB of slices at a time into one buffer with positional reads, and
+check each chunk's HU range while it is in cache, so drr never holds the
+volume; a payload cut short after the load is a SizeMismatch when read.
+A mask's payload is mapped read-only, not copied: a loaded mask is a
+read-only view of the page cache, and the validation scans and every
+computation read the mapped bytes in place. The map also holds a
+duplicate of the descriptor, so each live loaded mask keeps one
+descriptor open until it is freed. Because writes replace a file by
+rename, a loaded volume or mask reads the bytes it was loaded with;
+truncating a mask's payload in place while another process has it loaded
 is unsupported (on POSIX the reader gets SIGBUS).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import mmap
 import os
 import reprlib
 import secrets
+import weakref
 from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
-from .grid import (DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, check_label,
-                   check_size, check_spacing)
+from .grid import (HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume,
+                   _within_hu, check_label, check_size, check_spacing, z_chunks)
 
 _DTYPES = {"i16le": np.dtype("<i2"), "u8": np.dtype(np.uint8), "u1y": np.dtype(np.uint8)}
 # The payload dtypes a header may name, by its number of dims.
@@ -109,18 +117,27 @@ def relative_path(name, where: str) -> str:
     return name
 
 
-def _map_payload(data_path: Path, expect_bytes: int) -> mmap.mmap:
-    """The payload mapped read-only, once its size is the one the header implies."""
+def _open_payload(data_path: Path, expect_bytes: int, hold):
+    """hold(fd) of the payload opened read-only, once its size is the one the header implies.
+
+    The descriptor is closed on return, so hold keeps a duplicate of it if
+    it reads later: mmap.mmap and os.dup do.
+    """
     try:
         with open(data_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != expect_bytes:
                 raise SizeMismatch(
                     f"{data_path}: payload is {size} bytes, header implies {expect_bytes}")
-            # the map keeps its own duplicate of the descriptor
-            return mmap.mmap(fh.fileno(), expect_bytes, access=mmap.ACCESS_READ)
+            return hold(fh.fileno())
     except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
         raise IoFailure(f"cannot read {data_path}: {exc}") from exc
+
+
+def _map_payload(data_path: Path, expect_bytes: int) -> mmap.mmap:
+    """The payload mapped read-only, once its size is the one the header implies."""
+    return _open_payload(data_path, expect_bytes,
+                         lambda fd: mmap.mmap(fd, expect_bytes, access=mmap.ACCESS_READ))
 
 
 def read_json(path: str | Path, kind: type[Exception]) -> dict:
@@ -143,13 +160,11 @@ def read_json(path: str | Path, kind: type[Exception]) -> dict:
 
 
 def _load(path: str | Path, dtypes: dict[int, tuple[str, ...]], labeled: bool):
-    """The checked dims, spacing and label of a header, and its payload as a read-only array.
+    """The checked dims, spacing, label and dtype of a header, and its payload's path.
 
     The only header reader. dims, spacing_mm and label are checked by the
     grid types' own rules, their ValueError re-raised as MalformedHeader,
-    and dtype must be one that dtypes lists for that many dims. A "u8"
-    mask payload must hold 0/1 bytes and comes back as a bool view; a
-    "u1y" one comes back as its packed bytes, shape (nz, ceil(ny/8), nx).
+    and dtype must be one that dtypes lists for that many dims.
     """
     path = Path(path)
     header = read_json(path, MalformedHeader)
@@ -176,13 +191,7 @@ def _load(path: str | Path, dtypes: dict[int, tuple[str, ...]], labeled: bool):
         raise MalformedHeader(f"{path}: expected dtype {' or '.join(map(repr, dtypes[len(dims)]))}"
                               f", got {reprlib.repr(dtype)}")
     data_path = path.parent / relative_path(header["data"], f"{path}: data")
-    item = _DTYPES[dtype]
-    shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
-    payload = _map_payload(data_path, math.prod(shape) * item.itemsize)
-    array = np.frombuffer(payload, dtype=item).reshape(shape)
-    if dtype == "u8" and array.max() > 1:
-        raise MalformedMask(f"{path}: mask bytes must be 0 or 1, found {int(array[array > 1][0])}")
-    return dims, [float(s) for s in spacing], label, array.view(bool) if dtype == "u8" else array
+    return dims, [float(s) for s in spacing], label, dtype, data_path
 
 
 def _save(path: str | Path, chunks: Iterable[np.ndarray], dims, spacing, dtype: str,
@@ -201,11 +210,24 @@ def _save(path: str | Path, chunks: Iterable[np.ndarray], dims, spacing, dtype: 
 
 
 def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
-    dims, spacing, label, array = _load(path, {n: _MASKS[n] for n in ndims}, labeled=True)
+    """A mask whose payload is mapped read-only, not copied.
+
+    A "u8" payload must hold 0/1 bytes and is viewed as bool; a "u1y" one
+    is held as its packed bytes, shape (nz, ceil(ny/8), nx).
+    """
+    dims, spacing, label, dtype, data_path = _load(path, {n: _MASKS[n] for n in ndims},
+                                                   labeled=True)
+    shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
+    array = np.frombuffer(_map_payload(data_path, math.prod(shape)), np.uint8).reshape(shape)
+    if dtype == "u8":
+        if array.max() > 1:
+            raise MalformedMask(f"{path}: mask bytes must be 0 or 1, "
+                                f"found {int(array[array > 1][0])}")
+        array = array.view(bool)
     if len(dims) == 2:
         return Mask2D(*dims, *spacing, array, label)
     g = GridGeometry(*dims, *spacing)
-    if array.dtype == bool:  # a "u8" payload, packed here
+    if dtype == "u8":  # packed here
         return Mask3D(g, array, label)
     try:
         return Mask3D.from_packed(g, array, label)
@@ -213,10 +235,58 @@ def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
         raise MalformedMask(f"{path}: {exc}") from exc
 
 
-def load_volume(path: str | Path) -> VoxelVolume:
-    """Read a volume (header JSON + i16le raw); enforces type invariants."""
-    dims, spacing, _, values = _load(path, _VOLUME, labeled=False)
-    return VoxelVolume(GridGeometry(*dims, *spacing), values)
+class FileVolume:
+    """A volume file's int16 HU values, read from its payload one z-chunk at a time.
+
+    Holds a descriptor of the payload, opened and size-checked by
+    load_volume, and closes it when freed. chunks() reads the volume in
+    z order, ~512 KB of slices at a time (grid.z_chunks), into one buffer
+    with positional reads, and checks each chunk's HU range while it is in
+    cache. values reads the whole volume once, for library callers, and
+    caches it. A payload that ends early is a SizeMismatch; a value
+    outside [HU_MIN, HU_MAX] is a ValueError naming the payload.
+    """
+
+    def __init__(self, geometry: GridGeometry, data_path: Path, fd: int):
+        self.geometry = geometry
+        self.data_path = data_path
+        self._fd = fd
+        weakref.finalize(self, os.close, fd)
+
+    def _read(self, out: np.ndarray, z0: int) -> np.ndarray:
+        """Read slices z0 .. z0 + len(out) of the volume into out, check them, and return out."""
+        view = memoryview(out).cast("B")
+        offset = z0 * out[0].nbytes
+        while view:  # a read may be partial
+            try:
+                n = os.preadv(self._fd, [view], offset)
+            except OSError as exc:
+                raise IoFailure(f"cannot read {self.data_path}: {exc}") from exc
+            if not n:
+                raise SizeMismatch(f"{self.data_path}: payload ends at byte {offset}, "
+                                   f"header implies {2 * self.geometry.voxel_count}")
+            view, offset = view[n:], offset + n
+        if not _within_hu(out):
+            raise ValueError(f"{self.data_path}: values outside [{HU_MIN}, {HU_MAX}]")
+        return out
+
+    def chunks(self):
+        """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
+        return z_chunks(self.geometry, self._read)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The read-only (nz, ny, nx) int16 volume, read as one chunk on first use."""
+        values = self._read(np.empty(self.geometry.shape_zyx, "<i2"), 0)
+        values.flags.writeable = False
+        return values
+
+
+def load_volume(path: str | Path) -> FileVolume:
+    """A volume (header JSON + i16le raw) whose payload is read as it is used (FileVolume)."""
+    dims, spacing, _, _, data_path = _load(path, _VOLUME, labeled=False)
+    return _open_payload(data_path, 2 * math.prod(dims), lambda fd: FileVolume(
+        GridGeometry(*dims, *spacing), data_path, os.dup(fd)))
 
 
 def load_mask3d(path: str | Path) -> Mask3D:

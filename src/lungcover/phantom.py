@@ -13,13 +13,13 @@ z-slabs of at most 64 K voxels (_slabs) and bit-packs each slab
 makes. Each coronal silhouette is made in 2D from its box's column
 minima, which is exactly the OR over y of the voxel test. The HU volume
 (PhantomVolume) is a pure function of the spec, painted only when read:
-io.save_volume streams it to disk in z-chunks of ~512 KB, so a case is
-written without ever holding its 128 MB volume. The truth masks are the
-voxelized lung ellipsoids themselves; the contour-style 2D mask is the
-lung silhouette minus the occluder silhouettes; a second annotator is
-simulated by seeded boundary jitter, on a band found by numpy
-4-neighbour dilation and erosion (_grow), so making a phantom needs no
-scipy.
+io.save_volume streams it to disk, and projection.render_drr projects it,
+in z-chunks of ~512 KB, so neither ever holds its 128 MB volume. The
+truth masks are the voxelized lung ellipsoids themselves; the
+contour-style 2D mask is the lung silhouette minus the occluder
+silhouettes; a second annotator is simulated by seeded boundary jitter,
+on a band found by numpy 4-neighbour dilation and erosion (_grow), so
+making a phantom needs no scipy.
 The oracle is the continuous obscured fraction of every phantom family,
 by one quadrature over the lung (analytic_obscured_fraction).
 
@@ -38,7 +38,8 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import SpecViolation
-from .grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, is_finite_number, pack_y
+from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, is_finite_number, pack_y,
+                   z_chunks)
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -185,9 +186,6 @@ def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]
 # A solid is painted in z-slabs of at most this many voxels (at least one
 # slice): few numpy calls per solid, and each slab is packed while in cache.
 _SLAB_VOXELS = 1 << 16
-# The volume is painted in z-chunks of about this many bytes (at least one
-# slice): a chunk stays in cache from its painting to its write.
-_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,8 @@ class PhantomVolume:
     """A phantom's int16 HU volume: a pure function of its spec, painted when read.
 
     chunks() paints it in z order, ~512 KB of slices at a time, into one
-    buffer, so io.save_volume writes it without ever holding it. values
+    buffer (grid.z_chunks), so io.save_volume writes it and
+    projection.render_drr projects it without ever holding it. values
     paints it whole, once, for library callers, and caches it. Each slice
     is air, then the torso, the lungs, the heart and the domes, each
     solid painted over the ones before it.
@@ -325,11 +324,7 @@ class PhantomVolume:
 
     def chunks(self):
         """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
-        g, solids = self.geometry, self._solids()
-        depth = max(1, _CHUNK_BYTES // (2 * g.ny * g.nx))
-        buf = np.empty((min(depth, g.nz), g.ny, g.nx), np.int16)
-        for z in range(0, g.nz, depth):
-            yield self._paint(buf[:g.nz - z], z, solids)
+        return z_chunks(self.geometry, functools.partial(self._paint, solids=self._solids()))
 
     @functools.cached_property
     def values(self) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 The DRR is an orthographic parallel-ray projection along +y: each output
 pixel is the mean HU of its y-column, mapped through a display window to
-8 bits. Masks move between 2D and 3D by extrusion (replicate along y)
-and projection (OR along y). project(extrude(m)) == m for every ny >= 1.
+8 bits. render_drr folds over the volume's z-chunks (``volume.chunks()``)
+and sums each chunk along y while it is in cache, so a phantom's volume is
+painted, and a loaded volume read from its file, ~512 KB at a time: only
+the (nz, nx) column sums are held. Masks move between 2D and 3D by
+extrusion (replicate along y) and projection (OR along y).
+project(extrude(m)) == m for every ny >= 1.
 """
 
 from __future__ import annotations
@@ -37,16 +41,21 @@ class WindowSpec:
 DEFAULT_WINDOW = WindowSpec(-1000.0, 200.0)
 
 
-def _mean_along_y(values: np.ndarray) -> np.ndarray:
-    """float64 mean of each (z, x) column of an HU volume, shape (nz, nx).
+def _mean_along_y(volume: VoxelVolume) -> np.ndarray:
+    """float64 mean of each (z, x) column of a volume, shape (nz, nx), one z-chunk at a time.
 
     Each column sum is an exact integer, accumulated in int32 when ny
     voxels of the widest HU fit it and in int64 otherwise, so the quotient
     is bit-identical to ``values.mean(axis=1, dtype=np.float64)``.
     """
-    ny = values.shape[1]
-    acc = np.int32 if max(-HU_MIN, HU_MAX) * ny <= np.iinfo(np.int32).max else np.int64
-    return values.sum(axis=1, dtype=acc) / ny
+    g = volume.geometry
+    acc = np.int32 if max(-HU_MIN, HU_MAX) * g.ny <= np.iinfo(np.int32).max else np.int64
+    sums = np.empty((g.nz, g.nx), acc)
+    z = 0
+    for chunk in volume.chunks():
+        chunk.sum(axis=1, dtype=acc, out=sums[z:z + len(chunk)])
+        z += len(chunk)
+    return sums / g.ny
 
 
 def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrImage:
@@ -54,9 +63,12 @@ def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrI
 
     pixel = round(255 * clamp((mean - lo) / (hi - lo), 0, 1)), with
     round half away from zero (the scaled value is nonnegative, so this
-    is floor(v + 0.5)).
+    is floor(v + 0.5)). Every kind of volume yields HU values already in
+    range: a VoxelVolume is checked when it is built, a phantom's values
+    come from its checked spec, and a loaded volume checks each chunk as
+    it reads it (io.FileVolume).
     """
-    mean = _mean_along_y(volume.values)
+    mean = _mean_along_y(volume)
     frac = np.clip((mean - window.lo) / (window.hi - window.lo), 0.0, 1.0)
     pixels = np.floor(255.0 * frac + 0.5).astype(np.uint8)
     return DrrImage(volume.geometry.nx, volume.geometry.nz, pixels)

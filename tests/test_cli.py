@@ -333,6 +333,20 @@ def test_phantom_peak_memory_is_below_one_volume(tmp_path):
     assert peak < 128 ** 3 * 2, peak  # one int16 volume of the default 128^3 spec is 4 MB
 
 
+def test_drr_peak_memory_is_below_one_volume(tmp_path, capsys):
+    """drr never holds the volume: it reads and sums it a z-chunk at a time."""
+    assert main(["phantom", "--n", "1", "--quiet", "--out", str(tmp_path)]) == 0
+    argv = ["drr", str(tmp_path / "case_000" / "volume.json"), "--quiet", "--out"]
+    assert main(argv + [str(tmp_path / "warm.pgm")]) == 0  # first-call allocations are not drr's
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "x.pgm")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 ** 3 * 2, peak  # one int16 volume of the default 128^3 spec is 4 MB
+
+
 def test_phantom_spec_with_bool_dims_rejected(tmp_path, capsys):
     spec = tmp_path / "bool_dims.json"
     # 300 mm across one voxel: the lungs fit, so only the bool can fail

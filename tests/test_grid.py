@@ -113,7 +113,7 @@ class TestVoxelVolume:
     @pytest.mark.parametrize("bad", [HU_MIN - 1, HU_MAX + 1])
     @pytest.mark.parametrize("where", ["first", "last", "inside_partial_block"])
     def test_range_check_reads_every_block(self, bad, where):
-        rows = grid._SCAN_BYTES // (256 * 256 * 2)  # int16 slices per scan block
+        rows = grid.chunk_depth(256 * 256 * 2)  # int16 slices per scan block
         g = small_geometry(nx=256, ny=256, nz=rows + rows // 2 + 1)  # ends in a partial block
         partial = g.nz - g.nz % rows
         assert 0 < partial < g.nz

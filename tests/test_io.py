@@ -5,20 +5,25 @@ inputs fail with typed errors, never partial objects.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import stat
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lungcover import grid
 from lungcover.cli import main
 from lungcover.errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
-from lungcover.grid import DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
+from lungcover.grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import (
     load_mask,
     load_mask2d,
@@ -460,7 +465,7 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
 
 
 class TestPayloadLoads:
-    """Payloads are mapped, not copied: loads allocate nothing payload-sized."""
+    """Loads allocate nothing payload-sized: a mask is mapped, a volume read as it is used."""
 
     @pytest.mark.parametrize("save, load, attr, build", [
         (save_volume, load_volume, "values",
@@ -480,7 +485,9 @@ class TestPayloadLoads:
             tracemalloc.stop()
         assert peak < 0.1 * getattr(obj, attr).nbytes, peak
         arr = getattr(loaded, attr)
-        assert not arr.flags.writeable and not arr.flags.owndata
+        assert not arr.flags.writeable
+        if load is load_mask3d:  # a view of the mapped payload; a volume's values are read
+            assert not arr.flags.owndata
         np.testing.assert_array_equal(arr, getattr(obj, attr))
 
     @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b"\0", lambda b: b""],
@@ -518,6 +525,58 @@ class TestPayloadLoads:
         os.replace(tmp_path / "new.raw", tmp_path / "vol.raw")
         np.testing.assert_array_equal(before.values, vol.values)
         assert (load_volume(tmp_path / "vol.json").values == 7).all()
+
+
+class TestVolumeReads:
+    """A loaded volume reads its payload by z-chunk, through the descriptor it opened at load."""
+
+    G = GridGeometry(nx=8, ny=6, nz=5, sx=1.0, sy=1.0, sz=1.0)
+
+    @pytest.mark.parametrize("bad", [HU_MIN - 1, HU_MAX + 1])
+    def test_out_of_range_voxel_in_the_last_slice(self, tmp_path, capsys, bad):
+        save_volume(VoxelVolume(self.G, np.zeros(self.G.shape_zyx, np.int16)),
+                    tmp_path / "vol.json")
+        raw = tmp_path / "vol.raw"
+        raw.write_bytes(raw.read_bytes()[:-2] + np.array(bad, "<i2").tobytes())
+        message = re.escape(f"{raw}: values outside [{HU_MIN}, {HU_MAX}]")
+        pgm = tmp_path / "vol.pgm"
+        # one slice per chunk: only the last chunk holds the voxel
+        with mock.patch.object(grid, "_CHUNK_BYTES", 2 * self.G.ny * self.G.nx):
+            assert main(["drr", str(tmp_path / "vol.json"), "--out", str(pgm)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.fullmatch(f"error: ValueError: {message}\n", err)
+        assert not pgm.exists()
+        with pytest.raises(ValueError, match=message):
+            load_volume(tmp_path / "vol.json").values
+
+    @pytest.mark.parametrize("keep", [0, 2 * 6 * 8 * 2 + 7, 2 * 6 * 8 * 5 - 1],
+                             ids=["empty", "mid-slice", "one-byte-short"])
+    def test_payload_truncated_after_load_is_size_mismatch(self, tmp_path, keep):
+        save_volume(VoxelVolume(self.G, np.full(self.G.shape_zyx, -1000, np.int16)),
+                    tmp_path / "vol.json")
+        loaded, whole = load_volume(tmp_path / "vol.json"), load_volume(tmp_path / "vol.json")
+        os.truncate(tmp_path / "vol.raw", keep)  # in place: the loaded volumes see it
+        with mock.patch.object(grid, "_CHUNK_BYTES", 2 * self.G.ny * self.G.nx):
+            with pytest.raises(SizeMismatch, match="payload ends at byte"):
+                for _ in loaded.chunks():
+                    pass
+        with pytest.raises(SizeMismatch, match="payload ends at byte"):
+            whole.values
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_holds_one_descriptor_until_freed(self, tmp_path):
+        save_volume(small_volume(), tmp_path / "vol.json")
+        gc.collect()
+        start = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            loaded = load_volume(tmp_path / "vol.json")
+            assert len(os.listdir("/proc/self/fd")) == start + 1
+            read = [c.copy() for c in loaded.chunks()]
+            assert len(os.listdir("/proc/self/fd")) == start + 1
+            del loaded  # reference counting alone frees it
+            assert len(os.listdir("/proc/self/fd")) == start
+        np.testing.assert_array_equal(np.concatenate(read), small_volume().values)
 
 
 class TestPgm:

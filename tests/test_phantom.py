@@ -30,11 +30,12 @@ from scipy import integrate, ndimage
 from lungcover.cli import main
 from lungcover.concordance import dice, obscured_fraction
 from lungcover.errors import SpecViolation
-from lungcover.grid import GridGeometry
+from lungcover.grid import GridGeometry, VoxelVolume
 from lungcover.phantom import (
     DEFAULT_JSON_GEOMETRY,
     Ellipsoid,
     PhantomSpec,
+    PhantomVolume,
     SphereCap,
     TissueHu,
     analytic_obscured_fraction,
@@ -47,11 +48,11 @@ from lungcover.phantom import (
     spec_from_dict,
     spec_to_dict,
 )
-from lungcover import phantom
-from lungcover.io import save_volume
+from lungcover import grid
+from lungcover.io import load_volume, save_volume
 from lungcover.phantom import (_SLAB_VOXELS, JITTER_FLIP_PROB, _axis_centers, _grow, _index_span,
                                _jitter_bits)
-from lungcover.projection import project_mask
+from lungcover.projection import DEFAULT_WINDOW, project_mask, render_drr
 
 from strategies import JSON_VALUES, mutated
 
@@ -409,9 +410,36 @@ def assert_streams_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> N
     except SpecViolation:
         return
     want = case.volume.values.astype("<i2").tobytes()  # painted as one chunk
-    with mock.patch.object(phantom, "_CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(grid, "_CHUNK_BYTES", chunk_bytes):
         save_volume(case.volume, out_dir / "volume.json")
     assert (out_dir / "volume.raw").read_bytes() == want
+
+
+def drr_contract(values: np.ndarray) -> np.ndarray:
+    """The DRR of a whole volume: floor(255 * clip((mean_y - lo) / (hi - lo), 0, 1) + 0.5)."""
+    lo, hi = DEFAULT_WINDOW.lo, DEFAULT_WINDOW.hi
+    frac = np.clip((values.mean(axis=1) - lo) / (hi - lo), 0.0, 1.0)
+    return np.floor(255.0 * frac + 0.5).astype(np.uint8)
+
+
+def assert_projects_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> None:
+    """render_drr in z-chunks of chunk_bytes is the contract's DRR of the painted values.
+
+    For each volume kind: the phantom's own volume, which must stay
+    unpainted, a VoxelVolume of its values, and its file as loaded.
+    """
+    try:
+        case = generate_phantom(spec)
+    except SpecViolation:
+        return
+    values = PhantomVolume(case.volume.spec).values  # painted as one chunk, by another instance
+    want = drr_contract(values)
+    save_volume(case.volume, out_dir / "volume.json")
+    with mock.patch.object(grid, "_CHUNK_BYTES", chunk_bytes):
+        for volume in (case.volume, VoxelVolume(spec.geometry, values),
+                       load_volume(out_dir / "volume.json")):
+            np.testing.assert_array_equal(render_drr(volume).pixels, want)
+    assert "values" not in vars(case.volume)
 
 
 class TestStreamedVolume:
@@ -426,6 +454,18 @@ class TestStreamedVolume:
     @given(spec=phantom_specs(), chunk_bytes=st.integers(1, 4 * 2 * 22 * 22))
     def test_random_specs_stream_their_values(self, spec, chunk_bytes, tmp_path_factory):
         assert_streams_its_values(spec, chunk_bytes, tmp_path_factory.mktemp("stream"))
+
+    @pytest.mark.parametrize("planes", [0, 1, 5, 1000], ids=lambda n: f"{n}-planes")
+    @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
+    def test_drr_is_the_drr_of_the_values(self, spec, planes, tmp_path):
+        """Chunks of depth 1 (a plane larger than a chunk), 1, 5 (not dividing nz) and all of nz."""
+        plane = 2 * spec.geometry.ny * spec.geometry.nx
+        assert_projects_its_values(spec, max(1, planes * plane), tmp_path)
+
+    @settings(max_examples=40)
+    @given(spec=phantom_specs(), chunk_bytes=st.integers(1, 4 * 2 * 22 * 22))
+    def test_random_specs_project_their_values(self, spec, chunk_bytes, tmp_path_factory):
+        assert_projects_its_values(spec, chunk_bytes, tmp_path_factory.mktemp("drr"))
 
     def test_chunks_repeat_and_do_not_share_a_buffer(self):
         volume = generate_phantom(ANISO).volume

@@ -5,12 +5,16 @@ with the mean taken along the anterior-posterior axis. Half-counts round
 away from zero, not to even.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lungcover import grid
 from lungcover.grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume
+from lungcover.io import load_volume, save_volume
 from lungcover.projection import (
     DEFAULT_WINDOW,
     WindowSpec,
@@ -126,7 +130,7 @@ class TestColumnMean:
         nx, ny, nz = dims
         rng = np.random.default_rng(seed)
         values = rng.choice(np.array([HU_MIN, HU_MAX], np.int16), size=(nz, ny, nx))
-        mean = _mean_along_y(values)
+        mean = _mean_along_y(volume_from(values))
         assert mean.dtype == np.float64
         assert mean.tobytes() == values.mean(axis=1, dtype=np.float64).tobytes()
 
@@ -134,13 +138,48 @@ class TestColumnMean:
     def test_column_too_deep_for_int32(self, hu):
         # 700000 * 3071 > 2**31 - 1: an int32 sum of this column would wrap
         values = np.full((1, 700_000, 1), hu, np.int16)
-        assert _mean_along_y(values).tobytes() == values.mean(axis=1, dtype=np.float64).tobytes()
+        mean = _mean_along_y(volume_from(values))
+        assert mean.tobytes() == values.mean(axis=1, dtype=np.float64).tobytes()
         assert render_drr(volume_from(values)).pixels.tolist() == [[0 if hu == HU_MIN else 255]]
 
     def test_deepest_int32_column(self):
         ny = (2**31 - 1) // HU_MAX  # the deepest column still summed in int32
         values = np.full((1, ny, 1), HU_MAX, np.int16)
-        assert _mean_along_y(values).tolist() == [[float(HU_MAX)]]
+        assert _mean_along_y(volume_from(values)).tolist() == [[float(HU_MAX)]]
+
+
+def drr_contract(values: np.ndarray) -> np.ndarray:
+    """The DRR of a whole volume: floor(255 * clip((mean_y - lo) / (hi - lo), 0, 1) + 0.5)."""
+    lo, hi = DEFAULT_WINDOW.lo, DEFAULT_WINDOW.hi
+    frac = np.clip((values.mean(axis=1) - lo) / (hi - lo), 0.0, 1.0)
+    return np.floor(255.0 * frac + 0.5).astype(np.uint8)
+
+
+def assert_drr_in_chunks(values: np.ndarray, chunk_bytes: int, out_dir) -> None:
+    """render_drr of values as a VoxelVolume and as a loaded file, in z-chunks of chunk_bytes."""
+    vol = volume_from(values)
+    save_volume(vol, out_dir / "vol.json")
+    with mock.patch.object(grid, "_CHUNK_BYTES", chunk_bytes):
+        for volume in (vol, load_volume(out_dir / "vol.json")):
+            np.testing.assert_array_equal(render_drr(volume).pixels, drr_contract(values))
+
+
+class TestStreamedDrr:
+    """render_drr folds over z-chunks; the image is the whole volume's, for any chunk size."""
+
+    @given(dims=geometries(12), seed=st.integers(0, 2**31), chunk_bytes=st.integers(1, 3000))
+    def test_random_volumes(self, dims, seed, chunk_bytes, tmp_path_factory):
+        nx, ny, nz = dims
+        values = np.random.default_rng(seed).integers(HU_MIN, HU_MAX + 1, size=(nz, ny, nx))
+        assert_drr_in_chunks(values, chunk_bytes, tmp_path_factory.mktemp("drr"))
+
+    @pytest.mark.parametrize("planes", [0, 1, 2, 1000], ids=lambda n: f"{n}-planes")
+    def test_int64_accumulator_grid(self, planes, tmp_path):
+        """Columns too deep for int32 sums, in chunks of 1 byte, 1 and 2 planes (of 3), and one."""
+        ny = 700_000  # 700000 * 3071 > 2**31 - 1
+        values = np.random.default_rng(ny).choice(np.array([HU_MIN, HU_MAX], np.int16),
+                                                  size=(3, ny, 2))
+        assert_drr_in_chunks(values, max(1, planes * 2 * ny * 2), tmp_path)
 
 
 class TestExtrudeProject:
