@@ -5,21 +5,26 @@ ellipsoids, an optional heart/mediastinum ellipsoid and optional
 diaphragm domes (sphere caps protruding into the lungs from below).
 Voxel membership is voxel-center inclusion, painted with priority
 heart/diaphragm > lung > soft tissue > air, so brute-force counts are
-exact. Every painter uses one voxel-center test per solid, over the
-solid's index box (_box). generate_phantom paints the two lungs in
-z-slabs of at most 64 K voxels (_slabs) and bit-packs each slab
-(grid.pack_y) while it is still in cache, so the two packed truth masks
-(2 x 8 MB on the 512 x 512 x 244 CT grid) are the only 3D arrays it
-makes. Each coronal silhouette is made in 2D from its box's column
-minima, which is exactly the OR over y of the voxel test. The HU volume
-(PhantomVolume) is a pure function of the spec, painted only when read:
-io.save_volume streams it to disk, and projection.render_drr projects it,
-in z-chunks of ~512 KB, so neither ever holds its 128 MB volume. The
-truth masks are the voxelized lung ellipsoids themselves; the
-contour-style 2D mask is the lung silhouette minus the occluder
-silhouettes; a second annotator is simulated by seeded boundary jitter,
-on a band found by numpy 4-neighbour dilation and erosion (_grow), so
-making a phantom needs no scipy.
+exact. Every painter uses one voxel-center test per solid, txy <= bound
+of slice z, over the solid's index box (_box). The box's (y, x) columns
+are sorted by txy once per case (_sort): at slice z the test holds on
+exactly the first searchsorted(sorted txy, bound, "right") of them, so
+going from one slice to the next changes only the columns between the
+two counts. Both painters work that way, one slice after another.
+generate_phantom toggles each changed lung voxel's bit in a packed slice
+and copies the slice into its truth mask (grid.pack_y layout), so the
+two packed truth masks (2 x 8 MB on the 512 x 512 x 244 CT grid) are the
+only 3D arrays it makes. Each coronal silhouette is made in 2D from its
+box's column minima, which is exactly the OR over y of the voxel test.
+The HU volume (PhantomVolume) is a pure function of the spec, painted
+only when read: io.save_volume streams it to disk, and
+projection.render_drr projects it, in z-chunks of ~512 KB, so neither
+ever holds its 128 MB volume. Its painter repaints only the pixels whose
+set of solids changed (_planes). The truth masks are the voxelized lung
+ellipsoids themselves; the contour-style 2D mask is the lung silhouette
+minus the occluder silhouettes; a second annotator is simulated by
+seeded boundary jitter, on a band found by numpy 4-neighbour dilation
+and erosion (_grow), so making a phantom needs no scipy.
 The oracle is the continuous obscured fraction of every phantom family,
 by one quadrature over the lung (analytic_obscured_fraction).
 
@@ -32,14 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import reprlib
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import SpecViolation
-from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, is_finite_number, pack_y,
-                   z_chunks)
+from .grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, is_finite_number, z_chunks
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -183,11 +188,6 @@ def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]
     return lo, max(lo, hi)
 
 
-# A solid is painted in z-slabs of at most this many voxels (at least one
-# slice): few numpy calls per solid, and each slab is packed while in cache.
-_SLAB_VOXELS = 1 << 16
-
-
 @dataclass(frozen=True)
 class _Box:
     """A solid's index box and the terms of its voxel-center test.
@@ -203,18 +203,14 @@ class _Box:
     txy: np.ndarray
     bounds: np.ndarray
 
-    @property
-    def z1(self) -> int:
-        return self.z0 + len(self.bounds)
-
 
 def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
     """The solid's index box, or None when no voxel center can fall in the solid.
 
-    The y-span starts on a multiple of 8, so a slab packs into whole bytes
-    of a packed mask (grid.pack_y); widening the box is exact, because
-    membership is the voxel-center test itself. A dome's box starts at its
-    first slice at or above its cap plane.
+    The y-span starts on a multiple of 8, so the box's rows pack into
+    whole bytes of a packed mask (grid.pack_y); widening the box is exact,
+    because membership is the voxel-center test itself. A dome's box
+    starts at its first slice at or above its cap plane.
     """
     cx, cy, cz = solid.center
     if isinstance(solid, Ellipsoid):
@@ -240,25 +236,6 @@ def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
     return _Box(z0, slice(y0, y1), slice(x0, x1), ty[:, None] + tx[None, :], bounds)
 
 
-def _slabs(box: _Box, z_lo: int = 0, z_hi: float = math.inf):
-    """Yield (zs, inside) for each z-slab of the box within slices [z_lo, z_hi).
-
-    inside is the bool voxel-center test of the block [zs, box.ys, box.xs],
-    in a buffer that the next slab overwrites.
-    """
-    lo, hi = max(box.z0, z_lo), min(box.z1, z_hi)
-    if lo >= hi:
-        return
-    step = max(1, _SLAB_VOXELS // box.txy.size)
-    buf = np.empty((min(step, hi - lo), *box.txy.shape), bool)
-    for z in range(lo, hi, step):
-        inside = buf[:hi - z]
-        # one plane at a time: a broadcast compare into the slab buffers its operands
-        for plane, bound in zip(inside, box.bounds[z - box.z0:]):
-            np.less_equal(box.txy, bound, out=plane)
-        yield slice(z, z + len(inside)), inside
-
-
 def _silhouette(geom: GridGeometry, box: _Box | None) -> np.ndarray:
     """The solid's coronal (nz, nx) silhouette: the OR over y of its voxel test.
 
@@ -267,24 +244,148 @@ def _silhouette(geom: GridGeometry, box: _Box | None) -> np.ndarray:
     """
     sil = np.zeros((geom.nz, geom.nx), bool)
     if box is not None:
-        sil[box.z0:box.z1, box.xs] = box.txy.min(axis=0) <= box.bounds[:, None]
+        sil[box.z0:box.z0 + len(box.bounds), box.xs] = box.txy.min(axis=0) <= box.bounds[:, None]
     return sil
 
 
-def _paint_truth(box: _Box | None, truth: np.ndarray, other: np.ndarray) -> None:
-    """Pack a lung's voxels into truth, slab by slab, once none is set in other.
+@dataclass(frozen=True)
+class _Sorted:
+    """A solid's voxel-center test, with its box's columns sorted by their test value.
 
-    other is the other lung's packed mask (grid.pack_y).
+    cols holds the box's (y, x) columns as flat int32 indices y * nx + x
+    of a grid slice, in ascending txy (ties in any order). At slice z the
+    test txy <= bound holds on exactly cols[:counts[z]], where counts[z]
+    is searchsorted(sorted txy, bound, "right") inside the box's slices
+    zs and 0 outside them: every value <= bound sorts before every value
+    > bound, and equal values pass or fail together. So between slices
+    z - 1 and z only the columns between counts[z - 1] and counts[z]
+    change, whichever is larger; the bounds need not be monotone.
+    """
+
+    cols: np.ndarray
+    counts: list[int]  # one per grid slice
+    zs: range
+    ys: slice
+    xs: slice
+
+    def changes(self):
+        """Yield (z, lo, hi) for each slice z whose voxels differ from slice z - 1's.
+
+        cols[lo:hi] are the columns that enter or leave the solid there.
+        """
+        prev = 0
+        for z in range(self.zs.start, min(self.zs.stop + 1, len(self.counts))):
+            if self.counts[z] != prev:
+                yield z, min(prev, self.counts[z]), max(prev, self.counts[z])
+                prev = self.counts[z]
+
+
+def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
+    """Sort the box's columns by their test value, once: see _Sorted.
+
+    The int64 argsort is the largest temporary besides txy itself:
+    searchsorted reads the sorted values through it, without a copy.
     """
     if box is None:
-        return
-    j0 = box.ys.start // 8
-    for zs, inside in _slabs(box):
-        packed = pack_y(inside)
-        js = slice(j0, j0 + packed.shape[1])
-        if (other[zs, js, box.xs] & packed).any():  # no lung is empty then: check it first
-            raise SpecViolation("lungs intersect")
-        truth[zs, js, box.xs] = packed
+        return None
+    txy, width = box.txy.ravel(), box.txy.shape[1]
+    order = np.argsort(txy)
+    zs = range(box.z0, box.z0 + len(box.bounds))
+    counts = np.zeros(geom.nz, np.intp)
+    counts[zs.start:zs.stop] = np.searchsorted(txy, box.bounds, "right", sorter=order)
+    cols = order.astype(np.int32)
+    del order
+    rows = cols // width  # box-local y * width + x -> the grid slice's y * nx + x
+    rows *= geom.nx - width
+    cols += rows
+    cols += box.ys.start * geom.nx + box.xs.start
+    return _Sorted(cols, counts.tolist(), zs, box.ys, box.xs)
+
+
+def _zeros_mapped(shape: tuple[int, ...]) -> np.ndarray:
+    """A uint8 array of zeros in a private anonymous map of its own, not a malloc block.
+
+    Its pages take no memory until written (a read maps the shared zero
+    page; a shared map would back it), and go back to the system as soon
+    as the array is freed. A truth mask is 8 MB on the CT grid: once one
+    such malloc block is freed, glibc serves the next ones from its heap,
+    which a 4-case CT phantom + cohort run then often left untrimmed,
+    ~20 MB larger than needed (peak RSS +16 MB in 3 of 10 seeds).
+    """
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    return np.ndarray(shape, np.uint8, mmap.mmap(-1, math.prod(shape), flags=flags))
+
+
+def _pack_truth(geom: GridGeometry, lung: _Sorted) -> np.ndarray:
+    """The lung's packed truth mask (grid.pack_y), each slice toggled from the one before it.
+
+    The toggled slice spans only the box's bytes. A voxel that enters or
+    leaves flips bit y % 8 of its byte; several voxels of one byte may
+    flip in one slice, hence np.bitwise_xor.at.
+    """
+    truth = _zeros_mapped(geom.packed_zyx)
+    js, width = slice(lung.ys.start // 8, geom.packed_zyx[1]), lung.xs.stop - lung.xs.start
+    byte, x = np.divmod(lung.cols, geom.nx)  # byte holds y until it is made the byte index
+    bit = np.uint8(1) << (byte & 7).astype(np.uint8)
+    byte >>= 3
+    byte -= js.start
+    byte *= width
+    x -= lung.xs.start
+    byte += x
+    del x
+    plane = np.zeros((js.stop - js.start, width), np.uint8)
+    flat, done = plane.reshape(-1), lung.zs.start
+    for z, lo, hi in lung.changes():
+        truth[done:z, js, lung.xs] = plane  # the slices since the last change
+        np.bitwise_xor.at(flat, byte[lo:hi], bit[lo:hi])
+        done = z
+    truth[done:lung.zs.stop, js, lung.xs] = plane  # empty past an exit at zs.stop
+    return truth
+
+
+# The solids of the HU volume in paint order, each with its HU field.
+_PAINT_ORDER = (("torso", "soft"), ("lung_right", "lung"), ("lung_left", "lung"),
+                ("heart", "heart"), ("diaphragm_right", "diaphragm"),
+                ("diaphragm_left", "diaphragm"))
+
+
+def _planes(spec: PhantomSpec, made: dict):
+    """Yield the HU volume's (ny, nx) slices in z order, each painted from the one before it.
+
+    Each slice is air, then the torso, the lungs, the heart and the
+    domes, each solid painted over the ones before it: a pixel takes the
+    HU of the last solid holding it. held keeps one bit per solid for
+    each pixel; between slices only the columns a solid gains or loses
+    (_Sorted.changes) flip their bit and are repainted, through a table
+    from each set of solids to its HU. made maps a solid's field name to
+    its _Sorted where generate_phantom has made it; every other solid is
+    sorted here. Each slice is yielded in one buffer that the next
+    slice overwrites.
+    """
+    g = spec.geometry
+    solids = []
+    for name, tissue in _PAINT_ORDER:
+        solid = getattr(spec, name)
+        sorted_ = made.get(name) or (_sort(g, _box(g, solid)) if solid is not None else None)
+        if sorted_ is not None:
+            solids.append((sorted_, getattr(spec.hu, tissue)))
+    # bit i stands for solids[i]: a set of solids takes the HU of its highest bit
+    table = np.array([spec.hu.air] + [solids[m.bit_length() - 1][1]
+                                      for m in range(1, 1 << len(solids))], np.int16)
+    steps = [[] for _ in range(g.nz)]  # per slice: (the columns that change, their solid's bit)
+    for i, (sorted_, _) in enumerate(solids):
+        for z, lo, hi in sorted_.changes():
+            steps[z].append((sorted_.cols[lo:hi], 1 << i))
+    held = np.zeros(g.ny * g.nx, np.uint8)
+    plane = np.full(g.ny * g.nx, spec.hu.air, np.int16)
+    slice_ = plane.reshape(g.ny, g.nx)
+    for step in steps:
+        for cols, bit in step:
+            held[cols] ^= bit
+        if step:  # once every bit of the slice is set
+            cols = step[0][0] if len(step) == 1 else np.concatenate([cols for cols, _ in step])
+            plane.put(cols, table.take(held.take(cols)))
+        yield slice_
 
 
 @dataclass(frozen=True)
@@ -294,44 +395,40 @@ class PhantomVolume:
     chunks() paints it in z order, ~512 KB of slices at a time, into one
     buffer (grid.z_chunks), so io.save_volume writes it and
     projection.render_drr projects it without ever holding it. values
-    paints it whole, once, for library callers, and caches it. Each slice
-    is air, then the torso, the lungs, the heart and the domes, each
-    solid painted over the ones before it.
+    paints it whole, once, for library callers, and caches it. Both copy
+    the slices of _planes, which paints each slice from the one before
+    it; the painter's state belongs to each chunks() iterator, so
+    iterators of one volume are independent. made holds the lungs'
+    _Sorted that generate_phantom made for the truth masks, so no solid
+    is sorted twice per case; a volume made without them sorts every
+    solid itself.
     """
 
     spec: PhantomSpec
+    made: dict[str, _Sorted] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def geometry(self) -> GridGeometry:
         return self.spec.geometry
 
-    def _solids(self) -> list[tuple[_Box, int]]:
-        """(box, HU) of each solid with voxels, in paint order."""
-        s, hu = self.spec, self.spec.hu
-        return [(box, value) for solid, value in (
-                    (s.torso, hu.soft), (s.lung_right, hu.lung), (s.lung_left, hu.lung),
-                    (s.heart, hu.heart), (s.diaphragm_right, hu.diaphragm),
-                    (s.diaphragm_left, hu.diaphragm))
-                if solid is not None and (box := _box(s.geometry, solid)) is not None]
-
-    def _paint(self, out: np.ndarray, z0: int, solids: list) -> np.ndarray:
-        """Paint slices z0 .. z0 + len(out) of the volume into out, and return it."""
-        out.fill(self.spec.hu.air)
-        for box, hu in solids:
-            for zs, inside in _slabs(box, z0, z0 + len(out)):
-                np.copyto(out[zs.start - z0:zs.stop - z0, box.ys, box.xs], hu, where=inside)
-        return out
-
     def chunks(self):
         """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
-        return z_chunks(self.geometry, functools.partial(self._paint, solids=self._solids()))
+        planes = _planes(self.spec, self.made)
+        return z_chunks(self.geometry, lambda out, z0: _fill(out, planes))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """The read-only (nz, ny, nx) int16 volume, painted as one chunk on first use."""
-        values = self._paint(np.empty(self.geometry.shape_zyx, np.int16), 0, self._solids())
+        """The read-only (nz, ny, nx) int16 volume, painted whole on first use."""
+        values = _fill(np.empty(self.geometry.shape_zyx, np.int16), _planes(self.spec, self.made))
         values.flags.writeable = False
         return values
+
+
+def _fill(out: np.ndarray, planes) -> np.ndarray:
+    """Copy the next len(out) slices of the planes iterator into out, and return it."""
+    for out_plane, plane in zip(out, planes):  # zip takes out's plane first: no slice is lost
+        out_plane[...] = plane
+    return out
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -382,21 +479,29 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     Every SpecViolation comes from here, before any volume slice is painted.
     """
     g = spec.geometry
-    # the truth masks are painted packed, one bit per voxel (grid.pack_y)
-    truth_r, truth_l = np.zeros(g.packed_zyx, np.uint8), np.zeros(g.packed_zyx, np.uint8)
-    box_r, box_l = _box(g, spec.lung_right), _box(g, spec.lung_left)
-    _paint_truth(box_r, truth_r, truth_l)
-    _paint_truth(box_l, truth_l, truth_r)
-    sil_r, sil_l = _silhouette(g, box_r), _silhouette(g, box_l)
-    if not sil_r.any() or not sil_l.any():
+    sils, made = [], {}
+    for name in ("lung_right", "lung_left"):
+        box = _box(g, getattr(spec, name))
+        sils.append(_silhouette(g, box))
+        made[name] = _sort(g, box)
+    del box
+    sota_r_bits, sota_l_bits = sils
+    if not sota_r_bits.any() or not sota_l_bits.any():
         raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
+    # the truth masks are painted packed, one bit per voxel (grid.pack_y)
+    right, left = made.values()
+    truth_r, truth_l = _pack_truth(g, right), _pack_truth(g, left)
+    xs = slice(max(right.xs.start, left.xs.start), min(right.xs.stop, left.xs.stop))
+    for z in range(max(right.zs.start, left.zs.start), min(right.zs.stop, left.zs.stop)):
+        if xs.start < xs.stop and (truth_r[z, :, xs] & truth_l[z, :, xs]).any():
+            raise SpecViolation("lungs intersect")
 
     occ_sil = np.zeros((g.nz, g.nx), dtype=bool)
     for solid in (spec.heart, spec.diaphragm_right, spec.diaphragm_left):
         if solid is not None:
             occ_sil |= _silhouette(g, _box(g, solid))
-
-    sota_r_bits, sota_l_bits = sil_r & ~occ_sil, sil_l & ~occ_sil
+    sota_r_bits &= ~occ_sil
+    sota_l_bits &= ~occ_sil
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
     annot2_r = _jitter_bits(sota_r_bits, spec.annotator_jitter_px, rng)  # right drawn first
     annot2_l = _jitter_bits(sota_l_bits, spec.annotator_jitter_px, rng)
@@ -406,7 +511,7 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
 
     return PhantomCase(
         spec=spec,
-        volume=PhantomVolume(spec),
+        volume=PhantomVolume(spec, made),
         truth_right=Mask3D.from_packed(g, truth_r, "right"),
         truth_left=Mask3D.from_packed(g, truth_l, "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
@@ -614,7 +719,7 @@ def cohort_case(base: PhantomSpec, index: int, seed: int,
     if not (0.0 <= perturb_pct < 100.0):
         raise ValueError("perturb_pct must be in [0, 100)")
     scale = perturb_pct / 100.0
-    last_error: Exception | None = None
+    last_error = ""
     for attempt in range(MAX_COHORT_RETRIES):
         ss = np.random.SeedSequence(seed, spawn_key=(index, attempt))
         rng = np.random.Generator(np.random.PCG64(ss))
@@ -629,7 +734,9 @@ def cohort_case(base: PhantomSpec, index: int, seed: int,
             )
             return generate_phantom(candidate)
         except SpecViolation as exc:
-            last_error = exc
+            # the message only: the exception's traceback and the frame holding it
+            # would form a cycle that keeps the failed attempt's masks until a gc pass
+            last_error = str(exc)
     raise SpecViolation(
         f"case {index}: no valid perturbation in {MAX_COHORT_RETRIES} attempts: {last_error}"
     )

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import mmap
 import os
 import re
 import shutil
@@ -265,13 +266,25 @@ def test_phantom_deeply_nested_dims_is_one_short_line(tmp_path):
 
 def test_phantom_out_of_memory_is_one_line(tmp_path, spec_file, capsys, monkeypatch):
     # a grid numpy can index but the machine cannot hold: no real allocation is tried.
-    # The painter's first large allocation is the packed truth masks' np.zeros.
+    # The painter's first np.zeros is a lung's (nz, nx) silhouette.
     def zeros(*args, **kwargs):
         raise MemoryError("Unable to allocate 128. GiB for an array")
     monkeypatch.setattr(np, "zeros", zeros)
     assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec_file),
                  "--n", "1", "--quiet"]) == 2
     assert one_error_line(capsys).startswith("error: MemoryError:")
+
+
+def test_phantom_failing_to_map_a_truth_mask_is_one_line(tmp_path, spec_file, capsys,
+                                                         monkeypatch):
+    """The packed truth masks get anonymous maps of their own: a failed map is exit 2."""
+    def no_map(*args, **kwargs):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+    monkeypatch.setattr(mmap, "mmap", no_map)
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec_file),
+                 "--n", "1", "--quiet"]) == 2
+    assert one_error_line(capsys).startswith(f"error: OSError: [Errno {errno.ENOMEM}]")
+    assert not (tmp_path / "x").exists()
 
 
 def _fail_on_second_chunk_write(monkeypatch):
@@ -298,14 +311,17 @@ def _fail_on_second_chunk_write(monkeypatch):
 
 
 def _fail_painting_the_second_chunk(monkeypatch):
-    from lungcover import phantom
-    real = phantom._slabs
+    """The volume painter runs out of memory on the first slice of the second chunk."""
+    from lungcover import grid, phantom
+    real = phantom._planes
 
-    def slabs(box, z_lo=0, z_hi=math.inf):
-        if z_lo > 0:  # the truth masks are painted whole: only the volume paints from z > 0
-            raise MemoryError("Unable to allocate 512. KiB for an array")
-        return real(box, z_lo, z_hi)
-    monkeypatch.setattr(phantom, "_slabs", slabs)
+    def planes(spec, made):
+        depth = grid.chunk_depth(2 * spec.geometry.ny * spec.geometry.nx)
+        for z, plane in enumerate(real(spec, made)):
+            if z == depth:
+                raise MemoryError("Unable to allocate 512. KiB for an array")
+            yield plane
+    monkeypatch.setattr(phantom, "_planes", planes)
 
 
 @pytest.mark.parametrize("fail, kind", [(_fail_on_second_chunk_write, "IoFailure"),

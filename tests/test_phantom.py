@@ -13,11 +13,14 @@ on the outside, the transposed order of the oracle's own quadrature.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
+import mmap
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -50,8 +53,8 @@ from lungcover.phantom import (
 )
 from lungcover import grid
 from lungcover.io import load_volume, save_volume
-from lungcover.phantom import (_SLAB_VOXELS, JITTER_FLIP_PROB, _axis_centers, _grow, _index_span,
-                               _jitter_bits)
+from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _box, _grow, _index_span, _jitter_bits,
+                               _sort)
 from lungcover.projection import DEFAULT_WINDOW, project_mask, render_drr
 
 from strategies import JSON_VALUES, mutated
@@ -329,6 +332,17 @@ PAINTER_SPECS = {
 }
 
 
+def assert_truth_is_mapped(case) -> int:
+    """The case's packed truth masks sit in anonymous maps; returns their bytes.
+
+    A map's pages go back to the system when its mask is freed, and
+    tracemalloc does not trace them.
+    """
+    masks = (case.truth_right.packed, case.truth_left.packed)
+    assert all(isinstance(m.base, mmap.mmap) for m in masks)
+    return sum(m.nbytes for m in masks)
+
+
 class TestSlicePainter:
     @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
     def test_matches_full_volume_reference(self, spec):
@@ -353,9 +367,12 @@ class TestSlicePainter:
     def test_peak_memory_is_the_outputs(self, build):
         """No 3D temporary and no volume: the traced peak is the masks and a little work.
 
-        The work is the slab buffer and its packed copy, and the 2D
-        temporaries of the silhouettes and the jitter. An int16 volume
-        (4 MB here) or a bool one (2 MB) would be many times that.
+        The work is each lung's sort (its txy, argsort and sorted columns,
+        which the case keeps for its volume), the truth slice it toggles,
+        and the 2D temporaries of the silhouettes and the jitter. An int16
+        volume (4 MB here) or a bool one (2 MB) would be many times that.
+        The bound is the one the slab painter was held to: 2 slabs of
+        65536 voxels and 8 (nz, nx) bool planes.
         """
         spec = build()
         g = spec.geometry
@@ -367,11 +384,12 @@ class TestSlicePainter:
         finally:
             tracemalloc.stop()
         assert "values" not in vars(case.volume)  # painted only when read
-        # the truth masks are held packed, one bit per voxel
-        outputs = (case.truth_right.packed.nbytes + case.truth_left.packed.nbytes
-                   + 4 * case.sota2d_right.bits.nbytes)
-        work = 2 * _SLAB_VOXELS + 8 * g.nz * g.nx
-        assert peak <= outputs + work, (peak, outputs, work)
+        # the truth masks are held packed, one bit per voxel, in anonymous maps,
+        # which tracemalloc does not see: they are added to its peak
+        mapped = assert_truth_is_mapped(case)
+        outputs = mapped + 4 * case.sota2d_right.bits.nbytes
+        work = 2 * 65536 + 8 * g.nz * g.nx
+        assert peak + mapped <= outputs + work, (peak, outputs, work)
 
     @pytest.mark.parametrize("name", ["default", "anatomical"])
     def test_phantom_command_writes_reference_bytes(self, tmp_path, name):
@@ -401,6 +419,108 @@ class TestSlicePainter:
             assert sorted(p.name for p in case_dir.iterdir()) == sorted(want)
             for file_name, data in want.items():
                 assert (case_dir / file_name).read_bytes() == data, file_name
+
+
+SOLIDS = ("torso", "lung_right", "lung_left", "heart", "diaphragm_right", "diaphragm_left")
+
+
+def assert_sorted_columns_are_the_test(geom: GridGeometry, solid) -> None:
+    """At every slice z, _sort's first counts[z] columns are the box columns passing the test.
+
+    Compared as sets of grid-slice indices y * nx + x, against
+    np.flatnonzero(txy <= bound) of the same box; outside the box's
+    slices no column passes. The changes() steps replay the counts.
+    """
+    box, sorted_ = _box(geom, solid), _sort(geom, _box(geom, solid))
+    if box is None:
+        assert sorted_ is None
+        return
+    ys, xs = np.arange(box.ys.start, box.ys.stop), np.arange(box.xs.start, box.xs.stop)
+    flat = (ys[:, None] * geom.nx + xs[None, :]).ravel()  # box column -> grid slice index
+    np.testing.assert_array_equal(np.sort(sorted_.cols), np.sort(flat))  # a permutation
+    count = 0
+    steps = {z: (lo, hi) for z, lo, hi in sorted_.changes()}
+    for z in range(geom.nz):
+        inside = 0 <= z - box.z0 < len(box.bounds)
+        want = flat[np.flatnonzero(box.txy.ravel() <= box.bounds[z - box.z0])] if inside else []
+        got = sorted_.cols[:sorted_.counts[z]]
+        np.testing.assert_array_equal(np.sort(got), np.sort(want), err_msg=f"slice {z}")
+        if z in steps:  # the columns between the old and the new count change
+            assert sorted(steps[z]) == [min(count, len(got)), max(count, len(got))]
+            count = len(got)
+        assert count == len(got), z
+
+
+# A sphere centred on a voxel centre of a 1 mm grid: txy = dx^2 + dy^2 are
+# small integers, exact in floating point, so many columns tie. Its cap plane
+# is the voxel-centre plane z = 8.5, and on that slice the bound 25 equals the
+# txy of the 12 columns (+-3, +-4), (+-4, +-3), (+-5, 0) and (0, +-5).
+TIE_GEOMETRY = GridGeometry(17, 17, 17, 1.0, 1.0, 1.0)
+TIE_CAP = SphereCap((8.5, 8.5, 8.5), 5.0, 8.5)
+
+
+class TestSortedColumns:
+    @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
+    def test_first_counts_are_the_voxels_that_pass(self, spec):
+        for name in SOLIDS:
+            if getattr(spec, name) is not None:
+                assert_sorted_columns_are_the_test(spec.geometry, getattr(spec, name))
+
+    @settings(max_examples=60)
+    @given(spec=phantom_specs())
+    def test_random_specs_first_counts_are_the_voxels_that_pass(self, spec):
+        for name in SOLIDS:
+            if getattr(spec, name) is not None:
+                assert_sorted_columns_are_the_test(spec.geometry, getattr(spec, name))
+
+    @pytest.mark.parametrize("solid", [TIE_CAP, Ellipsoid((8.5, 8.5, 8.5), (5.0, 5.0, 5.0)),
+                                       Ellipsoid((8.5, 8.5, 8.5), (4.0, 4.0, 4.0))],
+                             ids=["cap-on-centre-plane", "sphere-on-centre", "dyadic-sphere"])
+    def test_ties_pass_or_fail_together(self, solid):
+        """Columns of equal txy, and a bound equal to a txy, on a symmetric grid.
+
+        With semi-axes 4 every txy = (dx^2 + dy^2) / 16 and bound
+        1 - dz^2 / 16 is exact, so the centre slice's bound 1 ties with
+        (+-4, 0) and (0, +-4).
+        """
+        box = _box(TIE_GEOMETRY, solid)
+        ties = [np.count_nonzero(box.txy == b) for b in box.bounds]
+        assert max(ties) >= 4  # some slice's bound equals the txy of several columns
+        assert_sorted_columns_are_the_test(TIE_GEOMETRY, solid)
+
+    def test_cap_plane_slice_holds_its_boundary_ring(self):
+        box = _box(TIE_GEOMETRY, TIE_CAP)
+        assert box.z0 == 8 and box.bounds[0] == 25.0  # the cap plane is slice 8's centre
+        assert np.count_nonzero(box.txy == 25.0) == 12
+        sorted_ = _sort(TIE_GEOMETRY, box)
+        assert sorted_.counts[8] == np.count_nonzero(box.txy <= 25.0)
+        assert sorted_.counts[7] == 0
+
+    def test_ct_grid_peak_memory(self):
+        """On the CT grid a case peaks at its masks plus ~1 MB, and a chunks() pass at ~4 MB.
+
+        The bounds are in MiB. The slab painter peaked at 17.10 MiB in
+        generate_phantom and 2.72 MiB over the case in one chunks() pass.
+        The pass holds one chunk (one 512 KB slice here), the persistent
+        slice, the per-pixel solid bits, and each solid's sorted columns;
+        the torso's sort is its largest temporary.
+        """
+        spec = replace(default_spec(), geometry=DEFAULT_JSON_GEOMETRY)
+        generate_phantom(spec)  # first-call allocations are not the painter's
+        tracemalloc.start()
+        try:
+            case = generate_phantom(spec)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in case.volume.chunks():
+                pass
+            pass_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        peak += assert_truth_is_mapped(case)  # 2 x 7.6 MiB that tracemalloc does not see
+        assert peak <= 17.2 * 2 ** 20, peak
+        assert pass_peak <= 4 * 2 ** 20, pass_peak
+        assert "values" not in vars(case.volume)
 
 
 def assert_streams_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> None:
@@ -466,6 +586,25 @@ class TestStreamedVolume:
     @given(spec=phantom_specs(), chunk_bytes=st.integers(1, 4 * 2 * 22 * 22))
     def test_random_specs_project_their_values(self, spec, chunk_bytes, tmp_path_factory):
         assert_projects_its_values(spec, chunk_bytes, tmp_path_factory.mktemp("drr"))
+
+    def test_painter_state_belongs_to_each_iterator(self):
+        """Two chunks() iterators consumed alternately, and values read mid-stream, are exact."""
+        spec = PAINTER_SPECS["anatomical"]
+        want = reference_phantom(spec)["volume"]
+        volume = generate_phantom(spec).volume
+        with mock.patch.object(grid, "_CHUNK_BYTES", 5 * 2 * spec.geometry.ny * spec.geometry.nx):
+            ahead, behind = volume.chunks(), volume.chunks()
+            got_ahead, got_behind = [next(ahead).copy()], []
+            for a, b in zip(ahead, behind):  # ahead one chunk in front of behind
+                got_ahead.append(a.copy())
+                got_behind.append(b.copy())
+            got_behind += [b.copy() for b in behind]
+            half = volume.chunks()
+            first = [next(half).copy() for _ in range(13)]  # 13 of 26 chunks
+            np.testing.assert_array_equal(volume.values, want)
+            rest = [c.copy() for c in half]
+        for chunks in (got_ahead, got_behind, first + rest):
+            np.testing.assert_array_equal(np.concatenate(chunks), want)
 
     def test_chunks_repeat_and_do_not_share_a_buffer(self):
         volume = generate_phantom(ANISO).volume
@@ -875,12 +1014,38 @@ class TestCohort:
         with pytest.raises(ValueError):
             cohort_case(default_spec(), 0, seed=0, perturb_pct=100.0)
 
+    def test_a_failed_attempt_is_freed_before_the_retry(self, monkeypatch):
+        """cohort_case keeps nothing of a failed attempt, so its masks go before the next one's.
+
+        With gc off only reference counts free memory: an exception kept in
+        a local would hold its traceback, whose frames hold the attempt's
+        arrays and the local itself, a cycle. On the CT grid that is 16 MB.
+        """
+        from lungcover import phantom
+        real, freed = phantom.generate_phantom, []
+
+        def first_attempt_fails(spec):
+            if not freed:
+                masks = np.zeros(1 << 16, np.uint8)  # stands for the attempt's truth masks
+                freed.append(weakref.ref(masks))
+                raise SpecViolation("lungs intersect")
+            assert freed[0]() is None  # before the retry paints anything
+            return real(spec)
+        monkeypatch.setattr(phantom, "generate_phantom", first_attempt_fails)
+        gc.disable()
+        try:
+            case = cohort_case(default_spec(), 0, seed=0)
+        finally:
+            gc.enable()
+        assert case.truth_right.voxel_count > 0
+
     def test_impossible_base_exhausts_retries(self):
         # lungs that overlap at every scale draw
         base = replace(default_spec(),
                        lung_right=Ellipsoid((150.0, 160.0, 175.0), (40.0, 40.0, 40.0)),
                        lung_left=Ellipsoid((160.0, 160.0, 175.0), (40.0, 40.0, 40.0)))
-        with pytest.raises(SpecViolation):
+        with pytest.raises(SpecViolation, match="case 0: no valid perturbation in 8 attempts: "
+                                                "lungs intersect"):
             cohort_case(base, 0, seed=0, perturb_pct=1.0)
 
 
