@@ -117,7 +117,7 @@ def cmd_phantom(args) -> int:
             "spec": spec_to_dict(case.spec),
         })
         _say(args, f"wrote {case_dir}")
-        del case  # a CT case holds 2 x 8 MB of truth masks: free it before the next one
+        del case  # its 2D masks and sorted columns: freed before the next case is painted
     manifest = {
         "kind": "lungcover-cohort",
         "n_cases": args.n,

@@ -16,6 +16,7 @@ mark it read-only. So a value derived from a mask's bits, such as
 
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -64,10 +65,10 @@ def check_label(label) -> None:
         raise ValueError(f"label must be one of {LABELS}, got {reprlib.repr(label)}")
 
 
-# A volume is painted, read, range-checked and summed in z-chunks of about
-# this many bytes (at least one slice): each chunk stays in cache from the
-# pass that fills it to the passes that use it. The one depth rule of every
-# volume kind and of the HU range check.
+# A volume or a packed mask is painted, read, range-checked, counted and
+# summed in z-chunks of about this many bytes (at least one slice): each
+# chunk stays in cache from the pass that fills it to the passes that use
+# it. The one depth rule of every volume and 3D mask kind.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -76,17 +77,39 @@ def chunk_depth(slice_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // slice_bytes)
 
 
-def z_chunks(geometry: GridGeometry, fill):
-    """Yield an int16 volume's z-chunks in order, in one buffer that the next chunk overwrites.
+def z_chunks(shape: tuple[int, ...], dtype, fill):
+    """Yield an array's z-chunks in order, in one buffer that the next chunk overwrites.
 
-    fill(out, z0) writes slices z0 .. z0 + len(out) of the volume into
-    out and returns it; out holds chunk_depth slices, fewer at the end.
+    shape is (nz, *slice shape): (nz, ny, nx) int16 for a volume,
+    GridGeometry.packed_zyx uint8 for a packed 3D mask. fill(out, z0)
+    writes slices z0 .. z0 + len(out) into out and returns it; out holds
+    chunk_depth slices, fewer at the end.
     """
-    g = geometry
-    depth = chunk_depth(2 * g.ny * g.nx)
-    buf = np.empty((min(depth, g.nz), g.ny, g.nx), "<i2")  # the payload's dtype
-    for z in range(0, g.nz, depth):
-        yield fill(buf[:g.nz - z], z)
+    nz, plane = shape[0], tuple(shape[1:])
+    depth = chunk_depth(math.prod(plane) * np.dtype(dtype).itemsize)
+    buf = np.empty((min(depth, nz), *plane), dtype)
+    for z in range(0, nz, depth):
+        yield fill(buf[:nz - z], z)
+
+
+def z_views(arr: np.ndarray):
+    """Yield views of a held (nz, ...) array's z-chunks in order, by the same depth rule."""
+    depth = chunk_depth(arr[0].nbytes)
+    return (arr[z:z + depth] for z in range(0, len(arr), depth))
+
+
+def sum_y(chunks, out: np.ndarray) -> np.ndarray:
+    """Sum each z-chunk along axis 1 into its rows of out, in out's dtype; return out.
+
+    chunks are the z-chunks of one (nz, n, nx) array in order, and out
+    is (nz, nx): every consumer of a 2D answer folds over them this way,
+    so only one chunk is held.
+    """
+    z = 0
+    for chunk in chunks:
+        chunk.sum(axis=1, dtype=out.dtype, out=out[z:z + len(chunk)])
+        z += len(chunk)
+    return out
 
 
 def _within_hu(raw: np.ndarray) -> bool:
@@ -95,9 +118,7 @@ def _within_hu(raw: np.ndarray) -> bool:
     The max pass reads each z-chunk while the min pass has left it in
     cache, so the array streams from memory once.
     """
-    rows = chunk_depth(raw[0].nbytes)
-    return all(HU_MIN <= block.min() and block.max() <= HU_MAX
-               for block in (raw[z:z + rows] for z in range(0, len(raw), rows)))
+    return all(HU_MIN <= block.min() and block.max() <= HU_MAX for block in z_views(raw))
 
 
 @dataclass(frozen=True)
@@ -188,7 +209,11 @@ class Mask3D:
     ``geometry.packed_zyx``: the only copy of the mask kept.
     ``Mask3D(geometry, bits, label)`` packs a bool (or 0/1) array;
     ``Mask3D.from_packed`` takes packed bytes as they are, once their
-    padding bits (y >= ny) are 0.
+    padding bits (y >= ny) are 0. chunks() yields the packed bytes as
+    z-chunks: io.save_mask3d writes them and column_counts folds over
+    them. A phantom's truth mask (phantom.PhantomMask) paints its chunks
+    as they are read, and a loaded one (io.MappedMask3D) lets go of each
+    chunk's pages once it is read, so neither is held whole on the way.
     """
 
     geometry: GridGeometry
@@ -220,6 +245,10 @@ class Mask3D:
         object.__setattr__(self, "packed", _freeze(packed, np.uint8))
         object.__setattr__(self, "label", label)
 
+    def chunks(self):
+        """Yield the packed bytes' z-chunks in order, ~512 KB of slices each."""
+        return z_views(self.packed)
+
     @cached_property
     def bits(self) -> np.ndarray:
         """Read-only (nz, ny, nx) bool unpack of the mask, made on first use and cached."""
@@ -236,11 +265,13 @@ class Mask3D:
     def column_counts(self) -> np.ndarray:
         """Read-only mask voxel count of each (z, x) column along y, shape (nz, nx).
 
-        Cached: the bits cannot change. The dtype is the smallest unsigned
-        type that holds ny, so the sum cannot overflow.
+        A popcount summed over y, one z-chunk at a time. Cached: the bits
+        cannot change. The dtype is the smallest unsigned type that holds
+        ny, so the sum cannot overflow.
         """
-        cols = np.bitwise_count(self.packed).sum(
-            axis=1, dtype=np.min_scalar_type(self.geometry.ny))
+        g = self.geometry
+        cols = sum_y((np.bitwise_count(chunk) for chunk in self.chunks()),
+                     np.empty((g.nz, g.nx), np.min_scalar_type(g.ny)))
         cols.flags.writeable = False
         return cols
 

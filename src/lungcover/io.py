@@ -25,10 +25,11 @@ MalformedHeader.
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
 A payload is written from an iterable of buffers, one after another: a
-mask is one buffer, and a volume is its z-chunks (``volume.chunks()``).
-A phantom's volume paints each chunk as it is written, so the volume is
-never held whole; if a chunk fails to paint or write, the temp file is
-removed and no payload is left.
+2D mask is one buffer, and a volume or a 3D mask is its z-chunks
+(``volume.chunks()``, ``mask.chunks()``). A phantom's volume and truth
+masks paint each chunk as it is written, so none of them is held whole;
+if a chunk fails to paint or write, the temp file is removed and no
+payload is left.
 A written file gets the mode ``open()`` would give it: 0o666 less the
 umask.
 
@@ -40,12 +41,16 @@ check each chunk's HU range while it is in cache, so drr never holds the
 volume; a payload cut short after the load is a SizeMismatch when read.
 A mask's payload is mapped read-only, not copied: a loaded mask is a
 read-only view of the page cache, and the validation scans and every
-computation read the mapped bytes in place. The map also holds a
-duplicate of the descriptor, so each live loaded mask keeps one
-descriptor open until it is freed. Because writes replace a file by
-rename, a loaded volume or mask reads the bytes it was loaded with;
-truncating a mask's payload in place while another process has it loaded
-is unsupported (on POSIX the reader gets SIGBUS).
+computation read the mapped bytes in place. A loaded 3D mask
+(MappedMask3D) counts its columns one z-chunk at a time and drops each
+chunk's pages from the process once the next is counted, so a cohort holds
+about one chunk of each truth mask, not the mask; a later read of the
+packed bytes maps the pages in again. The map also holds a duplicate of
+the descriptor, so each live loaded mask keeps one descriptor open until
+it is freed. Because writes replace a file by rename, a loaded volume or
+mask reads the bytes it was loaded with. A mapped payload is read when
+it is used, not only at load: truncating one in place while another
+process has it loaded is unsupported (on POSIX that reader gets SIGBUS).
 """
 
 from __future__ import annotations
@@ -218,21 +223,57 @@ def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
     dims, spacing, label, dtype, data_path = _load(path, {n: _MASKS[n] for n in ndims},
                                                    labeled=True)
     shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
-    array = np.frombuffer(_map_payload(data_path, math.prod(shape)), np.uint8).reshape(shape)
-    if dtype == "u8":
-        if array.max() > 1:
-            raise MalformedMask(f"{path}: mask bytes must be 0 or 1, "
-                                f"found {int(array[array > 1][0])}")
-        array = array.view(bool)
+    payload = _map_payload(data_path, math.prod(shape))
+    if dtype == "u1y":
+        try:
+            return MappedMask3D.from_payload(GridGeometry(*dims, *spacing), payload, label)
+        except ValueError as exc:  # a padding bit is set
+            raise MalformedMask(f"{path}: {exc}") from exc
+    array = np.frombuffer(payload, np.uint8).reshape(shape)
+    if array.max() > 1:
+        raise MalformedMask(f"{path}: mask bytes must be 0 or 1, "
+                            f"found {int(array[array > 1][0])}")
     if len(dims) == 2:
-        return Mask2D(*dims, *spacing, array, label)
-    g = GridGeometry(*dims, *spacing)
-    if dtype == "u8":  # packed here
-        return Mask3D(g, array, label)
-    try:
-        return Mask3D.from_packed(g, array, label)
-    except ValueError as exc:  # a padding bit is set
-        raise MalformedMask(f"{path}: {exc}") from exc
+        return Mask2D(*dims, *spacing, array.view(bool), label)
+    return Mask3D(GridGeometry(*dims, *spacing), array.view(bool), label)  # packed here
+
+
+# madvise is POSIX: where it is missing, a loaded mask's pages stay until it is freed
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+class MappedMask3D(Mask3D):
+    """A loaded 3D mask whose packed bytes view its mapped "u1y" payload.
+
+    chunks() yields the packed bytes' z-chunks as views of the map, and
+    drops each chunk's pages from the process (madvise MADV_DONTNEED)
+    once the next chunk is asked for. So column_counts, the one pass that
+    reads the whole mask in a cohort, keeps about one chunk resident: the
+    last one, until the mask is freed, and a mask of one chunk is never
+    asked to drop anything. The pages stay in the page cache, and any
+    later read of packed maps them in again, unchanged: the map is
+    read-only and shared with the file.
+    """
+
+    @classmethod
+    def from_payload(cls, geometry: GridGeometry, payload: mmap.mmap,
+                     label: str) -> "MappedMask3D":
+        """The mask of a mapped payload of packed_zyx bytes; ValueError on a set padding bit."""
+        mask = cls.from_packed(geometry, np.frombuffer(payload, np.uint8).reshape(
+            geometry.packed_zyx), label)
+        object.__setattr__(mask, "payload", payload)
+        return mask
+
+    def chunks(self):
+        """Yield the packed bytes' z-chunks in order, letting each one's pages go after it."""
+        done = end = 0  # pages before done are dropped; chunks before end are read
+        for chunk in super().chunks():
+            stop = end - end % mmap.PAGESIZE  # a page is dropped once every chunk it holds is read
+            if _DONTNEED is not None and stop > done:
+                self.payload.madvise(_DONTNEED, done, stop - done)
+                done = stop
+            yield chunk
+            end += chunk.nbytes
 
 
 class FileVolume:
@@ -272,7 +313,7 @@ class FileVolume:
 
     def chunks(self):
         """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
-        return z_chunks(self.geometry, self._read)
+        return z_chunks(self.geometry.shape_zyx, "<i2", self._read)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -290,6 +331,7 @@ def load_volume(path: str | Path) -> FileVolume:
 
 
 def load_mask3d(path: str | Path) -> Mask3D:
+    """A 3D mask; a "u1y" payload is mapped, and its columns counted one chunk at a time."""
     return _load_mask(path, (3,))
 
 
@@ -309,8 +351,9 @@ def save_volume(volume: VoxelVolume, path: str | Path) -> None:
 
 
 def save_mask3d(mask: Mask3D, path: str | Path) -> None:
+    """Write a 3D mask from its packed z-chunks: a phantom's truth mask is painted as written."""
     g = mask.geometry
-    _save(path, (mask.packed,), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label)
+    _save(path, mask.chunks(), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label)
 
 
 def save_mask2d(mask: Mask2D, path: str | Path) -> None:

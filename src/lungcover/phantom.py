@@ -10,17 +10,19 @@ of slice z, over the solid's index box (_box). The box's (y, x) columns
 are sorted by txy once per case (_sort): at slice z the test holds on
 exactly the first searchsorted(sorted txy, bound, "right") of them, so
 going from one slice to the next changes only the columns between the
-two counts. Both painters work that way, one slice after another.
-generate_phantom toggles each changed lung voxel's bit in a packed slice
-and copies the slice into its truth mask (grid.pack_y layout), so the
-two packed truth masks (2 x 8 MB on the 512 x 512 x 244 CT grid) are the
-only 3D arrays it makes. Each coronal silhouette is made in 2D from its
-box's column minima, which is exactly the OR over y of the voxel test.
-The HU volume (PhantomVolume) is a pure function of the spec, painted
-only when read: io.save_volume streams it to disk, and
+two counts. Both painters work that way, one slice after another, and
+generate_phantom makes no 3D array at all. Each coronal silhouette is
+made in 2D from its box's column minima, which is exactly the OR over y
+of the voxel test. The HU volume (PhantomVolume) is a pure function of
+the spec, painted only when read: io.save_volume streams it to disk, and
 projection.render_drr projects it, in z-chunks of ~512 KB, so neither
 ever holds its 128 MB volume. Its painter repaints only the pixels whose
-set of solids changed (_planes). The truth masks are the voxelized lung
+set of solids changed (_planes). Each packed truth mask (PhantomMask,
+8 MB on the 512 x 512 x 244 CT grid) is painted the same way when read:
+its painter toggles each changed lung voxel's bit in a packed slice
+(grid.pack_y layout, _truth_planes), and io.save_mask3d streams it to
+disk chunk by chunk. "Lungs intersect" is tested only where the two
+lung boxes overlap (_lungs_meet). The truth masks are the voxelized lung
 ellipsoids themselves; the contour-style 2D mask is the lung silhouette
 minus the occluder silhouettes; a second annotator is simulated by
 seeded boundary jitter, on a band found by numpy 4-neighbour dilation
@@ -37,14 +39,14 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import reprlib
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import SpecViolation
-from .grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, is_finite_number, z_chunks
+from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, check_label, is_finite_number,
+                   z_chunks)
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -194,14 +196,21 @@ class _Box:
 
     Voxel (z, y, x) of the box, z in [z0, z0 + len(bounds)), is inside
     the solid when txy[y - ys.start, x - xs.start] <= bounds[z - z0]:
-    the one test every mask, silhouette and volume is painted with.
+    the one test every mask, silhouette and volume is painted with. txy
+    is ty[:, None] + tx[None, :], made anew on each use, so a box holds
+    only its 1D terms.
     """
 
     z0: int
     ys: slice
     xs: slice
-    txy: np.ndarray
+    ty: np.ndarray
+    tx: np.ndarray
     bounds: np.ndarray
+
+    @property
+    def txy(self) -> np.ndarray:
+        return self.ty[:, None] + self.tx[None, :]
 
 
 def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
@@ -233,18 +242,19 @@ def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
         bounds = 1.0 - ((zs - cz) / hz) ** 2
     else:  # scalar ** is C pow, which can round differently from the array square
         bounds = np.array([hz * hz - (z - cz) ** 2 for z in zs])
-    return _Box(z0, slice(y0, y1), slice(x0, x1), ty[:, None] + tx[None, :], bounds)
+    return _Box(z0, slice(y0, y1), slice(x0, x1), ty, tx, bounds)
 
 
 def _silhouette(geom: GridGeometry, box: _Box | None) -> np.ndarray:
     """The solid's coronal (nz, nx) silhouette: the OR over y of its voxel test.
 
     Made in 2D and exact: some y of a column passes txy[y, x] <= bound
-    exactly when the column's minimum does.
+    exactly when the column's minimum does, and that minimum is
+    min(ty) + tx[x], because rounding a sum is monotone in each term.
     """
     sil = np.zeros((geom.nz, geom.nx), bool)
     if box is not None:
-        sil[box.z0:box.z0 + len(box.bounds), box.xs] = box.txy.min(axis=0) <= box.bounds[:, None]
+        sil[box.z0:box.z0 + len(box.bounds), box.xs] = box.ty.min() + box.tx <= box.bounds[:, None]
     return sil
 
 
@@ -285,14 +295,16 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
 
     The int64 argsort is the largest temporary besides txy itself:
     searchsorted reads the sorted values through it, without a copy.
+    txy is freed before the columns are built, so the two never meet.
     """
     if box is None:
         return None
-    txy, width = box.txy.ravel(), box.txy.shape[1]
+    txy, width = box.txy.ravel(), len(box.tx)
     order = np.argsort(txy)
     zs = range(box.z0, box.z0 + len(box.bounds))
     counts = np.zeros(geom.nz, np.intp)
     counts[zs.start:zs.stop] = np.searchsorted(txy, box.bounds, "right", sorter=order)
+    del txy
     cols = order.astype(np.int32)
     del order
     rows = cols // width  # box-local y * width + x -> the grid slice's y * nx + x
@@ -302,45 +314,70 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
     return _Sorted(cols, counts.tolist(), zs, box.ys, box.xs)
 
 
-def _zeros_mapped(shape: tuple[int, ...]) -> np.ndarray:
-    """A uint8 array of zeros in a private anonymous map of its own, not a malloc block.
+def _truth_planes(geom: GridGeometry, lung: _Sorted):
+    """Yield the lung's packed truth slices (grid.pack_y) in z order, each toggled from the last.
 
-    Its pages take no memory until written (a read maps the shared zero
-    page; a shared map would back it), and go back to the system as soon
-    as the array is freed. A truth mask is 8 MB on the CT grid: once one
-    such malloc block is freed, glibc serves the next ones from its heap,
-    which a 4-case CT phantom + cohort run then often left untrimmed,
-    ~20 MB larger than needed (peak RSS +16 MB in 3 of 10 seeds).
+    A voxel that enters or leaves flips bit y % 8 of its byte; several
+    voxels of one byte may flip in one slice, hence np.bitwise_xor.at.
+    Each slice is yielded in one buffer that the next slice overwrites.
     """
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-    return np.ndarray(shape, np.uint8, mmap.mmap(-1, math.prod(shape), flags=flags))
-
-
-def _pack_truth(geom: GridGeometry, lung: _Sorted) -> np.ndarray:
-    """The lung's packed truth mask (grid.pack_y), each slice toggled from the one before it.
-
-    The toggled slice spans only the box's bytes. A voxel that enters or
-    leaves flips bit y % 8 of its byte; several voxels of one byte may
-    flip in one slice, hence np.bitwise_xor.at.
-    """
-    truth = _zeros_mapped(geom.packed_zyx)
-    js, width = slice(lung.ys.start // 8, geom.packed_zyx[1]), lung.xs.stop - lung.xs.start
     byte, x = np.divmod(lung.cols, geom.nx)  # byte holds y until it is made the byte index
     bit = np.uint8(1) << (byte & 7).astype(np.uint8)
     byte >>= 3
-    byte -= js.start
-    byte *= width
-    x -= lung.xs.start
+    byte *= geom.nx
     byte += x
     del x
-    plane = np.zeros((js.stop - js.start, width), np.uint8)
-    flat, done = plane.reshape(-1), lung.zs.start
-    for z, lo, hi in lung.changes():
-        truth[done:z, js, lung.xs] = plane  # the slices since the last change
-        np.bitwise_xor.at(flat, byte[lo:hi], bit[lo:hi])
-        done = z
-    truth[done:lung.zs.stop, js, lung.xs] = plane  # empty past an exit at zs.stop
-    return truth
+    changed = {z: slice(lo, hi) for z, lo, hi in lung.changes()}
+    plane = np.zeros(geom.packed_zyx[1:], np.uint8)
+    flat = plane.reshape(-1)
+    for z in range(geom.nz):
+        if z in changed:
+            np.bitwise_xor.at(flat, byte[changed[z]], bit[changed[z]])
+        yield plane
+
+
+class PhantomMask(Mask3D):
+    """A lung's packed truth mask: a pure function of its sorted columns, painted when read.
+
+    The mask counterpart of PhantomVolume. chunks() paints it in z
+    order, ~512 KB of packed slices at a time, into one buffer
+    (grid.z_chunks), so io.save_mask3d writes it and column_counts counts
+    it without ever holding it. packed paints it whole, once, for library
+    callers, and caches it. Both copy the slices of _truth_planes, whose
+    state belongs to each iterator.
+    """
+
+    def __init__(self, geometry: GridGeometry, lung: _Sorted, label: str):
+        check_label(label)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lung", lung)
+
+    def chunks(self):
+        """Yield the packed z-chunks in order, in one buffer that the next chunk overwrites."""
+        planes = _truth_planes(self.geometry, self.lung)
+        return z_chunks(self.geometry.packed_zyx, np.uint8, lambda out, z0: _fill(out, planes))
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """The read-only (nz, ceil(ny/8), nx) packed mask, painted whole on first use."""
+        packed = _fill(np.empty(self.geometry.packed_zyx, np.uint8),
+                       _truth_planes(self.geometry, self.lung))
+        packed.flags.writeable = False
+        return packed
+
+
+def _lungs_meet(a: _Box, b: _Box) -> bool:
+    """Some voxel passes both lungs' tests: looked for only where their boxes overlap."""
+    z0, z1 = max(a.z0, b.z0), min(a.z0 + len(a.bounds), b.z0 + len(b.bounds))
+    ys = slice(max(a.ys.start, b.ys.start), min(a.ys.stop, b.ys.stop))
+    xs = slice(max(a.xs.start, b.xs.start), min(a.xs.stop, b.xs.stop))
+    if z0 >= z1 or ys.start >= ys.stop or xs.start >= xs.stop:
+        return False
+    ta, tb = (box.txy[ys.start - box.ys.start:ys.stop - box.ys.start,
+                      xs.start - box.xs.start:xs.stop - box.xs.start] for box in (a, b))
+    return any(((ta <= a.bounds[z - a.z0]) & (tb <= b.bounds[z - b.z0])).any()
+               for z in range(z0, z1))
 
 
 # The solids of the HU volume in paint order, each with its HU field.
@@ -414,7 +451,7 @@ class PhantomVolume:
     def chunks(self):
         """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
         planes = _planes(self.spec, self.made)
-        return z_chunks(self.geometry, lambda out, z0: _fill(out, planes))
+        return z_chunks(self.geometry.shape_zyx, np.int16, lambda out, z0: _fill(out, planes))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -474,27 +511,21 @@ def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.
 # --- generation ---------------------------------------------------------------
 
 def generate_phantom(spec: PhantomSpec) -> PhantomCase:
-    """Paint the spec's packed truth masks and 2D annotator masks; its volume is painted when read.
+    """Paint the spec's 2D annotator masks; its volume and truth masks are painted when read.
 
-    Every SpecViolation comes from here, before any volume slice is painted.
+    Every SpecViolation comes from here, before any volume or truth slice is painted.
     """
     g = spec.geometry
-    sils, made = [], {}
+    sils, boxes, made = [], [], {}
     for name in ("lung_right", "lung_left"):
-        box = _box(g, getattr(spec, name))
-        sils.append(_silhouette(g, box))
-        made[name] = _sort(g, box)
-    del box
+        boxes.append(_box(g, getattr(spec, name)))
+        sils.append(_silhouette(g, boxes[-1]))
+        made[name] = _sort(g, boxes[-1])
     sota_r_bits, sota_l_bits = sils
     if not sota_r_bits.any() or not sota_l_bits.any():
         raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
-    # the truth masks are painted packed, one bit per voxel (grid.pack_y)
-    right, left = made.values()
-    truth_r, truth_l = _pack_truth(g, right), _pack_truth(g, left)
-    xs = slice(max(right.xs.start, left.xs.start), min(right.xs.stop, left.xs.stop))
-    for z in range(max(right.zs.start, left.zs.start), min(right.zs.stop, left.zs.stop)):
-        if xs.start < xs.stop and (truth_r[z, :, xs] & truth_l[z, :, xs]).any():
-            raise SpecViolation("lungs intersect")
+    if _lungs_meet(*boxes):
+        raise SpecViolation("lungs intersect")
 
     occ_sil = np.zeros((g.nz, g.nx), dtype=bool)
     for solid in (spec.heart, spec.diaphragm_right, spec.diaphragm_left):
@@ -512,8 +543,8 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     return PhantomCase(
         spec=spec,
         volume=PhantomVolume(spec, made),
-        truth_right=Mask3D.from_packed(g, truth_r, "right"),
-        truth_left=Mask3D.from_packed(g, truth_l, "left"),
+        truth_right=PhantomMask(g, made["lung_right"], "right"),
+        truth_left=PhantomMask(g, made["lung_left"], "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
         sota2d_left=m2d(sota_l_bits, "left"),
         annot2_right=m2d(annot2_r, "right"),
@@ -746,8 +777,9 @@ def generate_cohort(base: PhantomSpec, n: int, seed: int,
                     perturb_pct: float = 15.0) -> list[PhantomCase]:
     """n perturbed cases, deterministic given (base, n, seed, perturb_pct).
 
-    The list holds each case's masks, not its volume: a volume is painted
-    only when it is read (PhantomVolume), and then cached on its case.
+    The list holds each case's 2D masks, not its volume or its truth masks:
+    those are painted only when read (PhantomVolume, PhantomMask), and
+    cached on their case only when read whole.
     """
     if n < 1:
         raise ValueError("cohort size must be at least 1")

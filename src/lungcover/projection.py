@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
+from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, sum_y
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,7 @@ def _mean_along_y(volume: VoxelVolume) -> np.ndarray:
     """
     g = volume.geometry
     acc = np.int32 if max(-HU_MIN, HU_MAX) * g.ny <= np.iinfo(np.int32).max else np.int64
-    sums = np.empty((g.nz, g.nx), acc)
-    z = 0
-    for chunk in volume.chunks():
-        chunk.sum(axis=1, dtype=acc, out=sums[z:z + len(chunk)])
-        z += len(chunk)
-    return sums / g.ny
+    return sum_y(volume.chunks(), np.empty((g.nz, g.nx), acc)) / g.ny
 
 
 def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrImage:
@@ -68,10 +63,16 @@ def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrI
     come from its checked spec, and a loaded volume checks each chunk as
     it reads it (io.FileVolume).
     """
-    mean = _mean_along_y(volume)
-    frac = np.clip((mean - window.lo) / (window.hi - window.lo), 0.0, 1.0)
-    pixels = np.floor(255.0 * frac + 0.5).astype(np.uint8)
-    return DrrImage(volume.geometry.nx, volume.geometry.nz, pixels)
+    # in place, the same operations in the same order: one (nz, nx) float64 array, not
+    # one per step, so a CT-grid drr does not grow and trim the malloc heap by ~4 MB a call
+    v = _mean_along_y(volume)
+    v -= window.lo
+    v /= window.hi - window.lo
+    np.clip(v, 0.0, 1.0, out=v)
+    v *= 255.0
+    v += 0.5
+    np.floor(v, out=v)
+    return DrrImage(volume.geometry.nx, volume.geometry.nz, v.astype(np.uint8))
 
 
 def extrude_mask(mask: Mask2D, ny: int, sy: float) -> Mask3D:

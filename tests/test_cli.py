@@ -7,7 +7,6 @@ import gc
 import io
 import json
 import math
-import mmap
 import os
 import re
 import shutil
@@ -275,15 +274,34 @@ def test_phantom_out_of_memory_is_one_line(tmp_path, spec_file, capsys, monkeypa
     assert one_error_line(capsys).startswith("error: MemoryError:")
 
 
-def test_phantom_failing_to_map_a_truth_mask_is_one_line(tmp_path, spec_file, capsys,
-                                                         monkeypatch):
-    """The packed truth masks get anonymous maps of their own: a failed map is exit 2."""
-    def no_map(*args, **kwargs):
-        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
-    monkeypatch.setattr(mmap, "mmap", no_map)
+def test_phantom_failing_to_paint_a_truth_mask_is_one_line(tmp_path, spec_file, capsys,
+                                                           monkeypatch):
+    """A truth mask is painted as it is written: a failure mid-mask is exit 2 and leaves no payload."""
+    from lungcover import grid, phantom
+    real = phantom._truth_planes
+
+    def planes(geom, lung):
+        for z, plane in enumerate(real(geom, lung)):
+            if z == grid.chunk_depth(plane.nbytes):  # the first slice of the second chunk
+                raise MemoryError("Unable to allocate 32. KiB for an array")
+            yield plane
+    monkeypatch.setattr(grid, "_CHUNK_BYTES", 5 * 288)  # 5 packed slices of the 48^3 grid
+    monkeypatch.setattr(phantom, "_truth_planes", planes)
     assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec_file),
                  "--n", "1", "--quiet"]) == 2
-    assert one_error_line(capsys).startswith(f"error: OSError: [Errno {errno.ENOMEM}]")
+    assert one_error_line(capsys).startswith("error: MemoryError:")
+    assert sorted(p.name for p in (tmp_path / "x" / "case_000").iterdir()) == [
+        "volume.json", "volume.raw"]
+
+
+def test_phantom_with_intersecting_lungs_is_one_line(tmp_path, capsys):
+    """Lungs that share voxels in every perturbation: one SpecViolation line, no case file."""
+    spec = tmp_path / "overlap.json"
+    lung = {"center_mm": [110.0, 120.0, 120.0], "semi_axes_mm": [35.0, 35.0, 35.0]}
+    spec.write_text(json.dumps(dict(SMALL_SPEC, lung_right=lung, lung_left=lung)))
+    assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec), "--n", "1"]) == 1
+    assert one_error_line(capsys).startswith(
+        "error: SpecViolation: case 0: no valid perturbation in 8 attempts: lungs intersect")
     assert not (tmp_path / "x").exists()
 
 

@@ -216,6 +216,20 @@ class TestPackedMask3D:
         np.testing.assert_array_equal(back.bits, bits)
         assert back.packed is want and back.label == "right"
 
+    @pytest.mark.parametrize("planes", [0, 1, 5, 1000], ids=lambda n: f"{n}-planes")
+    @pytest.mark.parametrize("ny", [1, 5, 7, 9, 13, 70])
+    def test_column_counts_fold_over_chunks(self, ny, planes, monkeypatch):
+        """Chunks of depth 1 (a slice larger than a chunk), 1, 5 (not dividing nz) and all of nz."""
+        rng = np.random.default_rng(ny)
+        g = small_geometry(nx=6, ny=ny, nz=12)
+        m = Mask3D(g, rng.random(g.shape_zyx) < 0.5, "right")
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", max(1, planes * m.packed[0].nbytes))
+        depth = min(max(planes, 1), 12)
+        chunks = list(m.chunks())
+        assert [len(c) for c in chunks] == [min(depth, 12 - z) for z in range(0, 12, depth)]
+        assert all(np.shares_memory(c, m.packed) for c in chunks)  # views: nothing is copied
+        np.testing.assert_array_equal(m.column_counts, np.bitwise_count(m.packed).sum(axis=1))
+
     def test_keeps_no_bool_array(self):
         g = small_geometry(ny=13)
         m = Mask3D(g, np.ones(g.shape_zyx, bool), "right")

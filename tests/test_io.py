@@ -255,6 +255,54 @@ class TestPackedMask3D:
                 with pytest.raises(MalformedMask, match="beyond ny"):
                     load(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("ny", [5, 13, 70])
+    def test_set_padding_bit_in_the_last_chunk_is_malformed_mask(self, tmp_path, ny, monkeypatch):
+        """One slice per chunk, and the padding bit in the last slice: still caught at load."""
+        g = GridGeometry(nx=3, ny=ny, nz=7, sx=1.0, sy=1.0, sz=1.0)
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", -(-ny // 8) * g.nx)
+        save_mask3d(Mask3D(g, np.ones(g.shape_zyx, bool), "right"), tmp_path / "m.json")
+        raw = tmp_path / "m.raw"
+        data = bytearray(raw.read_bytes())
+        data[-1] |= 1 << 7  # y = 8 * (rows - 1) + 7 >= ny of column (6, 2)
+        raw.write_bytes(bytes(data))
+        with pytest.raises(MalformedMask, match="beyond ny"):
+            load_mask3d(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("planes", [0, 1, 5, 1000], ids=lambda n: f"{n}-planes")
+    @pytest.mark.parametrize("ny", [5, 13, 70])
+    def test_loaded_column_counts_fold_over_chunks(self, tmp_path, ny, planes, monkeypatch):
+        """A loaded mask counts by chunk, letting each chunk's pages go, and still reads its bytes."""
+        rng = np.random.default_rng(ny)
+        g = GridGeometry(nx=300, ny=ny, nz=12, sx=1.0, sy=1.0, sz=1.0)  # slices are not pages
+        mask = Mask3D(g, rng.random(g.shape_zyx) < 0.5, "left")
+        save_mask3d(mask, tmp_path / "m.json")
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", max(1, planes * mask.packed[0].nbytes))
+        loaded = load_mask3d(tmp_path / "m.json")
+        np.testing.assert_array_equal(loaded.column_counts,
+                                      np.bitwise_count(mask.packed).sum(axis=1))
+        np.testing.assert_array_equal(loaded.packed, mask.packed)  # the dropped pages map again
+        assert b"".join(c.tobytes() for c in loaded.chunks()) == mask.packed.tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads the resident set size from /proc")
+    def test_counting_a_loaded_mask_keeps_about_one_chunk_resident(self, tmp_path):
+        """A CT-grid truth mask (7.6 MiB packed) is counted with ~1 MiB more resident, not 7.6."""
+        def resident() -> int:
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        g = GridGeometry(512, 512, 244, 0.66, 0.66, 1.25)
+        save_mask3d(Mask3D.from_packed(g, np.full(g.packed_zyx, 0x5A, np.uint8), "right"),
+                    tmp_path / "m.json")
+        gc.collect()
+        loaded = load_mask3d(tmp_path / "m.json")
+        before = resident()
+        assert (loaded.column_counts == 4 * 64).all()
+        counted = resident() - before
+        assert int(loaded.packed.sum(dtype=np.int64)) == 0x5A * loaded.packed.size
+        read = resident() - before  # reading packed whole maps every page: the check can see
+        assert counted < 2 * 2 ** 20 and read > 6 * 2 ** 20, (counted, read)
+
     def test_legacy_u8_payload_loads_as_the_same_mask(self, tmp_path, rng, legacy_u8):
         g = GridGeometry(nx=7, ny=13, nz=6, sx=1.0, sy=2.0, sz=3.0)
         mask = Mask3D(g, rng.random(g.shape_zyx) < 0.5, "left")

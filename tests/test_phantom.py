@@ -17,7 +17,6 @@ import gc
 import io
 import json
 import math
-import mmap
 import time
 import tracemalloc
 import weakref
@@ -37,6 +36,7 @@ from lungcover.grid import GridGeometry, VoxelVolume
 from lungcover.phantom import (
     DEFAULT_JSON_GEOMETRY,
     Ellipsoid,
+    PhantomMask,
     PhantomSpec,
     PhantomVolume,
     SphereCap,
@@ -52,7 +52,7 @@ from lungcover.phantom import (
     spec_to_dict,
 )
 from lungcover import grid
-from lungcover.io import load_volume, save_volume
+from lungcover.io import load_mask3d, load_volume, save_mask3d, save_volume
 from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _box, _grow, _index_span, _jitter_bits,
                                _sort)
 from lungcover.projection import DEFAULT_WINDOW, project_mask, render_drr
@@ -332,15 +332,10 @@ PAINTER_SPECS = {
 }
 
 
-def assert_truth_is_mapped(case) -> int:
-    """The case's packed truth masks sit in anonymous maps; returns their bytes.
-
-    A map's pages go back to the system when its mask is freed, and
-    tracemalloc does not trace them.
-    """
-    masks = (case.truth_right.packed, case.truth_left.packed)
-    assert all(isinstance(m.base, mmap.mmap) for m in masks)
-    return sum(m.nbytes for m in masks)
+def assert_truth_is_unpainted(case) -> None:
+    """Neither packed truth mask of the case is held whole: each is painted only when read."""
+    for mask in (case.truth_right, case.truth_left):
+        assert isinstance(mask, PhantomMask) and "packed" not in vars(mask)
 
 
 class TestSlicePainter:
@@ -365,14 +360,15 @@ class TestSlicePainter:
 
     @pytest.mark.parametrize("build", [default_spec, anatomical_spec])
     def test_peak_memory_is_the_outputs(self, build):
-        """No 3D temporary and no volume: the traced peak is the masks and a little work.
+        """No 3D array at all: the traced peak is the 2D masks and a little work.
 
         The work is each lung's sort (its txy, argsort and sorted columns,
-        which the case keeps for its volume), the truth slice it toggles,
-        and the 2D temporaries of the silhouettes and the jitter. An int16
-        volume (4 MB here) or a bool one (2 MB) would be many times that.
-        The bound is the one the slab painter was held to: 2 slabs of
-        65536 voxels and 8 (nz, nx) bool planes.
+        which the case keeps for its volume and truth masks) and the 2D
+        temporaries of the silhouettes and the jitter. An int16 volume
+        (4 MB here) or a bool one (2 MB) would be many times that, and one
+        packed truth mask (256 KB) takes the whole bound. The bound is one
+        slab of 65536 voxels tighter than the slab painter's: 2 slabs and
+        8 (nz, nx) bool planes.
         """
         spec = build()
         g = spec.geometry
@@ -384,12 +380,10 @@ class TestSlicePainter:
         finally:
             tracemalloc.stop()
         assert "values" not in vars(case.volume)  # painted only when read
-        # the truth masks are held packed, one bit per voxel, in anonymous maps,
-        # which tracemalloc does not see: they are added to its peak
-        mapped = assert_truth_is_mapped(case)
-        outputs = mapped + 4 * case.sota2d_right.bits.nbytes
-        work = 2 * 65536 + 8 * g.nz * g.nx
-        assert peak + mapped <= outputs + work, (peak, outputs, work)
+        assert_truth_is_unpainted(case)
+        outputs = 4 * case.sota2d_right.bits.nbytes
+        work = 65536 + 8 * g.nz * g.nx
+        assert peak <= outputs + work, (peak, outputs, work)
 
     @pytest.mark.parametrize("name", ["default", "anatomical"])
     def test_phantom_command_writes_reference_bytes(self, tmp_path, name):
@@ -497,13 +491,18 @@ class TestSortedColumns:
         assert sorted_.counts[7] == 0
 
     def test_ct_grid_peak_memory(self):
-        """On the CT grid a case peaks at its masks plus ~1 MB, and a chunks() pass at ~4 MB.
+        """On the CT grid a case peaks at ~1.5 MiB, a volume pass at ~4 and a truth pass at ~2.
 
         The bounds are in MiB. The slab painter peaked at 17.10 MiB in
-        generate_phantom and 2.72 MiB over the case in one chunks() pass.
-        The pass holds one chunk (one 512 KB slice here), the persistent
-        slice, the per-pixel solid bits, and each solid's sorted columns;
-        the torso's sort is its largest temporary.
+        generate_phantom, and the eager truth painter at 17.2 with its two
+        7.6 MiB packed masks; now generate_phantom holds neither. A
+        chunks() pass holds one chunk (one 512 KB slice of the volume, 16
+        packed slices of a truth mask) and the painter's state: for the
+        volume the persistent slice, the per-pixel solid bits and each
+        solid's sorted columns (the torso's sort is its largest
+        temporary); for a truth mask its packed slice and the byte and bit
+        of each of its lung's columns. column_counts adds one chunk's
+        popcount.
         """
         spec = replace(default_spec(), geometry=DEFAULT_JSON_GEOMETRY)
         generate_phantom(spec)  # first-call allocations are not the painter's
@@ -511,16 +510,22 @@ class TestSortedColumns:
         try:
             case = generate_phantom(spec)
             held, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            for _ in case.volume.chunks():
-                pass
-            pass_peak = tracemalloc.get_traced_memory()[1] - held
+            peaks = []
+            for run in (lambda: [None for _ in case.volume.chunks()],
+                        lambda: [None for _ in case.truth_right.chunks()],
+                        lambda: case.truth_left.column_counts):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
-        peak += assert_truth_is_mapped(case)  # 2 x 7.6 MiB that tracemalloc does not see
-        assert peak <= 17.2 * 2 ** 20, peak
-        assert pass_peak <= 4 * 2 ** 20, pass_peak
+        assert peak <= 2 * 2 ** 20, peak
+        volume_pass, truth_pass, count_pass = peaks
+        assert volume_pass <= 4 * 2 ** 20, volume_pass
+        assert truth_pass <= 2 * 2 ** 20, truth_pass
+        assert count_pass <= 3 * 2 ** 20, count_pass
         assert "values" not in vars(case.volume)
+        assert_truth_is_unpainted(case)
 
 
 def assert_streams_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> None:
@@ -614,6 +619,103 @@ class TestStreamedVolume:
         assert all(np.array_equal(a, b) and not np.shares_memory(a, b) for a, b in pairs)
         assert b"".join(c.tobytes() for c in volume.chunks()) == once
         assert once == volume.values.tobytes()
+
+
+def eager_truth(geom: GridGeometry, lung) -> np.ndarray:
+    """A lung's packed truth mask as generate_phantom painted it before it streamed: whole.
+
+    Each slice is toggled from the one before it, over the bytes of the
+    lung's box, and the slices since the last change are copied in one go.
+    """
+    truth = np.zeros(geom.packed_zyx, np.uint8)
+    js, width = slice(lung.ys.start // 8, geom.packed_zyx[1]), lung.xs.stop - lung.xs.start
+    y, x = np.divmod(lung.cols, geom.nx)
+    bit = np.uint8(1) << (y & 7).astype(np.uint8)
+    byte = ((y >> 3) - js.start) * width + (x - lung.xs.start)
+    plane = np.zeros((js.stop - js.start, width), np.uint8)
+    flat, done = plane.reshape(-1), lung.zs.start
+    for z, lo, hi in lung.changes():
+        truth[done:z, js, lung.xs] = plane
+        np.bitwise_xor.at(flat, byte[lo:hi], bit[lo:hi])
+        done = z
+    truth[done:lung.zs.stop, js, lung.xs] = plane
+    return truth
+
+
+def assert_streams_its_truth(spec: PhantomSpec, planes: int, out_dir) -> None:
+    """Each truth payload, streamed in chunks of planes packed slices, is the eager painter's mask.
+
+    planes = 0 is a budget of one byte. Counting the mask's columns, or
+    the payload's once loaded, at that budget gives the eager mask's
+    counts; neither the save nor the count paints the mask whole, and
+    packed, painted whole on request, is the eager mask too.
+    """
+    try:
+        case = generate_phantom(spec)
+    except SpecViolation:
+        return
+    g = spec.geometry
+    for mask in (case.truth_right, case.truth_left):
+        want = eager_truth(g, mask.lung)
+        counts = np.bitwise_count(want).sum(axis=1)
+        with mock.patch.object(grid, "_CHUNK_BYTES", max(1, planes * want[0].nbytes)):
+            save_mask3d(mask, out_dir / "truth.json")
+            np.testing.assert_array_equal(mask.column_counts, counts)
+            np.testing.assert_array_equal(load_mask3d(out_dir / "truth.json").column_counts,
+                                          counts)
+        assert "packed" not in vars(mask)
+        assert (out_dir / "truth.raw").read_bytes() == want.tobytes()
+        np.testing.assert_array_equal(mask.packed, want)
+
+
+PLANE_COUNTS = [0, 1, 5, 1000]
+
+
+class TestStreamedTruth:
+    @pytest.mark.parametrize("planes", PLANE_COUNTS, ids=lambda n: f"{n}-planes")
+    @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
+    def test_payload_is_the_eager_mask(self, spec, planes, tmp_path):
+        """Budgets of one byte, 1 slice, 5 slices (not dividing nz) and 1000 (all of nz)."""
+        assert_streams_its_truth(spec, planes, tmp_path)
+
+    @settings(max_examples=60)
+    @given(spec=phantom_specs(), planes=st.sampled_from(PLANE_COUNTS))
+    def test_random_specs_stream_the_eager_mask(self, spec, planes, tmp_path_factory):
+        assert_streams_its_truth(spec, planes, tmp_path_factory.mktemp("truth"))
+
+    def test_phantom_command_paints_no_3d_array_whole(self, tmp_path, monkeypatch):
+        """phantom writes every volume and truth mask from its chunks, never from a whole array."""
+        def whole(self):
+            raise AssertionError(f"{type(self).__name__} painted whole")
+        for cls, name in ((PhantomMask, "packed"), (PhantomMask, "bits"),
+                          (PhantomVolume, "values")):
+            monkeypatch.setattr(cls, name, property(whole))
+        for spec in ("default", "anatomical"):
+            assert main(["phantom", "--out", str(tmp_path / spec), "--spec", spec, "--n", "2",
+                         "--quiet"]) == 0
+
+    def test_lungs_meeting_only_inside_their_box_overlap_intersect(self):
+        """Lungs whose boxes overlap in every axis: meeting in a few voxels, and just apart.
+
+        Voxel centres are 10 mm apart at 5 + 10 k mm. The right lung spans
+        x = 130 .. 220 mm; the left one 60 .. 150 mm (centres 135 and 145
+        in both) or 39 .. 129 mm (none), and its padded box still reaches
+        x = 145 mm.
+        """
+        g = COARSE_128
+        right = Ellipsoid((175.0, 165.0, 165.0), (45.0, 45.0, 45.0))
+        for x, meets in ((105.0, True), (84.0, False)):
+            left = Ellipsoid((x, 165.0, 165.0), (45.0, 45.0, 45.0))
+            spec = PhantomSpec(geometry=g, lung_right=right, lung_left=left)
+            both = rasterize_ellipsoid(g, right) & rasterize_ellipsoid(g, left)
+            assert both.any() == meets
+            boxes = _box(g, right), _box(g, left)
+            assert boxes[1].xs.stop > boxes[0].xs.start  # the boxes overlap in x
+            if meets:
+                with pytest.raises(SpecViolation, match="lungs intersect"):
+                    generate_phantom(spec)
+            else:
+                generate_phantom(spec)
 
 
 class TestGeneratePhantom:
