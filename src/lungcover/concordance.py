@@ -13,8 +13,9 @@ These are the same integers the voxel-by-voxel split counts, computed
 from one popcount pass over the reference's packed bits (one bit per
 voxel) and no 3D bool temporary. ``cols`` is ``Mask3D.column_counts``,
 a cached property of the immutable mask, so a mask measured against
-several 2D masks is counted once. Dice, Jaccard and the voxelwise AND
-work on the packed bytes too. The counts
+several 2D masks is counted once. Dice and Jaccard popcount the packed
+bytes of both masks and of their AND, one z-chunk at a time, and the
+voxelwise AND works on the packed bytes too. The counts
 partition the reference, so covered_ml + obscured_ml == total_ml holds
 bit-exactly (one shared voxel-volume factor, applied once at the end).
 ``extrude_mask`` with ``overlap_mask``/``obscured_mask`` is the
@@ -71,15 +72,21 @@ def mask_volume_ml(mask: Mask3D) -> float:
 
 def dice(a, b) -> float:
     """Dice coefficient 2|A&B| / (|A|+|B|) for two masks of one kind."""
-    ca, cb, inter = _pair_counts(a, b)
+    return _dice(*_pair_counts(a, b))
+
+
+def jaccard(a, b) -> float:
+    """Jaccard index: intersection over union; equals dsc/(2-dsc)."""
+    return _jaccard(*_pair_counts(a, b))
+
+
+def _dice(ca: int, cb: int, inter: int) -> float:
     if ca + cb == 0:
         raise BothEmpty("Dice undefined: both masks empty")
     return 2.0 * inter / (ca + cb)
 
 
-def jaccard(a, b) -> float:
-    """Jaccard index: intersection over union; equals dsc/(2-dsc)."""
-    ca, cb, inter = _pair_counts(a, b)
+def _jaccard(ca: int, cb: int, inter: int) -> float:
     union = ca + cb - inter
     if union == 0:
         raise BothEmpty("Jaccard undefined: both masks empty")
@@ -87,9 +94,19 @@ def jaccard(a, b) -> float:
 
 
 def _pair_counts(a, b) -> tuple[int, int, int]:
+    """(|A|, |B|, |A&B|) of two masks of one kind.
+
+    Two 3D masks are counted in one pass over their packed z-chunks, so
+    a loaded mask lets each chunk's pages go and a phantom's is painted
+    as it is counted: no whole 3D mask, and no 3D AND, is held.
+    """
     if isinstance(a, Mask3D) and isinstance(b, Mask3D):
-        inter = overlap_mask(a, b).voxel_count  # checks the grids first
-        return a.voxel_count, b.voxel_count, inter
+        _require_same_grid(a, b)
+        counts = [0, 0, 0]
+        for ca, cb in zip(a.chunks(), b.chunks()):
+            for k, part in enumerate((ca, cb, ca & cb)):
+                counts[k] += int(np.bitwise_count(part).sum(dtype=np.int64))
+        return tuple(counts)
     if isinstance(a, Mask2D) and isinstance(b, Mask2D):
         _require_same_plane(a, b)
         return a.pixel_count, b.pixel_count, int(np.count_nonzero(a.bits & b.bits))
@@ -110,8 +127,11 @@ class AgreementReport:
 
 
 def agreement(a, b) -> AgreementReport:
+    """DSC and JI of two same-kind masks, both from one count of |A|, |B| and |A&B|."""
     kind = "ct3d" if isinstance(a, Mask3D) else "drr2d"
-    return AgreementReport(_combined_label(a.label, b.label), kind, dice(a, b), jaccard(a, b))
+    counts = _pair_counts(a, b)
+    return AgreementReport(_combined_label(a.label, b.label), kind,
+                           _dice(*counts), _jaccard(*counts))
 
 
 @dataclass(frozen=True)

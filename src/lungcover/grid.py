@@ -98,17 +98,39 @@ def z_views(arr: np.ndarray):
     return (arr[z:z + depth] for z in range(0, len(arr), depth))
 
 
-def sum_y(chunks, out: np.ndarray) -> np.ndarray:
+def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
     """Sum each z-chunk along axis 1 into its rows of out, in out's dtype; return out.
 
     chunks are the z-chunks of one (nz, n, nx) array in order, and out
     is (nz, nx): every consumer of a 2D answer folds over them this way,
     so only one chunk is held.
+
+    folds > 0 first adds the two halves of each chunk's rows in the
+    chunk's own dtype, folds times, into one scratch buffer of half the
+    deepest chunk, and widens only the n / 2**folds rows left; the row
+    a level of odd count leaves over is added to out's rows at the end.
+    Each value left is then a sum of 2**folds values, so the caller
+    passes folds only where that sum cannot overflow the chunk's dtype.
     """
     z = 0
+    scratch = None
     for chunk in chunks:
-        chunk.sum(axis=1, dtype=out.dtype, out=out[z:z + len(chunk)])
+        rows = out[z:z + len(chunk)]
         z += len(chunk)
+        leftovers = []
+        for _ in range(folds):
+            n = chunk.shape[1]
+            if n < 2:
+                break
+            if scratch is None or len(scratch) < len(chunk):
+                scratch = np.empty((len(chunk), n // 2, chunk.shape[2]), chunk.dtype)
+            if n % 2:  # row n - 1, which the next levels (rows < n // 2) do not overwrite
+                leftovers.append(chunk[:, n - 1])
+            chunk = np.add(chunk[:, :n // 2], chunk[:, n // 2:n - n % 2],
+                           out=scratch[:len(chunk), :n // 2])
+        chunk.sum(axis=1, dtype=out.dtype, out=rows)
+        for row in leftovers:
+            rows += row
     return out
 
 

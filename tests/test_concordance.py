@@ -1,12 +1,14 @@
 """Covered/obscured partition, volumes, Dice/Jaccard, per-case reports."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lungcover.grid
 from lungcover.concordance import (
     _union_column_counts,
     agreement,
@@ -23,6 +25,7 @@ from lungcover.errors import BothEmpty, EmptyReference, GeometryMismatch
 from lungcover.grid import GridGeometry, Mask2D, Mask3D
 from lungcover.phantom import default_spec, generate_phantom
 from lungcover.projection import extrude_mask, project_mask
+from test_phantom import assert_truth_is_unpainted
 
 
 def grid(nx=4, ny=3, nz=2, s=1.0) -> GridGeometry:
@@ -186,6 +189,35 @@ class TestAgreement:
         rep = agreement(mask3d(g, [(0, 0, 0)], "right"),
                         mask3d(g, [(0, 0, 0)], "left"))
         assert rep.label == "both"
+
+    @given(seed=st.integers(0, 2**32 - 1), planes=st.sampled_from([0, 1, 5, 1000]))
+    def test_3d_counts_fold_over_chunks(self, seed, planes):
+        """One pass over both masks' z-chunks (1 byte, 1, 5, all slices) gives the AND's counts."""
+        a, b = random_pair(seed)
+        inter = overlap_mask(a, b).voxel_count
+        ca, cb = a.voxel_count, b.voxel_count
+        with mock.patch.object(lungcover.grid, "_CHUNK_BYTES", max(1, planes * a.packed[0].nbytes)):
+            if ca + cb == 0:
+                with pytest.raises(BothEmpty, match="Dice"):
+                    agreement(a, b)
+                return
+            rep = agreement(a, b)
+        assert (rep.dsc, rep.ji) == (2.0 * inter / (ca + cb), inter / (ca + cb - inter))
+        assert (rep.dsc, rep.ji) == (dice(a, b), jaccard(a, b))
+
+    def test_3d_agreement_paints_no_truth_mask_whole(self):
+        case = generate_phantom(default_spec())
+        rep = agreement(case.truth_right, case.truth_left)
+        assert_truth_is_unpainted(case)
+        assert (rep.dsc, rep.ji) == (0.0, 0.0)  # the lungs never intersect
+        rep = agreement(case.truth_left, case.truth_left)
+        assert_truth_is_unpainted(case)
+        assert (rep.dsc, rep.ji, rep.label) == (1.0, 1.0, "left")
+
+    def test_3d_grids_must_match(self):
+        a, b = mask3d(grid(), [(0, 0, 0)]), mask3d(grid(ny=4), [(0, 0, 0)])
+        with pytest.raises(GeometryMismatch):
+            agreement(a, b)
 
 
 class TestObscuredFraction:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from lungcover import grid
 from lungcover.cli import main
+from lungcover.concordance import agreement
 from lungcover.errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
 from lungcover.grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import (
@@ -218,6 +219,12 @@ class TestMaskRoundTrip:
 PACKED_NY = [1, 5, 7, 8, 9, 13, 244]
 
 
+def _resident() -> int:
+    """This process's resident set size in bytes (Linux /proc)."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
 class TestPackedMask3D:
     """3D masks are stored one bit per voxel along y ("u1y"); "u8" is still read."""
 
@@ -287,21 +294,33 @@ class TestPackedMask3D:
                         reason="reads the resident set size from /proc")
     def test_counting_a_loaded_mask_keeps_about_one_chunk_resident(self, tmp_path):
         """A CT-grid truth mask (7.6 MiB packed) is counted with ~1 MiB more resident, not 7.6."""
-        def resident() -> int:
-            with open("/proc/self/statm") as fh:
-                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
         g = GridGeometry(512, 512, 244, 0.66, 0.66, 1.25)
         save_mask3d(Mask3D.from_packed(g, np.full(g.packed_zyx, 0x5A, np.uint8), "right"),
                     tmp_path / "m.json")
         gc.collect()
         loaded = load_mask3d(tmp_path / "m.json")
-        before = resident()
+        before = _resident()
         assert (loaded.column_counts == 4 * 64).all()
-        counted = resident() - before
+        counted = _resident() - before
         assert int(loaded.packed.sum(dtype=np.int64)) == 0x5A * loaded.packed.size
-        read = resident() - before  # reading packed whole maps every page: the check can see
+        read = _resident() - before  # reading packed whole maps every page: the check can see
         assert counted < 2 * 2 ** 20 and read > 6 * 2 ** 20, (counted, read)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads the resident set size from /proc")
+    def test_agreement_of_loaded_masks_keeps_about_one_chunk_resident(self, tmp_path):
+        """Two CT-grid truth masks (7.6 MiB packed each) are compared with ~1 MiB more resident."""
+        g = GridGeometry(512, 512, 244, 0.66, 0.66, 1.25)
+        for name, byte in (("a", 0x5A), ("b", 0x0F)):
+            save_mask3d(Mask3D.from_packed(g, np.full(g.packed_zyx, byte, np.uint8), "right"),
+                        tmp_path / f"{name}.json")
+        gc.collect()
+        a, b = load_mask3d(tmp_path / "a.json"), load_mask3d(tmp_path / "b.json")
+        before = _resident()
+        report = agreement(a, b)
+        grown = _resident() - before
+        assert (report.dsc, report.ji) == (0.5, 2 / 6)  # |A| = |B| = 4 bits a byte, |A&B| = 2
+        assert grown < 2 * 2 ** 20, grown
 
     def test_legacy_u8_payload_loads_as_the_same_mask(self, tmp_path, rng, legacy_u8):
         g = GridGeometry(nx=7, ny=13, nz=6, sx=1.0, sy=2.0, sz=3.0)

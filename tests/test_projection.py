@@ -5,6 +5,8 @@ with the mean taken along the anterior-posterior axis. Half-counts round
 away from zero, not to even.
 """
 
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,14 +17,18 @@ from hypothesis import strategies as st
 from lungcover import grid
 from lungcover.grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import load_volume, save_volume
+from lungcover.phantom import PhantomVolume, TissueHu, default_spec, generate_phantom
 from lungcover.projection import (
+    _FOLDS,
     DEFAULT_WINDOW,
     WindowSpec,
+    _column_sums,
     _mean_along_y,
     extrude_mask,
     project_mask,
     render_drr,
 )
+from test_phantom import assert_truth_is_unpainted
 
 
 def volume_from(values: np.ndarray, sx=1.0, sy=1.0, sz=1.0) -> VoxelVolume:
@@ -182,6 +188,54 @@ class TestStreamedDrr:
         assert_drr_in_chunks(values, max(1, planes * 2 * ny * 2), tmp_path)
 
 
+def phantom_volume(ny: int, hu: TissueHu) -> PhantomVolume:
+    """The default spec on a 12 x ny x 10 grid over its own 320 mm field, painted with hu."""
+    g = GridGeometry(nx=12, ny=ny, nz=10, sx=320 / 12, sy=320 / ny, sz=320 / 10)
+    return PhantomVolume(replace(default_spec(), geometry=g, hu=hu))
+
+
+class TestFoldedColumnSums:
+    """The int16 half-sums are exact: every column sum is the int64 sum of the voxels."""
+
+    def test_fold_count_comes_from_the_hu_range(self):
+        assert 2 ** _FOLDS * max(-HU_MIN, HU_MAX) <= np.iinfo(np.int16).max
+        assert 2 ** (_FOLDS + 1) * HU_MAX > np.iinfo(np.int16).max
+
+    @pytest.mark.parametrize("planes", [0, 1, 5, 1000], ids=lambda n: f"{n}-planes")
+    @pytest.mark.parametrize("fill", ["max", "min", "random"])
+    @pytest.mark.parametrize("ny", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 70, 511, 512, 513])
+    def test_column_sums_are_exact(self, ny, fill, planes, tmp_path, monkeypatch):
+        """In-memory, loaded and phantom volumes, in chunks of 1 byte, 1, 5 and all slices."""
+        rng = np.random.default_rng(ny)
+        hu = {"max": TissueHu(*[HU_MAX] * 5), "min": TissueHu(*[HU_MIN] * 5),
+              "random": TissueHu(*rng.integers(HU_MIN, HU_MAX + 1, 5).tolist())}[fill]
+        phantom = phantom_volume(ny, hu)
+        if fill == "random":
+            values = rng.integers(HU_MIN, HU_MAX + 1, phantom.geometry.shape_zyx)
+        else:
+            values = np.full(phantom.geometry.shape_zyx, hu.air)
+        vol = VoxelVolume(phantom.geometry, values)
+        save_volume(vol, tmp_path / "vol.json")
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", max(1, planes * vol.values[0].nbytes))
+        for volume in (vol, load_volume(tmp_path / "vol.json"), phantom):
+            want = volume.values.sum(axis=1, dtype=np.int64)
+            np.testing.assert_array_equal(_column_sums(volume), want)
+
+    def test_scratch_is_half_a_chunk(self):
+        """An in-memory volume is one chunk of 2 MB; it is summed through ~512 KB views."""
+        g = GridGeometry(nx=128, ny=128, nz=64, sx=1.0, sy=1.0, sz=1.0)
+        vol = VoxelVolume(g, np.full(g.shape_zyx, HU_MAX, np.int16))
+        outputs = g.nz * g.nx * (4 + 8 + 1)  # int32 sums, float64 mean, uint8 pixels
+        tracemalloc.start()
+        try:
+            pixels = render_drr(vol).pixels
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (pixels == 255).all()
+        assert peak <= outputs + grid._CHUNK_BYTES // 2 + 2 ** 16, peak
+
+
 class TestExtrudeProject:
     def test_extrude_replicates_along_y(self):
         bits = np.array([[True, False], [False, True], [True, True]])
@@ -215,6 +269,13 @@ class TestExtrudeProject:
         prism = extrude_mask(project_mask(mask), ny=mask.geometry.ny,
                              sy=mask.geometry.sy)
         assert not np.any(mask.bits & ~prism.bits)
+
+    def test_projects_a_phantom_mask_without_painting_it(self):
+        case = generate_phantom(default_spec())
+        silhouettes = [project_mask(m) for m in (case.truth_right, case.truth_left)]
+        assert_truth_is_unpainted(case)
+        for m2, m3 in zip(silhouettes, (case.truth_right, case.truth_left)):
+            np.testing.assert_array_equal(m2.bits, m3.packed.any(axis=1))
 
     def test_empty_mask_round_trip(self):
         m = Mask2D(nx=3, nz=2, sx=1.0, sz=1.0,
