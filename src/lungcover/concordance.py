@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BothEmpty, EmptyReference, GeometryMismatch
-from .grid import GridGeometry, Mask2D, Mask3D, voxel_volume_ml
+from .grid import GridGeometry, Mask2D, Mask3D, sum_y, voxel_volume_ml
 
 
 def _require_same_grid(a: Mask3D, b: Mask3D) -> None:
@@ -97,8 +97,8 @@ def _pair_counts(a, b) -> tuple[int, int, int]:
     """(|A|, |B|, |A&B|) of two masks of one kind.
 
     Two 3D masks are counted in one pass over their packed z-chunks, so
-    a loaded mask lets each chunk's pages go and a phantom's is painted
-    as it is counted: no whole 3D mask, and no 3D AND, is held.
+    a loaded mask is read and a phantom's painted as it is counted: no
+    whole 3D mask, and no 3D AND, is held.
     """
     if isinstance(a, Mask3D) and isinstance(b, Mask3D):
         _require_same_grid(a, b)
@@ -198,17 +198,17 @@ def obscured_fraction(reference: Mask3D, mask2d: Mask2D) -> float:
 def _union_column_counts(right: Mask3D, left: Mask3D) -> np.ndarray:
     """Column counts of right | left without a 3D union.
 
-    |R| + |L| - |R & L| per column; the intersection is counted only in
-    the columns where both masks have voxels, and none do when the
-    lungs are disjoint in projection. The result is at most ny, so it
-    fits the column dtype.
+    |R| + |L| - |R & L| per column. |R & L| is counted only when some
+    column has voxels of both masks (none does when the lungs are
+    disjoint in projection), in one pass over both masks' packed z-chunks,
+    as _pair_counts does, so neither mask is held whole. The result is at
+    most ny, so it fits the column dtype.
     """
     cols_r, cols_l = right.column_counts, left.column_counts
-    inter = np.zeros_like(cols_l)
-    zs, xs = np.nonzero((cols_r > 0) & (cols_l > 0))
-    if zs.size:
-        both = right.packed[zs, :, xs] & left.packed[zs, :, xs]
-        inter[zs, xs] = np.bitwise_count(both).sum(axis=1, dtype=inter.dtype)
+    if not ((cols_r > 0) & (cols_l > 0)).any():
+        return cols_r + cols_l
+    inter = sum_y((np.bitwise_count(a & b) for a, b in zip(right.chunks(), left.chunks())),
+                  np.empty_like(cols_l))
     return cols_r + (cols_l - inter)
 
 

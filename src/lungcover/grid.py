@@ -6,8 +6,9 @@ Arrays are stored C-contiguous with shape (nz, ny, nx), so the flat
 element order is x-fastest, then y, then z: offset = x + nx*(y + ny*z).
 2D coronal arrays use shape (nz, nx) with the same x-fastest order.
 A 3D mask keeps one bit per voxel: 8 consecutive y voxels of a column
-share one byte (pack_y), so the column counts the covered/obscured split
-needs are a popcount summed over y.
+share one byte (numpy's packbits along y, bitorder="little"), so the
+column counts the covered/obscured split needs are a popcount summed
+over y.
 
 All types are immutable: constructors take ownership of the array and
 mark it read-only. So a value derived from a mask's bits, such as
@@ -92,6 +93,16 @@ def z_chunks(shape: tuple[int, ...], dtype, fill):
         yield fill(buf[:nz - z], z)
 
 
+def z_whole(shape: tuple[int, ...], dtype, fill) -> np.ndarray:
+    """z_chunks' whole-array counterpart: fill(out, 0) of a new array of that shape, read-only.
+
+    The values or packed bytes, for library callers, of a volume or mask painted or read by chunk.
+    """
+    out = fill(np.empty(shape, dtype), 0)
+    out.flags.writeable = False
+    return out
+
+
 def z_views(arr: np.ndarray):
     """Yield views of a held (nz, ...) array's z-chunks in order, by the same depth rule."""
     depth = chunk_depth(arr[0].nbytes)
@@ -170,7 +181,7 @@ class GridGeometry:
 
     @property
     def packed_zyx(self) -> tuple[int, int, int]:
-        """Shape of a 3D mask's packed bits (pack_y): 8 y voxels per byte."""
+        """Shape of a 3D mask's packed bits (Mask3D.packed): 8 y voxels per byte."""
         return (self.nz, -(-self.ny // 8), self.nx)
 
     @property
@@ -201,41 +212,37 @@ class VoxelVolume:
             raise ValueError(f"values outside [{HU_MIN}, {HU_MAX}]")
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
-    def chunks(self) -> tuple[np.ndarray]:
-        """The values as one z-chunk, for io.save_volume and projection.render_drr."""
-        return (self.values,)
+    def chunks(self):
+        """The values' z-chunks in order, as views, for io.save_volume and projection.render_drr."""
+        return z_views(self.values)
 
 
-def pack_y(bits: np.ndarray) -> np.ndarray:
-    """(nz, ny, nx) bool -> (nz, ceil(ny/8), nx) uint8, one bit per voxel.
+def check_padding(ny: int, chunks) -> None:
+    """ValueError if a packed mask's z-chunks set a bit for some y >= ny.
 
-    Byte (z, j, x) holds y = 8j .. 8j+7 of column (z, x), bit k being
-    y = 8j + k (numpy's bitorder="little"); the bits past ny are 0. Eight
-    shift-OR passes over strided rows: 3x faster than np.packbits along a
-    middle axis.
+    Only a last byte row that ny does not fill holds such bits; when ny is
+    a multiple of 8 the chunks are not read.
     """
-    nz, ny, nx = bits.shape
-    rows = np.asarray(bits, dtype=bool).view(np.uint8)
-    packed = np.zeros((nz, -(-ny // 8), nx), np.uint8)
-    for k in range(min(8, ny)):
-        row_k = rows[:, k::8]
-        packed[:, :row_k.shape[1]] |= row_k << k
-    return packed
+    tail = ny % 8
+    if tail and any((chunk[:, -1] >> tail).any() for chunk in chunks):
+        raise ValueError(f"packed bits beyond ny = {ny} must be 0")
 
 
 @dataclass(frozen=True, init=False)
 class Mask3D:
     """Binary voxel mask on a grid, labeled right/left/both, one bit per voxel.
 
-    ``packed`` is the read-only uint8 array of pack_y, shape
-    ``geometry.packed_zyx``: the only copy of the mask kept.
+    ``packed`` is the read-only uint8 array, shape ``geometry.packed_zyx``:
+    byte (z, j, x) holds y = 8j .. 8j+7 of column (z, x), bit k being
+    y = 8j + k (np.packbits along y, bitorder="little"), and the bits past
+    ny are 0. It is the only copy of the mask kept.
     ``Mask3D(geometry, bits, label)`` packs a bool (or 0/1) array;
     ``Mask3D.from_packed`` takes packed bytes as they are, once their
-    padding bits (y >= ny) are 0. chunks() yields the packed bytes as
-    z-chunks: io.save_mask3d writes them and column_counts folds over
-    them. A phantom's truth mask (phantom.PhantomMask) paints its chunks
-    as they are read, and a loaded one (io.MappedMask3D) lets go of each
-    chunk's pages once it is read, so neither is held whole on the way.
+    padding bits (y >= ny) are 0 (check_padding). chunks() yields the
+    packed bytes as z-chunks: io.save_mask3d writes them and column_counts
+    folds over them. A phantom's truth mask (phantom.PhantomMask) paints
+    its chunks as they are read, and a loaded one (io.FileMask3D) reads
+    them from its file, so neither is held whole on the way.
     """
 
     geometry: GridGeometry
@@ -243,10 +250,10 @@ class Mask3D:
     label: str
 
     def __init__(self, geometry: GridGeometry, bits, label: str):
-        bits = np.asarray(bits)
+        bits = np.asarray(bits, bool)
         if bits.shape != geometry.shape_zyx:
             raise ValueError(f"bits shape {bits.shape} != geometry {geometry.shape_zyx}")
-        self._set(geometry, pack_y(bits), label)
+        self._set(geometry, np.packbits(bits, axis=1, bitorder="little"), label)
 
     @classmethod
     def from_packed(cls, geometry: GridGeometry, packed, label: str) -> "Mask3D":
@@ -254,9 +261,7 @@ class Mask3D:
         if packed.dtype != np.uint8 or packed.shape != geometry.packed_zyx:
             raise ValueError(f"packed bits must be uint8 of shape {geometry.packed_zyx}, "
                              f"got {packed.dtype} {packed.shape}")
-        tail = geometry.ny % 8
-        if tail and (packed[:, -1] >> tail).any():
-            raise ValueError(f"packed bits beyond ny = {geometry.ny} must be 0")
+        check_padding(geometry.ny, (packed,))
         mask = cls.__new__(cls)
         mask._set(geometry, packed, label)
         return mask

@@ -33,24 +33,21 @@ payload is left.
 A written file gets the mode ``open()`` would give it: 0o666 less the
 umask.
 
-A volume's payload is read as it is used, not mapped: load_volume checks
-the header and the payload's size, and returns a FileVolume that holds a
-duplicate of the payload's descriptor until it is freed. Its chunks() read
-~512 KB of slices at a time into one buffer with positional reads, and
-check each chunk's HU range while it is in cache, so drr never holds the
-volume; a payload cut short after the load is a SizeMismatch when read.
-A mask's payload is mapped read-only, not copied: a loaded mask is a
-read-only view of the page cache, and the validation scans and every
-computation read the mapped bytes in place. A loaded 3D mask
-(MappedMask3D) counts its columns one z-chunk at a time and drops each
-chunk's pages from the process once the next is counted, so a cohort holds
-about one chunk of each truth mask, not the mask; a later read of the
-packed bytes maps the pages in again. The map also holds a duplicate of
-the descriptor, so each live loaded mask keeps one descriptor open until
-it is freed. Because writes replace a file by rename, a loaded volume or
-mask reads the bytes it was loaded with. A mapped payload is read when
-it is used, not only at load: truncating one in place while another
-process has it loaded is unsupported (on POSIX that reader gets SIGBUS).
+Every payload is read through one positional reader (_Payload): a load
+checks the header and the payload's size, and a volume or a 3D "u1y"
+mask holds a duplicate of the payload's descriptor until it is freed.
+A loaded volume (FileVolume) and a loaded "u1y" mask (FileMask3D) read
+~512 KB of slices at a time into one buffer as their chunks() are used,
+and a volume checks each chunk's HU range while it is in cache, so drr
+holds no volume and cohort counts each truth mask's columns holding
+about one chunk of it. values and packed read the whole array once, for
+library callers, and cache it. A "u1y" mask's padding bits are checked
+at load, by chunk, when ny is not a multiple of 8. A 3D "u8" payload is
+checked (0 or 1) and packed one z-chunk at a time at load, and a 2D
+mask is read whole at load; neither holds a descriptor. Because writes
+replace a file by rename, a loaded volume or mask reads the bytes it was
+loaded with; a payload cut short after the load is a SizeMismatch when
+the missing bytes are read.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import mmap
 import os
 import reprlib
 import secrets
@@ -70,7 +66,8 @@ import numpy as np
 
 from .errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
 from .grid import (HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume,
-                   _within_hu, check_label, check_size, check_spacing, z_chunks)
+                   _within_hu, check_label, check_padding, check_size, check_spacing, z_chunks,
+                   z_whole)
 
 _DTYPES = {"i16le": np.dtype("<i2"), "u8": np.dtype(np.uint8), "u1y": np.dtype(np.uint8)}
 # The payload dtypes a header may name, by its number of dims.
@@ -122,27 +119,45 @@ def relative_path(name, where: str) -> str:
     return name
 
 
-def _open_payload(data_path: Path, expect_bytes: int, hold):
-    """hold(fd) of the payload opened read-only, once its size is the one the header implies.
+class _Payload:
+    """A payload file, size-checked by _open_payload, read by slices with positional reads.
 
-    The descriptor is closed on return, so hold keeps a duplicate of it if
-    it reads later: mmap.mmap and os.dup do.
+    Holds a duplicate of the descriptor _open_payload opened, and closes it when freed.
     """
+
+    def __init__(self, path: Path, size: int, fd: int):
+        self.path = path
+        self.size = size
+        self._fd = fd
+        weakref.finalize(self, os.close, fd)
+
+    def read(self, out: np.ndarray, z0: int) -> np.ndarray:
+        """Read slices z0 .. z0 + len(out) into out and return it; SizeMismatch if it ends first."""
+        view = memoryview(out).cast("B")
+        offset = z0 * out[0].nbytes
+        while view:  # a read may be partial
+            try:
+                n = os.preadv(self._fd, [view], offset)
+            except OSError as exc:
+                raise IoFailure(f"cannot read {self.path}: {exc}") from exc
+            if not n:
+                raise SizeMismatch(f"{self.path}: payload ends at byte {offset}, "
+                                   f"header implies {self.size}")
+            view, offset = view[n:], offset + n
+        return out
+
+
+def _open_payload(data_path: Path, expect_bytes: int) -> _Payload:
+    """The payload opened read-only, once its size is the one the header implies."""
     try:
         with open(data_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != expect_bytes:
                 raise SizeMismatch(
                     f"{data_path}: payload is {size} bytes, header implies {expect_bytes}")
-            return hold(fh.fileno())
+            return _Payload(data_path, expect_bytes, os.dup(fh.fileno()))
     except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path
         raise IoFailure(f"cannot read {data_path}: {exc}") from exc
-
-
-def _map_payload(data_path: Path, expect_bytes: int) -> mmap.mmap:
-    """The payload mapped read-only, once its size is the one the header implies."""
-    return _open_payload(data_path, expect_bytes,
-                         lambda fd: mmap.mmap(fd, expect_bytes, access=mmap.ACCESS_READ))
 
 
 def read_json(path: str | Path, kind: type[Exception]) -> dict:
@@ -214,101 +229,84 @@ def _save(path: str | Path, chunks: Iterable[np.ndarray], dims, spacing, dtype: 
     _atomic_write_bytes(path, (_header_to_json(header),))
 
 
-def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
-    """A mask whose payload is mapped read-only, not copied.
-
-    A "u8" payload must hold 0/1 bytes and is viewed as bool; a "u1y" one
-    is held as its packed bytes, shape (nz, ceil(ny/8), nx).
-    """
-    dims, spacing, label, dtype, data_path = _load(path, {n: _MASKS[n] for n in ndims},
-                                                   labeled=True)
-    shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
-    payload = _map_payload(data_path, math.prod(shape))
-    if dtype == "u1y":
-        try:
-            return MappedMask3D.from_payload(GridGeometry(*dims, *spacing), payload, label)
-        except ValueError as exc:  # a padding bit is set
-            raise MalformedMask(f"{path}: {exc}") from exc
-    array = np.frombuffer(payload, np.uint8).reshape(shape)
+def _check_bits(path: Path, array: np.ndarray) -> None:
+    """MalformedMask unless every byte of a "u8" mask payload is 0 or 1."""
     if array.max() > 1:
         raise MalformedMask(f"{path}: mask bytes must be 0 or 1, "
                             f"found {int(array[array > 1][0])}")
+
+
+def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
+    """A "u1y" mask as a FileMask3D; a "u8" one read (by z-chunk if 3D), checked 0/1 and held."""
+    dims, spacing, label, dtype, data_path = _load(path, {n: _MASKS[n] for n in ndims},
+                                                   labeled=True)
+    shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
+    payload = _open_payload(data_path, math.prod(shape))
     if len(dims) == 2:
+        array = payload.read(np.empty(shape, np.uint8), 0)
+        _check_bits(data_path, array)
         return Mask2D(*dims, *spacing, array.view(bool), label)
-    return Mask3D(GridGeometry(*dims, *spacing), array.view(bool), label)  # packed here
+    g = GridGeometry(*dims, *spacing)
+    if dtype == "u1y":
+        mask = FileMask3D(g, payload, label)
+        try:
+            check_padding(g.ny, mask.chunks())
+        except ValueError as exc:  # a padding bit is set
+            raise MalformedMask(f"{path}: {exc}") from exc
+        return mask
+    packed, z = np.empty(g.packed_zyx, np.uint8), 0
+    for chunk in z_chunks(shape, np.uint8, payload.read):
+        _check_bits(data_path, chunk)
+        packed[z:z + len(chunk)] = np.packbits(chunk, axis=1, bitorder="little")
+        z += len(chunk)
+    return Mask3D.from_packed(g, packed, label)
 
 
-# madvise is POSIX: where it is missing, a loaded mask's pages stay until it is freed
-_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+class FileMask3D(Mask3D):
+    """A loaded "u1y" 3D mask, read from its payload as FileVolume reads a volume.
 
-
-class MappedMask3D(Mask3D):
-    """A loaded 3D mask whose packed bytes view its mapped "u1y" payload.
-
-    chunks() yields the packed bytes' z-chunks as views of the map, and
-    drops each chunk's pages from the process (madvise MADV_DONTNEED)
-    once the next chunk is asked for. So column_counts, the one pass that
-    reads the whole mask in a cohort, keeps about one chunk resident: the
-    last one, until the mask is freed, and a mask of one chunk is never
-    asked to drop anything. The pages stay in the page cache, and any
-    later read of packed maps them in again, unchanged: the map is
-    read-only and shared with the file.
+    chunks() reads the packed bytes ~512 KB of slices at a time into one
+    buffer, so column_counts, the one pass over a whole mask in a cohort,
+    holds about one chunk of it; packed reads the mask whole once, for
+    library callers, and caches it.
     """
 
-    @classmethod
-    def from_payload(cls, geometry: GridGeometry, payload: mmap.mmap,
-                     label: str) -> "MappedMask3D":
-        """The mask of a mapped payload of packed_zyx bytes; ValueError on a set padding bit."""
-        mask = cls.from_packed(geometry, np.frombuffer(payload, np.uint8).reshape(
-            geometry.packed_zyx), label)
-        object.__setattr__(mask, "payload", payload)
-        return mask
+    def __init__(self, geometry: GridGeometry, payload: _Payload, label: str):
+        check_label(label)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "payload", payload)
 
     def chunks(self):
-        """Yield the packed bytes' z-chunks in order, letting each one's pages go after it."""
-        done = end = 0  # pages before done are dropped; chunks before end are read
-        for chunk in super().chunks():
-            stop = end - end % mmap.PAGESIZE  # a page is dropped once every chunk it holds is read
-            if _DONTNEED is not None and stop > done:
-                self.payload.madvise(_DONTNEED, done, stop - done)
-                done = stop
-            yield chunk
-            end += chunk.nbytes
+        """Yield the packed z-chunks in order, in one buffer that the next chunk overwrites."""
+        return z_chunks(self.geometry.packed_zyx, np.uint8, self.payload.read)
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """The read-only (nz, ceil(ny/8), nx) packed mask, read as one chunk on first use."""
+        return z_whole(self.geometry.packed_zyx, np.uint8, self.payload.read)
 
 
 class FileVolume:
     """A volume file's int16 HU values, read from its payload one z-chunk at a time.
 
-    Holds a descriptor of the payload, opened and size-checked by
-    load_volume, and closes it when freed. chunks() reads the volume in
-    z order, ~512 KB of slices at a time (grid.z_chunks), into one buffer
-    with positional reads, and checks each chunk's HU range while it is in
+    Holds the payload (_Payload), opened and size-checked by load_volume,
+    whose descriptor is closed when the volume is freed. chunks() reads
+    the volume in z order, ~512 KB of slices at a time (grid.z_chunks),
+    into one buffer, and checks each chunk's HU range while it is in
     cache. values reads the whole volume once, for library callers, and
     caches it. A payload that ends early is a SizeMismatch; a value
     outside [HU_MIN, HU_MAX] is a ValueError naming the payload.
     """
 
-    def __init__(self, geometry: GridGeometry, data_path: Path, fd: int):
+    def __init__(self, geometry: GridGeometry, payload: _Payload):
         self.geometry = geometry
-        self.data_path = data_path
-        self._fd = fd
-        weakref.finalize(self, os.close, fd)
+        self.payload = payload
 
     def _read(self, out: np.ndarray, z0: int) -> np.ndarray:
         """Read slices z0 .. z0 + len(out) of the volume into out, check them, and return out."""
-        view = memoryview(out).cast("B")
-        offset = z0 * out[0].nbytes
-        while view:  # a read may be partial
-            try:
-                n = os.preadv(self._fd, [view], offset)
-            except OSError as exc:
-                raise IoFailure(f"cannot read {self.data_path}: {exc}") from exc
-            if not n:
-                raise SizeMismatch(f"{self.data_path}: payload ends at byte {offset}, "
-                                   f"header implies {2 * self.geometry.voxel_count}")
-            view, offset = view[n:], offset + n
-        if not _within_hu(out):
-            raise ValueError(f"{self.data_path}: values outside [{HU_MIN}, {HU_MAX}]")
+        if not _within_hu(self.payload.read(out, z0)):
+            raise ValueError(f"{self.payload.path}: values outside [{HU_MIN}, {HU_MAX}]")
         return out
 
     def chunks(self):
@@ -318,20 +316,18 @@ class FileVolume:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The read-only (nz, ny, nx) int16 volume, read as one chunk on first use."""
-        values = self._read(np.empty(self.geometry.shape_zyx, "<i2"), 0)
-        values.flags.writeable = False
-        return values
+        return z_whole(self.geometry.shape_zyx, "<i2", self._read)
 
 
 def load_volume(path: str | Path) -> FileVolume:
     """A volume (header JSON + i16le raw) whose payload is read as it is used (FileVolume)."""
     dims, spacing, _, _, data_path = _load(path, _VOLUME, labeled=False)
-    return _open_payload(data_path, 2 * math.prod(dims), lambda fd: FileVolume(
-        GridGeometry(*dims, *spacing), data_path, os.dup(fd)))
+    payload = _open_payload(data_path, 2 * math.prod(dims))
+    return FileVolume(GridGeometry(*dims, *spacing), payload)
 
 
 def load_mask3d(path: str | Path) -> Mask3D:
-    """A 3D mask; a "u1y" payload is mapped, and its columns counted one chunk at a time."""
+    """A 3D mask; a "u1y" payload is read as it is used (FileMask3D)."""
     return _load_mask(path, (3,))
 
 

@@ -20,7 +20,7 @@ ever holds its 128 MB volume. Its painter repaints only the pixels whose
 set of solids changed (_planes). Each packed truth mask (PhantomMask,
 8 MB on the 512 x 512 x 244 CT grid) is painted the same way when read:
 its painter toggles each changed lung voxel's bit in a packed slice
-(grid.pack_y layout, _truth_planes), and io.save_mask3d streams it to
+(Mask3D.packed layout, _truth_planes), and io.save_mask3d streams it to
 disk chunk by chunk. "Lungs intersect" is tested only where the two
 lung boxes overlap (_lungs_meet). The truth masks are the voxelized lung
 ellipsoids themselves; the contour-style 2D mask is the lung silhouette
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import SpecViolation
 from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, check_label, is_finite_number,
-                   z_chunks)
+                   z_chunks, z_whole)
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -217,7 +217,7 @@ def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
     """The solid's index box, or None when no voxel center can fall in the solid.
 
     The y-span starts on a multiple of 8, so the box's rows pack into
-    whole bytes of a packed mask (grid.pack_y); widening the box is exact,
+    whole bytes of a packed mask (Mask3D.packed); widening the box is exact,
     because membership is the voxel-center test itself. A dome's box
     starts at its first slice at or above its cap plane.
     """
@@ -315,7 +315,7 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
 
 
 def _truth_planes(geom: GridGeometry, lung: _Sorted):
-    """Yield the lung's packed truth slices (grid.pack_y) in z order, each toggled from the last.
+    """Yield the lung's packed truth slices (Mask3D.packed) in z order, each toggled from the last.
 
     A voxel that enters or leaves flips bit y % 8 of its byte; several
     voxels of one byte may flip in one slice, hence np.bitwise_xor.at.
@@ -361,10 +361,8 @@ class PhantomMask(Mask3D):
     @functools.cached_property
     def packed(self) -> np.ndarray:
         """The read-only (nz, ceil(ny/8), nx) packed mask, painted whole on first use."""
-        packed = _fill(np.empty(self.geometry.packed_zyx, np.uint8),
-                       _truth_planes(self.geometry, self.lung))
-        packed.flags.writeable = False
-        return packed
+        planes = _truth_planes(self.geometry, self.lung)
+        return z_whole(self.geometry.packed_zyx, np.uint8, lambda out, z0: _fill(out, planes))
 
 
 def _lungs_meet(a: _Box, b: _Box) -> bool:
@@ -456,9 +454,8 @@ class PhantomVolume:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The read-only (nz, ny, nx) int16 volume, painted whole on first use."""
-        values = _fill(np.empty(self.geometry.shape_zyx, np.int16), _planes(self.spec, self.made))
-        values.flags.writeable = False
-        return values
+        planes = _planes(self.spec, self.made)
+        return z_whole(self.geometry.shape_zyx, np.int16, lambda out, z0: _fill(out, planes))
 
 
 def _fill(out: np.ndarray, planes) -> np.ndarray:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, sum_y,
-                   z_views)
+from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, sum_y
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,11 @@ def _column_sums(volume: VoxelVolume) -> np.ndarray:
     HU values already range-checked (a VoxelVolume when it is built, a
     loaded volume as each chunk is read, a phantom's from its checked
     TissueHu). Only the ny / 8 rows left are widened, to int32 when ny
-    voxels of the widest HU fit it and to int64 otherwise. A VoxelVolume
-    yields its values as one chunk, so each chunk is split again by the
-    z-chunk rule (grid.z_views): the int16 scratch buffer holds half a
-    chunk, ~256 KB, never half the volume.
+    voxels of the widest HU fit it and to int64 otherwise.
     """
     g = volume.geometry
     acc = np.int32 if max(-HU_MIN, HU_MAX) * g.ny <= np.iinfo(np.int32).max else np.int64
-    views = (view for chunk in volume.chunks() for view in z_views(chunk))
-    return sum_y(views, np.empty((g.nz, g.nx), acc), folds=_FOLDS)
+    return sum_y(volume.chunks(), np.empty((g.nz, g.nx), acc), folds=_FOLDS)
 
 
 def _mean_along_y(volume: VoxelVolume) -> np.ndarray:

@@ -790,7 +790,7 @@ def _open_fds() -> int:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
 def test_cohort_frees_each_case_mapping(cohort, tmp_path, monkeypatch):
-    """A loaded mask maps its payload and holds one descriptor until the mask is freed.
+    """A loaded truth mask holds one descriptor of its payload until the mask is freed.
 
     With the garbage collector off, only reference counting frees a case's
     masks: every case must start with the descriptors the run started with.

@@ -1,6 +1,8 @@
 """Covered/obscured partition, volumes, Dice/Jaccard, per-case reports."""
 
+import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,8 @@ from lungcover.concordance import (
 )
 from lungcover.errors import BothEmpty, EmptyReference, GeometryMismatch
 from lungcover.grid import GridGeometry, Mask2D, Mask3D
-from lungcover.phantom import default_spec, generate_phantom
+from lungcover.io import load_mask3d, save_mask3d
+from lungcover.phantom import Ellipsoid, default_spec, generate_phantom
 from lungcover.projection import extrude_mask, project_mask
 from test_phantom import assert_truth_is_unpainted
 
@@ -313,6 +316,22 @@ class TestAnalyzeCase:
         rep = analyze_case(right, left, m2_right, m2_left)
         assert list(rep.labels) == ["right", "left", "both"]
 
+    def test_lungs_overlapping_in_projection_paint_no_truth_mask_whole(self):
+        """Lungs one behind the other share (z, x) columns: |R & L| is counted by chunk."""
+        spec = replace(default_spec(),
+                       lung_right=Ellipsoid((200.0, 110.0, 175.0), (55.0, 40.0, 105.0)),
+                       lung_left=Ellipsoid((160.0, 200.0, 175.0), (55.0, 40.0, 105.0)))
+        case = generate_phantom(spec)
+        rep = analyze_case(case.truth_right, case.truth_left, case.sota2d_right, case.sota2d_left)
+        assert_truth_is_unpainted(case)
+        ref = generate_phantom(spec)
+        right, left = ref.truth_right.bits, ref.truth_left.bits
+        assert (right.any(axis=1) & left.any(axis=1)).any() and not (right & left).any()
+        both = rep.labels["both"]
+        union = Mask3D(spec.geometry, right | left, "both")
+        assert (both.total_voxels, both.covered_voxels, both.obscured_voxels) == \
+            extrude_counts(union, union2d(case.sota2d_right, case.sota2d_left))
+
     def test_peak_memory_below_one_mask(self):
         # a full-volume temporary (extrusion, union, AND) would exceed this
         case = generate_phantom(default_spec())
@@ -364,8 +383,10 @@ class TestColumnCountsMatchExtrusion:
 
     @given(seed=st.integers(0, 2**32 - 1),
            kinds=st.tuples(st.sampled_from(["random", "empty", "full"]),
-                           st.sampled_from(["random", "empty", "full"])))
-    def test_random_overlapping_masks(self, seed, kinds):
+                           st.sampled_from(["random", "empty", "full"])),
+           loaded=st.booleans(), planes=st.sampled_from([0, 1, 5, 1000]))
+    def test_random_overlapping_masks(self, tmp_path_factory, seed, kinds, loaded, planes):
+        """In-memory or saved-and-loaded masks, in chunks of 1 byte, 1, 5 and all slices."""
         rng = np.random.default_rng(seed)
         g = grid(nx=int(rng.integers(1, 7)), ny=int(rng.integers(1, 7)),
                  nz=int(rng.integers(1, 7)), s=float(rng.choice([0.5, 1.0, 2.5])))
@@ -375,9 +396,16 @@ class TestColumnCountsMatchExtrusion:
             bits[tuple(int(rng.integers(n)) for n in g.shape_zyx)] = True  # nonempty
             sides.append(bits)
         right, left = Mask3D(g, sides[0], "right"), Mask3D(g, sides[1], "left")
-        self._assert_matches_reference(right, left,
-                                       random_plane(rng, g, kinds[0], "right"),
-                                       random_plane(rng, g, kinds[1], "left"))
+        if loaded:
+            where = tmp_path_factory.mktemp("masks")
+            for mask in (right, left):
+                save_mask3d(mask, where / f"{mask.label}.json")
+            right, left = load_mask3d(where / "right.json"), load_mask3d(where / "left.json")
+        with mock.patch.object(lungcover.grid, "_CHUNK_BYTES",
+                               max(1, planes * math.prod(g.packed_zyx[1:]))):
+            self._assert_matches_reference(right, left,
+                                           random_plane(rng, g, kinds[0], "right"),
+                                           random_plane(rng, g, kinds[1], "left"))
 
     @pytest.mark.parametrize("ny", [255, 256])
     def test_full_overlapping_columns(self, ny):

@@ -207,7 +207,6 @@ class TestPackedMask3D:
         want = np.packbits(bits, axis=1, bitorder="little")
         assert m.packed.dtype == np.uint8 and not m.packed.flags.writeable
         np.testing.assert_array_equal(m.packed, want)
-        np.testing.assert_array_equal(grid.pack_y(bits), want)
         np.testing.assert_array_equal(m.bits, bits)
         np.testing.assert_array_equal(m.column_counts, bits.sum(axis=1))
         assert m.column_counts.dtype == np.min_scalar_type(ny)

@@ -165,8 +165,8 @@ class TestMaskRoundTrip:
         bits[1, 0, 2] = True
         save_mask3d(Mask3D(g, bits, "right"), tmp_path / "m.json")
         back = load_mask3d(tmp_path / "m.json")
-        # the packed bits are the mapped payload; bits is a read-only unpack of them
-        assert not back.packed.flags.owndata and not back.packed.flags.writeable
+        # the packed bits are the payload's bytes; bits is a read-only unpack of them
+        assert not back.packed.flags.writeable
         assert back.packed.tobytes() == (tmp_path / "m.raw").read_bytes()
         assert back.bits.dtype == bool and not back.bits.flags.writeable
         np.testing.assert_array_equal(back.bits, bits)
@@ -278,16 +278,16 @@ class TestPackedMask3D:
     @pytest.mark.parametrize("planes", [0, 1, 5, 1000], ids=lambda n: f"{n}-planes")
     @pytest.mark.parametrize("ny", [5, 13, 70])
     def test_loaded_column_counts_fold_over_chunks(self, tmp_path, ny, planes, monkeypatch):
-        """A loaded mask counts by chunk, letting each chunk's pages go, and still reads its bytes."""
+        """A loaded mask counts by chunk, and reads the same bytes by chunk and whole."""
         rng = np.random.default_rng(ny)
-        g = GridGeometry(nx=300, ny=ny, nz=12, sx=1.0, sy=1.0, sz=1.0)  # slices are not pages
+        g = GridGeometry(nx=300, ny=ny, nz=12, sx=1.0, sy=1.0, sz=1.0)
         mask = Mask3D(g, rng.random(g.shape_zyx) < 0.5, "left")
         save_mask3d(mask, tmp_path / "m.json")
         monkeypatch.setattr(grid, "_CHUNK_BYTES", max(1, planes * mask.packed[0].nbytes))
         loaded = load_mask3d(tmp_path / "m.json")
         np.testing.assert_array_equal(loaded.column_counts,
                                       np.bitwise_count(mask.packed).sum(axis=1))
-        np.testing.assert_array_equal(loaded.packed, mask.packed)  # the dropped pages map again
+        np.testing.assert_array_equal(loaded.packed, mask.packed)
         assert b"".join(c.tobytes() for c in loaded.chunks()) == mask.packed.tobytes()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
@@ -295,15 +295,16 @@ class TestPackedMask3D:
     def test_counting_a_loaded_mask_keeps_about_one_chunk_resident(self, tmp_path):
         """A CT-grid truth mask (7.6 MiB packed) is counted with ~1 MiB more resident, not 7.6."""
         g = GridGeometry(512, 512, 244, 0.66, 0.66, 1.25)
-        save_mask3d(Mask3D.from_packed(g, np.full(g.packed_zyx, 0x5A, np.uint8), "right"),
-                    tmp_path / "m.json")
+        # held to the end: freed, its heap pages would stay resident and packed could reuse them
+        written = np.full(g.packed_zyx, 0x5A, np.uint8)
+        save_mask3d(Mask3D.from_packed(g, written, "right"), tmp_path / "m.json")
         gc.collect()
         loaded = load_mask3d(tmp_path / "m.json")
         before = _resident()
         assert (loaded.column_counts == 4 * 64).all()
         counted = _resident() - before
         assert int(loaded.packed.sum(dtype=np.int64)) == 0x5A * loaded.packed.size
-        read = _resident() - before  # reading packed whole maps every page: the check can see
+        read = _resident() - before  # reading packed whole grows it by the mask: the check can see
         assert counted < 2 * 2 ** 20 and read > 6 * 2 ** 20, (counted, read)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
@@ -338,6 +339,23 @@ class TestPackedMask3D:
         (tmp_path / "old.raw").write_bytes(bytes(data))
         with pytest.raises(MalformedMask, match="0 or 1"):
             load_mask3d(tmp_path / "old.json")
+
+    def test_legacy_u8_load_holds_the_packed_mask_and_one_chunk(self, tmp_path, rng, legacy_u8):
+        """A 128^3 "u8" payload (2 MiB) is packed by chunk: the load peaks near 256 + 576 KiB."""
+        g = GridGeometry(128, 128, 128, 2.5, 2.5, 2.5)
+        mask = Mask3D(g, rng.random(g.shape_zyx) < 0.5, "right")
+        save_mask3d(mask, tmp_path / "m.json")
+        legacy_u8(tmp_path / "m.json", tmp_path / "old.json")
+        load_mask3d(tmp_path / "old.json")  # warm imports and caches
+        tracemalloc.start()
+        try:
+            loaded = load_mask3d(tmp_path / "old.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the packed mask, one chunk of the payload and that chunk packed: never the payload
+        assert peak <= mask.packed.nbytes + grid._CHUNK_BYTES * 9 // 8 + 2 ** 15, peak
+        assert loaded.packed.tobytes() == mask.packed.tobytes()
 
     def test_2d_masks_stay_one_byte_per_pixel(self, tmp_path):
         save_mask2d(Mask2D(4, 3, 1.0, 1.0, np.ones((3, 4), bool), "right"), tmp_path / "m.json")
@@ -532,7 +550,7 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
 
 
 class TestPayloadLoads:
-    """Loads allocate nothing payload-sized: a mask is mapped, a volume read as it is used."""
+    """Loads allocate nothing payload-sized: a volume or a "u1y" mask is read as it is used."""
 
     @pytest.mark.parametrize("save, load, attr, build", [
         (save_volume, load_volume, "values",
@@ -553,8 +571,6 @@ class TestPayloadLoads:
         assert peak < 0.1 * getattr(obj, attr).nbytes, peak
         arr = getattr(loaded, attr)
         assert not arr.flags.writeable
-        if load is load_mask3d:  # a view of the mapped payload; a volume's values are read
-            assert not arr.flags.owndata
         np.testing.assert_array_equal(arr, getattr(obj, attr))
 
     @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b"\0", lambda b: b""],
@@ -595,7 +611,7 @@ class TestPayloadLoads:
 
 
 class TestVolumeReads:
-    """A loaded volume reads its payload by z-chunk, through the descriptor it opened at load."""
+    """A loaded volume or 3D mask reads its payload by z-chunk, through the descriptor it opened."""
 
     G = GridGeometry(nx=8, ny=6, nz=5, sx=1.0, sy=1.0, sz=1.0)
 
@@ -616,34 +632,55 @@ class TestVolumeReads:
         with pytest.raises(ValueError, match=message):
             load_volume(tmp_path / "vol.json").values
 
-    @pytest.mark.parametrize("keep", [0, 2 * 6 * 8 * 2 + 7, 2 * 6 * 8 * 5 - 1],
-                             ids=["empty", "mid-slice", "one-byte-short"])
-    def test_payload_truncated_after_load_is_size_mismatch(self, tmp_path, keep):
-        save_volume(VoxelVolume(self.G, np.full(self.G.shape_zyx, -1000, np.int16)),
-                    tmp_path / "vol.json")
-        loaded, whole = load_volume(tmp_path / "vol.json"), load_volume(tmp_path / "vol.json")
-        os.truncate(tmp_path / "vol.raw", keep)  # in place: the loaded volumes see it
-        with mock.patch.object(grid, "_CHUNK_BYTES", 2 * self.G.ny * self.G.nx):
-            with pytest.raises(SizeMismatch, match="payload ends at byte"):
-                for _ in loaded.chunks():
-                    pass
-        with pytest.raises(SizeMismatch, match="payload ends at byte"):
-            whole.values
+    def save_kind(self, tmp_path, kind: str):
+        """Save a volume or a 3D mask of grid G as x.json; return it, its loader and slice bytes."""
+        ramp = np.arange(self.G.voxel_count).reshape(self.G.shape_zyx)
+        if kind == "volume":
+            obj = VoxelVolume(self.G, ramp - 1000)
+            save_volume(obj, tmp_path / "x.json")
+            return obj, load_volume, 2 * self.G.ny * self.G.nx
+        obj = Mask3D(self.G, ramp % 3 == 0, "left")
+        save_mask3d(obj, tmp_path / "x.json")
+        return obj, load_mask3d, self.G.nx  # ny = 6: one packed byte row per slice
+
+    # the payload keeps `slices` whole slices and `extra` bytes (G has nz = 5)
+    @pytest.mark.parametrize("kind, slices, extra", [
+        pytest.param("volume", 0, 0, id="empty"),
+        pytest.param("volume", 2, 7, id="mid-slice"),
+        pytest.param("volume", 5, -1, id="one-byte-short"),
+        pytest.param("mask3d", 0, 0, id="mask3d-empty"),
+        pytest.param("mask3d", 2, 7, id="mask3d-mid-slice"),
+        pytest.param("mask3d", 5, -1, id="mask3d-one-byte-short"),
+    ])
+    def test_payload_truncated_after_load_is_size_mismatch(self, tmp_path, kind, slices, extra):
+        """Every read of a loaded payload cut short after the load is a SizeMismatch."""
+        _, load, slice_bytes = self.save_kind(tmp_path, kind)
+        reads = [lambda x: list(x.chunks())] + (
+            [lambda x: x.values] if kind == "volume"
+            else [lambda x: x.column_counts, lambda x: x.packed])
+        loaded = [load(tmp_path / "x.json") for _ in reads]
+        os.truncate(tmp_path / "x.raw", slices * slice_bytes + extra)  # in place: the loads see it
+        with mock.patch.object(grid, "_CHUNK_BYTES", slice_bytes):  # one slice per chunk
+            for read, obj in zip(reads, loaded):
+                with pytest.raises(SizeMismatch, match="payload ends at byte"):
+                    read(obj)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-    def test_holds_one_descriptor_until_freed(self, tmp_path):
-        save_volume(small_volume(), tmp_path / "vol.json")
+    @pytest.mark.parametrize("kind", ["volume", "mask3d"])
+    def test_holds_one_descriptor_until_freed(self, tmp_path, kind):
+        obj, load, _ = self.save_kind(tmp_path, kind)
         gc.collect()
         start = len(os.listdir("/proc/self/fd"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            loaded = load_volume(tmp_path / "vol.json")
+            loaded = load(tmp_path / "x.json")
             assert len(os.listdir("/proc/self/fd")) == start + 1
             read = [c.copy() for c in loaded.chunks()]
             assert len(os.listdir("/proc/self/fd")) == start + 1
             del loaded  # reference counting alone frees it
             assert len(os.listdir("/proc/self/fd")) == start
-        np.testing.assert_array_equal(np.concatenate(read), small_volume().values)
+        np.testing.assert_array_equal(np.concatenate(read),
+                                      obj.values if kind == "volume" else obj.packed)
 
 
 class TestPgm:
