@@ -117,7 +117,9 @@ def cmd_phantom(args) -> int:
             "spec": spec_to_dict(case.spec),
         })
         _say(args, f"wrote {case_dir}")
-        del case  # its 2D masks and sorted columns: freed before the next case is painted
+        # its 2D masks and the lungs' sorted columns, freed before the next case is painted;
+        # the torso's sorted columns outlive it, shared by the cohort (phantom._sort_solid)
+        del case
     manifest = {
         "kind": "lungcover-cohort",
         "n_cases": args.n,

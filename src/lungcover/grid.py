@@ -228,7 +228,7 @@ def check_padding(ny: int, chunks) -> None:
         raise ValueError(f"packed bits beyond ny = {ny} must be 0")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Mask3D:
     """Binary voxel mask on a grid, labeled right/left/both, one bit per voxel.
 
@@ -242,7 +242,9 @@ class Mask3D:
     packed bytes as z-chunks: io.save_mask3d writes them and column_counts
     folds over them. A phantom's truth mask (phantom.PhantomMask) paints
     its chunks as they are read, and a loaded one (io.FileMask3D) reads
-    them from its file, so neither is held whole on the way.
+    them from its file, so neither is held whole on the way. So a mask's
+    repr shows only its geometry and label, and masks compare (and hash)
+    by identity: neither reads, paints or compares the bits.
     """
 
     geometry: GridGeometry
@@ -271,6 +273,9 @@ class Mask3D:
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "packed", _freeze(packed, np.uint8))
         object.__setattr__(self, "label", label)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(geometry={self.geometry!r}, label={self.label!r})"
 
     def chunks(self):
         """Yield the packed bytes' z-chunks in order, ~512 KB of slices each."""

@@ -87,11 +87,18 @@ def _create_temp(path: Path) -> tuple[int, Path]:
 
 
 def _atomic_write_bytes(path: Path, chunks: Iterable) -> None:
-    """Write each buffer of chunks, in order, to a temp file beside path; then rename it to path."""
+    """Write each buffer of chunks, in order, to a temp file beside path; then rename it to path.
+
+    path's directory is made only when the temp file cannot be created
+    for want of it, so a cohort's files cost no mkdir each.
+    """
     path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = _create_temp(path)
+        try:
+            fd, tmp = _create_temp(path)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = _create_temp(path)
         try:
             with os.fdopen(fd, "wb", buffering=0) as fh:
                 for chunk in chunks:

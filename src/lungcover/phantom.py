@@ -7,21 +7,26 @@ Voxel membership is voxel-center inclusion, painted with priority
 heart/diaphragm > lung > soft tissue > air, so brute-force counts are
 exact. Every painter uses one voxel-center test per solid, txy <= bound
 of slice z, over the solid's index box (_box). The box's (y, x) columns
-are sorted by txy once per case (_sort): at slice z the test holds on
-exactly the first searchsorted(sorted txy, bound, "right") of them, so
-going from one slice to the next changes only the columns between the
-two counts. Both painters work that way, one slice after another, and
+are sorted by txy (_sort): at slice z the test holds on exactly the
+first searchsorted(sorted txy, bound, "right") of them, so going from
+one slice to the next changes only the columns between the two counts.
+The lungs are sorted once per case; the torso and the domes, which every
+case of a cohort shares, once per cohort (_sort_solid). Both painters
+work that way, one slice after another, each slice painted in place in
+the chunk being read from the slice before it (_painter), and
 generate_phantom makes no 3D array at all. Each coronal silhouette is
 made in 2D from its box's column minima, which is exactly the OR over y
 of the voxel test. The HU volume (PhantomVolume) is a pure function of
 the spec, painted only when read: io.save_volume streams it to disk, and
 projection.render_drr projects it, in z-chunks of ~512 KB, so neither
 ever holds its 128 MB volume. Its painter repaints only the pixels whose
-set of solids changed (_planes). Each packed truth mask (PhantomMask,
-8 MB on the 512 x 512 x 244 CT grid) is painted the same way when read:
-its painter toggles each changed lung voxel's bit in a packed slice
-(Mask3D.packed layout, _truth_planes), and io.save_mask3d streams it to
-disk chunk by chunk. "Lungs intersect" is tested only where the two
+set of solids changed (_volume_painter); on the CT grid a chunk is one
+slice, painted in the buffer that already holds the slice before it, so
+no slice is copied. Each packed truth mask (PhantomMask, 8 MB on the
+512 x 512 x 244 CT grid) is painted the same way when read: its painter
+toggles each changed lung voxel's bit in a packed slice (Mask3D.packed
+layout, _truth_painter), and io.save_mask3d streams it to disk chunk by
+chunk. "Lungs intersect" is tested only where the two
 lung boxes overlap (_lungs_meet). The truth masks are the voxelized lung
 ellipsoids themselves; the contour-style 2D mask is the lung silhouette
 minus the occluder silhouettes; a second annotator is simulated by
@@ -269,11 +274,13 @@ class _Sorted:
     zs and 0 outside them: every value <= bound sorts before every value
     > bound, and equal values pass or fail together. So between slices
     z - 1 and z only the columns between counts[z - 1] and counts[z]
-    change, whichever is larger; the bounds need not be monotone.
+    change, whichever is larger; the bounds need not be monotone. cols is
+    read-only and counts a tuple: one sort may serve many cases
+    (_sort_solid).
     """
 
     cols: np.ndarray
-    counts: list[int]  # one per grid slice
+    counts: tuple[int, ...]  # one per grid slice
     zs: range
     ys: slice
     xs: slice
@@ -311,15 +318,60 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
     rows *= geom.nx - width
     cols += rows
     cols += box.ys.start * geom.nx + box.xs.start
-    return _Sorted(cols, counts.tolist(), zs, box.ys, box.xs)
+    cols.flags.writeable = False
+    return _Sorted(cols, tuple(counts.tolist()), zs, box.ys, box.xs)
 
 
-def _truth_planes(geom: GridGeometry, lung: _Sorted):
-    """Yield the lung's packed truth slices (Mask3D.packed) in z order, each toggled from the last.
+@functools.lru_cache(maxsize=8)
+def _sort_solid(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Sorted | None:
+    """_sort of the solid's box, kept for the cases that share the solid.
+
+    The volume painter sorts here each solid that generate_phantom has
+    not: the torso and the domes, which every case of a cohort shares
+    (cohort_case changes only the lungs and the heart), are sorted once
+    per cohort (~0.6 MB of torso columns on the CT grid). Keyed by the
+    frozen geometry and solid; a read-only _Sorted carries no state
+    from one case to the next. Eight entries hold a cohort's torso, two
+    domes and the hearts of its last cases.
+    """
+    return _sort(geom, _box(geom, solid))
+
+
+def _painter(blank, step):
+    """The fill(out, z0) of grid.z_chunks and z_whole for a painter that goes slice by slice.
+
+    fill paints slices z0 .. z0 + len(out) in place in out and returns
+    it. Each slice starts as the slice before it, and step(plane, z)
+    then changes the pixels that differ at slice z; slice 0 starts as
+    blank. The slice before out[0] is the last one the previous call
+    painted. When out[0] is that very slice, as in a one-slice chunk of
+    z_chunks' reused buffer (the CT grid), nothing is copied; otherwise
+    it is copied forward. Calls follow on in z order, as z_chunks makes
+    them, and nothing else writes to out between them: out holds the
+    painter's state.
+    """
+    last = None
+
+    def fill(out: np.ndarray, z0: int) -> np.ndarray:
+        nonlocal last
+        prev = last
+        for k, plane in enumerate(out):
+            if prev is None:
+                plane[...] = blank
+            elif k or not np.may_share_memory(plane, prev):  # one bounds test per chunk
+                plane[...] = prev
+            step(plane, z0 + k)
+            prev = plane
+        last = prev
+        return out
+    return fill
+
+
+def _truth_painter(geom: GridGeometry, lung: _Sorted):
+    """The fill(out, z0) that paints the lung's packed truth slices (Mask3D.packed): see _painter.
 
     A voxel that enters or leaves flips bit y % 8 of its byte; several
     voxels of one byte may flip in one slice, hence np.bitwise_xor.at.
-    Each slice is yielded in one buffer that the next slice overwrites.
     """
     byte, x = np.divmod(lung.cols, geom.nx)  # byte holds y until it is made the byte index
     bit = np.uint8(1) << (byte & 7).astype(np.uint8)
@@ -328,23 +380,22 @@ def _truth_planes(geom: GridGeometry, lung: _Sorted):
     byte += x
     del x
     changed = {z: slice(lo, hi) for z, lo, hi in lung.changes()}
-    plane = np.zeros(geom.packed_zyx[1:], np.uint8)
-    flat = plane.reshape(-1)
-    for z in range(geom.nz):
-        if z in changed:
-            np.bitwise_xor.at(flat, byte[changed[z]], bit[changed[z]])
-        yield plane
+
+    def step(plane: np.ndarray, z: int) -> None:
+        if z in changed:  # plane is a slice of a C-contiguous out: reshape is a view
+            np.bitwise_xor.at(plane.reshape(-1), byte[changed[z]], bit[changed[z]])
+    return _painter(0, step)
 
 
 class PhantomMask(Mask3D):
     """A lung's packed truth mask: a pure function of its sorted columns, painted when read.
 
     The mask counterpart of PhantomVolume. chunks() paints it in z
-    order, ~512 KB of packed slices at a time, into one buffer
+    order, ~512 KB of packed slices at a time, in place in one buffer
     (grid.z_chunks), so io.save_mask3d writes it and column_counts counts
     it without ever holding it. packed paints it whole, once, for library
-    callers, and caches it. Both copy the slices of _truth_planes, whose
-    state belongs to each iterator.
+    callers, and caches it. Each paints with its own _truth_painter, so
+    iterators of one mask are independent.
     """
 
     def __init__(self, geometry: GridGeometry, lung: _Sorted, label: str):
@@ -355,14 +406,13 @@ class PhantomMask(Mask3D):
 
     def chunks(self):
         """Yield the packed z-chunks in order, in one buffer that the next chunk overwrites."""
-        planes = _truth_planes(self.geometry, self.lung)
-        return z_chunks(self.geometry.packed_zyx, np.uint8, lambda out, z0: _fill(out, planes))
+        return z_chunks(self.geometry.packed_zyx, np.uint8,
+                        _truth_painter(self.geometry, self.lung))
 
     @functools.cached_property
     def packed(self) -> np.ndarray:
         """The read-only (nz, ceil(ny/8), nx) packed mask, painted whole on first use."""
-        planes = _truth_planes(self.geometry, self.lung)
-        return z_whole(self.geometry.packed_zyx, np.uint8, lambda out, z0: _fill(out, planes))
+        return z_whole(self.geometry.packed_zyx, np.uint8, _truth_painter(self.geometry, self.lung))
 
 
 def _lungs_meet(a: _Box, b: _Box) -> bool:
@@ -384,8 +434,8 @@ _PAINT_ORDER = (("torso", "soft"), ("lung_right", "lung"), ("lung_left", "lung")
                 ("diaphragm_left", "diaphragm"))
 
 
-def _planes(spec: PhantomSpec, made: dict):
-    """Yield the HU volume's (ny, nx) slices in z order, each painted from the one before it.
+def _volume_painter(spec: PhantomSpec, made: dict):
+    """The fill(out, z0) that paints the HU volume's (ny, nx) slices: see _painter.
 
     Each slice is air, then the torso, the lungs, the heart and the
     domes, each solid painted over the ones before it: a pixel takes the
@@ -394,14 +444,13 @@ def _planes(spec: PhantomSpec, made: dict):
     (_Sorted.changes) flip their bit and are repainted, through a table
     from each set of solids to its HU. made maps a solid's field name to
     its _Sorted where generate_phantom has made it; every other solid is
-    sorted here. Each slice is yielded in one buffer that the next
-    slice overwrites.
+    sorted by _sort_solid, once per cohort when the cases share it.
     """
     g = spec.geometry
     solids = []
     for name, tissue in _PAINT_ORDER:
         solid = getattr(spec, name)
-        sorted_ = made.get(name) or (_sort(g, _box(g, solid)) if solid is not None else None)
+        sorted_ = made.get(name) or (_sort_solid(g, solid) if solid is not None else None)
         if sorted_ is not None:
             solids.append((sorted_, getattr(spec.hu, tissue)))
     # bit i stands for solids[i]: a set of solids takes the HU of its highest bit
@@ -412,31 +461,31 @@ def _planes(spec: PhantomSpec, made: dict):
         for z, lo, hi in sorted_.changes():
             steps[z].append((sorted_.cols[lo:hi], 1 << i))
     held = np.zeros(g.ny * g.nx, np.uint8)
-    plane = np.full(g.ny * g.nx, spec.hu.air, np.int16)
-    slice_ = plane.reshape(g.ny, g.nx)
-    for step in steps:
-        for cols, bit in step:
-            held[cols] ^= bit
-        if step:  # once every bit of the slice is set
-            cols = step[0][0] if len(step) == 1 else np.concatenate([cols for cols, _ in step])
-            plane.put(cols, table.take(held.take(cols)))
-        yield slice_
+
+    def step(plane: np.ndarray, z: int) -> None:
+        if steps[z]:
+            for cols, bit in steps[z]:
+                held[cols] ^= bit
+            if len(steps[z]) > 1:  # once every bit of the slice is set
+                cols = np.concatenate([cols for cols, _ in steps[z]])
+            plane.put(cols, table.take(held.take(cols)))  # put takes flat y * nx + x indices
+    return _painter(spec.hu.air, step)
 
 
 @dataclass(frozen=True)
 class PhantomVolume:
     """A phantom's int16 HU volume: a pure function of its spec, painted when read.
 
-    chunks() paints it in z order, ~512 KB of slices at a time, into one
-    buffer (grid.z_chunks), so io.save_volume writes it and
+    chunks() paints it in z order, ~512 KB of slices at a time, in place
+    in one buffer (grid.z_chunks), so io.save_volume writes it and
     projection.render_drr projects it without ever holding it. values
-    paints it whole, once, for library callers, and caches it. Both copy
-    the slices of _planes, which paints each slice from the one before
-    it; the painter's state belongs to each chunks() iterator, so
-    iterators of one volume are independent. made holds the lungs'
-    _Sorted that generate_phantom made for the truth masks, so no solid
-    is sorted twice per case; a volume made without them sorts every
-    solid itself.
+    paints it whole, once, for library callers, and caches it. Each
+    paints with its own _volume_painter, which paints each slice from the
+    one before it, so iterators of one volume are independent. made
+    holds the lungs' _Sorted that generate_phantom made for the truth
+    masks, so no lung is sorted twice per case; every other solid is
+    sorted by _sort_solid, which keeps the torso and the domes a cohort
+    shares.
     """
 
     spec: PhantomSpec
@@ -448,21 +497,12 @@ class PhantomVolume:
 
     def chunks(self):
         """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
-        planes = _planes(self.spec, self.made)
-        return z_chunks(self.geometry.shape_zyx, np.int16, lambda out, z0: _fill(out, planes))
+        return z_chunks(self.geometry.shape_zyx, np.int16, _volume_painter(self.spec, self.made))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The read-only (nz, ny, nx) int16 volume, painted whole on first use."""
-        planes = _planes(self.spec, self.made)
-        return z_whole(self.geometry.shape_zyx, np.int16, lambda out, z0: _fill(out, planes))
-
-
-def _fill(out: np.ndarray, planes) -> np.ndarray:
-    """Copy the next len(out) slices of the planes iterator into out, and return it."""
-    for out_plane, plane in zip(out, planes):  # zip takes out's plane first: no slice is lost
-        out_plane[...] = plane
-    return out
+        return z_whole(self.geometry.shape_zyx, np.int16, _volume_painter(self.spec, self.made))
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -622,9 +662,12 @@ def _lung_fraction(lung: Ellipsoid, occluders: tuple) -> float:
     edges at panel ends become smooth. Obscured and total volume are
     summed on the same nodes, so a missed lung is exactly 0.0 and a fully
     shadowed one exactly 1.0. Cached: a pure function of hashable frozen
-    specs, so the "both" oracle of a case reuses its two sides.
+    specs, so the "both" oracle of a case reuses its two sides. A shadow
+    whose width or height is 0 in the lung frame (an occluder so much
+    smaller than the lung that the ratio underflows) covers no area, and
+    is left out.
     """
-    shadows = [_shadow(occ, lung) for occ in occluders]
+    shadows = [s for s in (_shadow(occ, lung) for occ in occluders) if s[1] > 0 and s[3] > 0]
     b = _breakpoints(shadows)
     mid, half = (b[1:, None] + b[:-1, None]) / 2.0, (b[1:, None] - b[:-1, None]) / 2.0
     u = (mid + half * np.sin(0.5 * np.pi * _GL_T)).ravel()

@@ -274,19 +274,27 @@ def test_phantom_out_of_memory_is_one_line(tmp_path, spec_file, capsys, monkeypa
     assert one_error_line(capsys).startswith("error: MemoryError:")
 
 
+def _paint_fails_on_second_chunk(monkeypatch, module, name: str, size: str) -> None:
+    """module.name makes fill(out, z0) painters that run out of memory on the second chunk."""
+    real = getattr(module, name)
+
+    def painter(*args):
+        fill = real(*args)
+
+        def failing(out, z0):
+            if z0:  # the first slice of the second chunk
+                raise MemoryError(f"Unable to allocate {size} for an array")
+            return fill(out, z0)
+        return failing
+    monkeypatch.setattr(module, name, painter)
+
+
 def test_phantom_failing_to_paint_a_truth_mask_is_one_line(tmp_path, spec_file, capsys,
                                                            monkeypatch):
     """A truth mask is painted as it is written: a failure mid-mask is exit 2 and leaves no payload."""
     from lungcover import grid, phantom
-    real = phantom._truth_planes
-
-    def planes(geom, lung):
-        for z, plane in enumerate(real(geom, lung)):
-            if z == grid.chunk_depth(plane.nbytes):  # the first slice of the second chunk
-                raise MemoryError("Unable to allocate 32. KiB for an array")
-            yield plane
     monkeypatch.setattr(grid, "_CHUNK_BYTES", 5 * 288)  # 5 packed slices of the 48^3 grid
-    monkeypatch.setattr(phantom, "_truth_planes", planes)
+    _paint_fails_on_second_chunk(monkeypatch, phantom, "_truth_painter", "32. KiB")
     assert main(["phantom", "--out", str(tmp_path / "x"), "--spec", str(spec_file),
                  "--n", "1", "--quiet"]) == 2
     assert one_error_line(capsys).startswith("error: MemoryError:")
@@ -330,16 +338,8 @@ def _fail_on_second_chunk_write(monkeypatch):
 
 def _fail_painting_the_second_chunk(monkeypatch):
     """The volume painter runs out of memory on the first slice of the second chunk."""
-    from lungcover import grid, phantom
-    real = phantom._planes
-
-    def planes(spec, made):
-        depth = grid.chunk_depth(2 * spec.geometry.ny * spec.geometry.nx)
-        for z, plane in enumerate(real(spec, made)):
-            if z == depth:
-                raise MemoryError("Unable to allocate 512. KiB for an array")
-            yield plane
-    monkeypatch.setattr(phantom, "_planes", planes)
+    from lungcover import phantom
+    _paint_fails_on_second_chunk(monkeypatch, phantom, "_volume_painter", "512. KiB")
 
 
 @pytest.mark.parametrize("fail, kind", [(_fail_on_second_chunk_write, "IoFailure"),

@@ -21,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lungcover import grid
+from lungcover import io as io_module
 from lungcover.cli import main
 from lungcover.concordance import agreement
 from lungcover.errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
@@ -290,6 +291,22 @@ class TestPackedMask3D:
         np.testing.assert_array_equal(loaded.packed, mask.packed)
         assert b"".join(c.tobytes() for c in loaded.chunks()) == mask.packed.tobytes()
 
+    def test_repr_and_equality_read_no_payload(self, tmp_path, monkeypatch):
+        """repr shows the geometry and label; == and hash are by identity; no payload is read."""
+        g = GridGeometry(nx=3, ny=5, nz=2, sx=1.0, sy=1.0, sz=1.0)
+        held = Mask3D(g, np.ones(g.shape_zyx, bool), "right")
+        save_mask3d(held, tmp_path / "m.json")
+        a, b = load_mask3d(tmp_path / "m.json"), load_mask3d(tmp_path / "m.json")
+
+        def read(*args):
+            raise AssertionError("payload read")
+        monkeypatch.setattr(io_module._Payload, "read", read)
+        assert repr(a) == f"FileMask3D(geometry={g!r}, label='right')"
+        assert repr(held) == f"Mask3D(geometry={g!r}, label='right')"
+        assert a == a and a != b and held != a
+        assert len({a, b, held, a}) == 3
+        assert "packed" not in vars(a) and "packed" not in vars(b)
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                         reason="reads the resident set size from /proc")
     def test_counting_a_loaded_mask_keeps_about_one_chunk_resident(self, tmp_path):
@@ -534,6 +551,33 @@ class TestPayloadWrites:
         monkeypatch.undo()
         assert (tmp_path / "vol.raw").read_bytes() == vol.values.astype("<i2").tobytes()
         np.testing.assert_array_equal(load_volume(tmp_path / "vol.json").values, vol.values)
+
+
+    def test_missing_directories_are_made_on_the_first_write(self, tmp_path, monkeypatch):
+        """A file in a new directory makes it; one in an existing directory calls no mkdir."""
+        made = []
+        real = os.mkdir
+        monkeypatch.setattr(os, "mkdir", lambda *a, **kw: made.append(a[0]) or real(*a, **kw))
+        save_volume(small_volume(), tmp_path / "a" / "b" / "vol.json")
+        assert {os.path.basename(p) for p in made} == {"a", "b"}
+        made.clear()
+        write_json({"a": 1}, tmp_path / "a" / "b" / "x.json")
+        save_volume(small_volume(), tmp_path / "a" / "b" / "vol.json")
+        assert made == []
+        assert json.loads((tmp_path / "a" / "b" / "x.json").read_text()) == {"a": 1}
+        np.testing.assert_array_equal(load_volume(tmp_path / "a" / "b" / "vol.json").values,
+                                      small_volume().values)
+
+    @pytest.mark.parametrize("parent", ["file", "file/sub"], ids=["file", "below-a-file"])
+    def test_directory_that_is_a_file_is_one_io_failure_line(self, tmp_path, capsys, parent):
+        (tmp_path / "file").write_bytes(b"kept")
+        with pytest.raises(IoFailure, match="cannot write"):
+            write_json({"a": 1}, tmp_path / parent / "x.json")
+        assert main(["phantom", "--out", str(tmp_path / parent), "--n", "1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoFailure: cannot write ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["file"]
+        assert (tmp_path / "file").read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],

@@ -51,10 +51,10 @@ from lungcover.phantom import (
     spec_from_dict,
     spec_to_dict,
 )
-from lungcover import grid
+from lungcover import grid, phantom
 from lungcover.io import load_mask3d, load_volume, save_mask3d, save_volume
 from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _box, _grow, _index_span, _jitter_bits,
-                               _sort)
+                               _sort, _sort_solid)
 from lungcover.projection import DEFAULT_WINDOW, project_mask, render_drr
 
 from strategies import JSON_VALUES, mutated
@@ -497,12 +497,11 @@ class TestSortedColumns:
         generate_phantom, and the eager truth painter at 17.2 with its two
         7.6 MiB packed masks; now generate_phantom holds neither. A
         chunks() pass holds one chunk (one 512 KB slice of the volume, 16
-        packed slices of a truth mask) and the painter's state: for the
-        volume the persistent slice, the per-pixel solid bits and each
+        packed slices of a truth mask), painted in place, and the
+        painter's state: for the volume the per-pixel solid bits and each
         solid's sorted columns (the torso's sort is its largest
-        temporary); for a truth mask its packed slice and the byte and bit
-        of each of its lung's columns. column_counts adds one chunk's
-        popcount.
+        temporary); for a truth mask the byte and bit of each of its
+        lung's columns. column_counts adds one chunk's popcount.
         """
         spec = replace(default_spec(), geometry=DEFAULT_JSON_GEOMETRY)
         generate_phantom(spec)  # first-call allocations are not the painter's
@@ -621,6 +620,55 @@ class TestStreamedVolume:
         assert once == volume.values.tobytes()
 
 
+# The built-in specs' 320 mm field on 512 x 512 slices of 2 bytes: at the real _CHUNK_BYTES
+# (512 KB) one slice is one chunk, as on the CT grid, so each chunk is painted in place
+# in z_chunks' reused buffer from the slice that buffer already holds.
+ONE_SLICE_CHUNKS = GridGeometry(512, 512, 6, 0.625, 0.625, 320.0 / 6)
+
+
+class TestOneSliceChunks:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        base = replace(anatomical_spec(), geometry=ONE_SLICE_CHUNKS)
+        assert grid.chunk_depth(2 * 512 * 512) == 1
+        return [cohort_case(base, index, seed=7) for index in (0, 1)]
+
+    def test_chunks_are_the_values_and_the_reference(self, cases):
+        volume = cases[0].volume
+        want = reference_phantom(volume.spec)["volume"]
+        chunks = [c.copy() for c in volume.chunks()]
+        assert [len(c) for c in chunks] == [1] * 6
+        np.testing.assert_array_equal(np.concatenate(chunks), want)
+        np.testing.assert_array_equal(volume.values, want)
+
+    def test_interleaved_iterators_give_the_same_bytes(self, cases):
+        volume = cases[0].volume
+        ahead, behind = volume.chunks(), volume.chunks()
+        got_ahead, got_behind = [next(ahead).tobytes()], []
+        for a, b in zip(ahead, behind):  # ahead one chunk in front of behind
+            got_ahead.append(a.tobytes())
+            got_behind.append(b.tobytes())
+        got_behind += [b.tobytes() for b in behind]
+        assert b"".join(got_ahead) == b"".join(got_behind) == volume.values.tobytes()
+
+    def test_shared_torso_sort_carries_no_state(self, cases):
+        """Cases 0, 1, then 0 again: the torso, sorted once for both, paints each case exactly."""
+        first, second = cases
+        g = first.spec.geometry
+        assert first.spec.torso == second.spec.torso
+        torso = _sort_solid(g, first.spec.torso)
+        assert _sort_solid(g, second.spec.torso) is torso
+        assert isinstance(torso.counts, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            torso.cols[0] = 0
+        painted = [b"".join(c.tobytes() for c in case.volume.chunks())
+                   for case in (first, second, first, generate_phantom(first.spec))]
+        assert painted[0] == reference_phantom(first.spec)["volume"].tobytes()
+        assert painted[1] == reference_phantom(second.spec)["volume"].tobytes()
+        assert painted[0] != painted[1]
+        assert painted[2] == painted[3] == painted[0]
+
+
 def eager_truth(geom: GridGeometry, lung) -> np.ndarray:
     """A lung's packed truth mask as generate_phantom painted it before it streamed: whole.
 
@@ -693,6 +741,19 @@ class TestStreamedTruth:
         for spec in ("default", "anatomical"):
             assert main(["phantom", "--out", str(tmp_path / spec), "--spec", spec, "--n", "2",
                          "--quiet"]) == 0
+
+    def test_repr_and_equality_paint_nothing(self, monkeypatch):
+        """repr shows the geometry and label; == and hash are by identity; nothing is painted."""
+        case = generate_phantom(ANISO)
+
+        def painter(*args):
+            raise AssertionError("painted")
+        monkeypatch.setattr(phantom, "_truth_painter", painter)
+        right, left = case.truth_right, case.truth_left
+        assert repr(right) == f"PhantomMask(geometry={ANISO.geometry!r}, label='right')"
+        assert right == right and right != left
+        assert len({right, left, right}) == 2
+        assert_truth_is_unpainted(case)
 
     def test_lungs_meeting_only_inside_their_box_overlap_intersect(self):
         """Lungs whose boxes overlap in every axis: meeting in a few voxels, and just apart.
@@ -935,6 +996,15 @@ class TestAnalyticOracle:
         spec = two_sphere_spec(heart=None)
         for side in ("right", "left", "both"):
             assert analytic_obscured_fraction(spec, side) == 0.0
+
+    def test_vanishing_occluder_obscures_nothing(self):
+        """A dome whose radius over the lung's semi-axis underflows to 0 leaves the fraction as is."""
+        spec = anatomical_spec()
+        tiny = replace(spec, diaphragm_right=SphereCap((222.0, 160.0, 30.0), 5e-324, 80.0))
+        without = replace(spec, diaphragm_right=None)
+        for side in ("right", "left", "both"):
+            assert analytic_obscured_fraction(tiny, side) == analytic_obscured_fraction(without,
+                                                                                         side)
 
     def test_shadow_missing_lungs_is_zero(self):
         # slab strictly medial of the right lung and lateral of the decoy
