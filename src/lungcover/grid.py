@@ -84,13 +84,17 @@ def z_chunks(shape: tuple[int, ...], dtype, fill):
     shape is (nz, *slice shape): (nz, ny, nx) int16 for a volume,
     GridGeometry.packed_zyx uint8 for a packed 3D mask. fill(out, z0)
     writes slices z0 .. z0 + len(out) into out and returns it; out holds
-    chunk_depth slices, fewer at the end.
+    chunk_depth slices, fewer at the end. Each chunk is yielded as a
+    read-only view: the buffer is fill's alone (a phantom painter paints
+    each chunk from the slice it left there), so a caller's write raises.
     """
     nz, plane = shape[0], tuple(shape[1:])
     depth = chunk_depth(math.prod(plane) * np.dtype(dtype).itemsize)
     buf = np.empty((min(depth, nz), *plane), dtype)
     for z in range(0, nz, depth):
-        yield fill(buf[:nz - z], z)
+        chunk = fill(buf[:nz - z], z).view()
+        chunk.flags.writeable = False
+        yield chunk
 
 
 def z_whole(shape: tuple[int, ...], dtype, fill) -> np.ndarray:

@@ -10,8 +10,9 @@ of slice z, over the solid's index box (_box). The box's (y, x) columns
 are sorted by txy (_sort): at slice z the test holds on exactly the
 first searchsorted(sorted txy, bound, "right") of them, so going from
 one slice to the next changes only the columns between the two counts.
-The lungs are sorted once per case; the torso and the domes, which every
-case of a cohort shares, once per cohort (_sort_solid). Both painters
+The lungs are sorted once per case, the heart each time the volume is
+painted, and the torso and the domes, which every case of a cohort
+shares, once per cohort (_sort_solid). Both painters
 work that way, one slice after another, each slice painted in place in
 the chunk being read from the slice before it (_painter), and
 generate_phantom makes no 3D array at all. Each coronal silhouette is
@@ -322,17 +323,21 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
     return _Sorted(cols, tuple(counts.tolist()), zs, box.ys, box.xs)
 
 
-@functools.lru_cache(maxsize=8)
+# The solids that cohort_case takes unchanged from the base spec, so that every case of a
+# cohort shares them; it scales the lungs and the heart of each case.
+_COHORT_SOLIDS = ("torso", "diaphragm_right", "diaphragm_left")
+
+
+@functools.lru_cache(maxsize=len(_COHORT_SOLIDS))
 def _sort_solid(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Sorted | None:
     """_sort of the solid's box, kept for the cases that share the solid.
 
-    The volume painter sorts here each solid that generate_phantom has
-    not: the torso and the domes, which every case of a cohort shares
-    (cohort_case changes only the lungs and the heart), are sorted once
-    per cohort (~0.6 MB of torso columns on the CT grid). Keyed by the
-    frozen geometry and solid; a read-only _Sorted carries no state
-    from one case to the next. Eight entries hold a cohort's torso, two
-    domes and the hearts of its last cases.
+    The volume painter sorts here the torso and the domes, which every
+    case of a cohort shares (_COHORT_SOLIDS), so each is sorted once per
+    cohort (~0.6 MB of torso columns on the CT grid). Keyed by the frozen
+    geometry and solid; a read-only _Sorted carries no state from one
+    case to the next. The cache holds one cohort's shared solids and
+    nothing more: a heart, scaled anew in every case, is never kept.
     """
     return _sort(geom, _box(geom, solid))
 
@@ -347,8 +352,8 @@ def _painter(blank, step):
     painted. When out[0] is that very slice, as in a one-slice chunk of
     z_chunks' reused buffer (the CT grid), nothing is copied; otherwise
     it is copied forward. Calls follow on in z order, as z_chunks makes
-    them, and nothing else writes to out between them: out holds the
-    painter's state.
+    them, and nothing else writes to out between them (z_chunks hands
+    its callers read-only views): out holds the painter's state.
     """
     last = None
 
@@ -443,14 +448,22 @@ def _volume_painter(spec: PhantomSpec, made: dict):
     each pixel; between slices only the columns a solid gains or loses
     (_Sorted.changes) flip their bit and are repainted, through a table
     from each set of solids to its HU. made maps a solid's field name to
-    its _Sorted where generate_phantom has made it; every other solid is
-    sorted by _sort_solid, once per cohort when the cases share it.
+    its _Sorted where generate_phantom has made it (the lungs); the torso
+    and the domes are sorted by _sort_solid, once per cohort, and the
+    heart here, once per painter.
     """
     g = spec.geometry
     solids = []
     for name, tissue in _PAINT_ORDER:
         solid = getattr(spec, name)
-        sorted_ = made.get(name) or (_sort_solid(g, solid) if solid is not None else None)
+        if name in made:
+            sorted_ = made[name]
+        elif solid is None:
+            continue
+        elif name in _COHORT_SOLIDS:
+            sorted_ = _sort_solid(g, solid)
+        else:
+            sorted_ = _sort(g, _box(g, solid))
         if sorted_ is not None:
             solids.append((sorted_, getattr(spec.hu, tissue)))
     # bit i stands for solids[i]: a set of solids takes the HU of its highest bit
@@ -483,9 +496,8 @@ class PhantomVolume:
     paints with its own _volume_painter, which paints each slice from the
     one before it, so iterators of one volume are independent. made
     holds the lungs' _Sorted that generate_phantom made for the truth
-    masks, so no lung is sorted twice per case; every other solid is
-    sorted by _sort_solid, which keeps the torso and the domes a cohort
-    shares.
+    masks, so no lung is sorted twice per case; the torso and the domes
+    a cohort shares are sorted by _sort_solid, which keeps them.
     """
 
     spec: PhantomSpec

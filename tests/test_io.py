@@ -617,6 +617,16 @@ class TestPayloadLoads:
         assert not arr.flags.writeable
         np.testing.assert_array_equal(arr, getattr(obj, attr))
 
+    @pytest.mark.parametrize("save, load, build", [
+        (save_volume, load_volume, lambda g: VoxelVolume(g, np.full(g.shape_zyx, 7, np.int16))),
+        (save_mask3d, load_mask3d, lambda g: Mask3D(g, np.ones(g.shape_zyx, bool), "right")),
+    ], ids=["volume", "mask3d"])
+    def test_loaded_chunks_are_read_only(self, tmp_path, save, load, build):
+        save(build(GridGeometry(8, 6, 5, 1.0, 1.0, 1.0)), tmp_path / "x.json")
+        for chunk in load(tmp_path / "x.json").chunks():
+            with pytest.raises(ValueError, match="read-only"):
+                chunk[...] = 0
+
     @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b"\0", lambda b: b""],
                              ids=["short", "long", "empty"])
     @pytest.mark.parametrize("save, load, obj", [

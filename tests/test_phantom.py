@@ -651,6 +651,27 @@ class TestOneSliceChunks:
         got_behind += [b.tobytes() for b in behind]
         assert b"".join(got_ahead) == b"".join(got_behind) == volume.values.tobytes()
 
+    def test_writing_into_a_chunk_raises(self, cases):
+        """A chunk is the painter's buffer: a caller's write raises, and later slices stay exact."""
+        case = cases[0]
+        for painted, whole in ((case.volume, "values"), (case.truth_right, "packed")):
+            got = []
+            for chunk in painted.chunks():
+                with pytest.raises(ValueError, match="read-only"):
+                    chunk[...] = 1
+                got.append(chunk.copy())
+            np.testing.assert_array_equal(np.concatenate(got), getattr(painted, whole))
+
+    def test_the_sort_cache_keeps_only_the_shared_solids(self, cases):
+        """Painting two cases sorts the torso and the domes once, and each case's heart anew."""
+        assert cases[0].spec.heart != cases[1].spec.heart
+        _sort_solid.cache_clear()
+        for case in cases:
+            for _ in case.volume.chunks():
+                pass
+        info = _sort_solid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
     def test_shared_torso_sort_carries_no_state(self, cases):
         """Cases 0, 1, then 0 again: the torso, sorted once for both, paints each case exactly."""
         first, second = cases
