@@ -13,6 +13,15 @@ over y.
 All types are immutable: constructors take ownership of the array and
 mark it read-only. So a value derived from a mask's bits, such as
 ``Mask3D.column_counts``, is cached on the mask and cannot go stale.
+
+A volume (VoxelVolume) or a 3D mask (Mask3D) is held, built from its
+array, or built ``from_source``: source() returns a fresh fill(out, z0)
+of z-slices (z_chunks), a phantom's painter or a file's payload reader.
+One chunk rule serves both: once the whole array is held (built held,
+or filled whole by ``values`` / ``packed``, which cache it), chunks()
+yields z_views of it; otherwise z_chunks of a new fill, so the array is
+never held on the way to a file, a DRR or a column count. The repr of
+either shows no array, and both compare (and hash) by identity.
 """
 
 from __future__ import annotations
@@ -113,6 +122,12 @@ def z_views(arr: np.ndarray):
     return (arr[z:z + depth] for z in range(0, len(arr), depth))
 
 
+def _z_chunks_of(obj, whole: str, shape: tuple[int, ...], dtype):
+    """The one chunk rule: z_views of obj.<whole> once it is held, else z_chunks of a new fill."""
+    held = vars(obj).get(whole)
+    return z_views(held) if held is not None else z_chunks(shape, dtype, obj._source())
+
+
 def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
     """Sum each z-chunk along axis 1 into its rows of out, in out's dtype; return out.
 
@@ -198,27 +213,49 @@ def voxel_volume_ml(geometry: GridGeometry) -> float:
     return geometry.sx * geometry.sy * geometry.sz / 1000.0
 
 
-@dataclass(frozen=True)
+# A source fills a volume file's byte order: a loaded payload reads right on any host.
+_SOURCE_HU = np.dtype("<i2")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class VoxelVolume:
-    """CT-like scalar volume, int16 HU values in [-1024, 3071]."""
+    """CT-like scalar volume, int16 HU values in [-1024, 3071], held or filled from a source.
+
+    ``VoxelVolume(geometry, values)`` range-checks the values and holds
+    them; ``from_source(geometry, source)`` fills little-endian int16
+    slices, from a phantom's painter (its spec is checked) or a volume
+    file's reader (io.load_volume checks each chunk's HU range). chunks(),
+    for io.save_volume and projection.render_drr, and values follow the
+    module's one chunk rule.
+    """
 
     geometry: GridGeometry
-    values: np.ndarray  # (nz, ny, nx) int16, read-only
 
-    def __post_init__(self):
-        raw = np.asarray(self.values)
-        if raw.shape != self.geometry.shape_zyx:
-            raise ValueError(
-                f"values shape {raw.shape} != geometry {self.geometry.shape_zyx}"
-            )
+    def __init__(self, geometry: GridGeometry, values):
+        raw = np.asarray(values)
+        if raw.shape != geometry.shape_zyx:
+            raise ValueError(f"values shape {raw.shape} != geometry {geometry.shape_zyx}")
         # range check before the int16 narrowing so nothing wraps silently
         if not _within_hu(raw):
             raise ValueError(f"values outside [{HU_MIN}, {HU_MAX}]")
+        object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
+    @classmethod
+    def from_source(cls, geometry: GridGeometry, source) -> "VoxelVolume":
+        volume = cls.__new__(cls)
+        object.__setattr__(volume, "geometry", geometry)
+        object.__setattr__(volume, "_source", source)
+        return volume
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The read-only (nz, ny, nx) int16 volume, filled whole from the source on first use."""
+        return z_whole(self.geometry.shape_zyx, _SOURCE_HU, self._source())
+
     def chunks(self):
-        """The values' z-chunks in order, as views, for io.save_volume and projection.render_drr."""
-        return z_views(self.values)
+        """The values' z-chunks in order, ~512 KB of slices each."""
+        return _z_chunks_of(self, "values", self.geometry.shape_zyx, _SOURCE_HU)
 
 
 def check_padding(ny: int, chunks) -> None:
@@ -232,7 +269,7 @@ def check_padding(ny: int, chunks) -> None:
         raise ValueError(f"packed bits beyond ny = {ny} must be 0")
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Mask3D:
     """Binary voxel mask on a grid, labeled right/left/both, one bit per voxel.
 
@@ -240,26 +277,24 @@ class Mask3D:
     byte (z, j, x) holds y = 8j .. 8j+7 of column (z, x), bit k being
     y = 8j + k (np.packbits along y, bitorder="little"), and the bits past
     ny are 0. It is the only copy of the mask kept.
-    ``Mask3D(geometry, bits, label)`` packs a bool (or 0/1) array;
-    ``Mask3D.from_packed`` takes packed bytes as they are, once their
-    padding bits (y >= ny) are 0 (check_padding). chunks() yields the
-    packed bytes as z-chunks: io.save_mask3d writes them and column_counts
-    folds over them. A phantom's truth mask (phantom.PhantomMask) paints
-    its chunks as they are read, and a loaded one (io.FileMask3D) reads
-    them from its file, so neither is held whole on the way. So a mask's
-    repr shows only its geometry and label, and masks compare (and hash)
-    by identity: neither reads, paints or compares the bits.
+    ``Mask3D(geometry, bits, label)`` packs and holds a bool (or 0/1)
+    array; ``Mask3D.from_packed`` holds packed bytes as they are, once
+    their padding bits (y >= ny) are 0 (check_padding);
+    ``from_source(geometry, source, label)`` fills packed slices, from a
+    phantom's truth painter or a "u1y" file's reader (io.load_mask3d).
+    chunks(), which io.save_mask3d writes and column_counts folds over,
+    and packed follow the module's one chunk rule.
     """
 
     geometry: GridGeometry
-    packed: np.ndarray  # (nz, ceil(ny/8), nx) uint8, read-only
     label: str
 
     def __init__(self, geometry: GridGeometry, bits, label: str):
         bits = np.asarray(bits, bool)
         if bits.shape != geometry.shape_zyx:
             raise ValueError(f"bits shape {bits.shape} != geometry {geometry.shape_zyx}")
-        self._set(geometry, np.packbits(bits, axis=1, bitorder="little"), label)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        self._set(geometry, label, packed=_freeze(packed, np.uint8))
 
     @classmethod
     def from_packed(cls, geometry: GridGeometry, packed, label: str) -> "Mask3D":
@@ -268,22 +303,26 @@ class Mask3D:
             raise ValueError(f"packed bits must be uint8 of shape {geometry.packed_zyx}, "
                              f"got {packed.dtype} {packed.shape}")
         check_padding(geometry.ny, (packed,))
-        mask = cls.__new__(cls)
-        mask._set(geometry, packed, label)
-        return mask
+        return cls.__new__(cls)._set(geometry, label, packed=_freeze(packed, np.uint8))
 
-    def _set(self, geometry: GridGeometry, packed: np.ndarray, label: str) -> None:
+    @classmethod
+    def from_source(cls, geometry: GridGeometry, source, label: str) -> "Mask3D":
+        return cls.__new__(cls)._set(geometry, label, _source=source)
+
+    def _set(self, geometry: GridGeometry, label: str, **packed_or_source) -> "Mask3D":
         check_label(label)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "packed", _freeze(packed, np.uint8))
-        object.__setattr__(self, "label", label)
+        for name, value in dict(geometry=geometry, label=label, **packed_or_source).items():
+            object.__setattr__(self, name, value)
+        return self
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(geometry={self.geometry!r}, label={self.label!r})"
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The read-only (nz, ceil(ny/8), nx) packed mask, filled whole from source on first use."""
+        return z_whole(self.geometry.packed_zyx, np.uint8, self._source())
 
     def chunks(self):
         """Yield the packed bytes' z-chunks in order, ~512 KB of slices each."""
-        return z_views(self.packed)
+        return _z_chunks_of(self, "packed", self.geometry.packed_zyx, np.uint8)
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -312,7 +351,7 @@ class Mask3D:
         return cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask2D:
     """Binary coronal-plane mask (x-z), labeled right/left/both."""
 
@@ -339,7 +378,7 @@ class Mask2D:
         return int(np.count_nonzero(self.bits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DrrImage:
     """8-bit synthetic radiograph on the coronal plane."""
 

@@ -36,18 +36,18 @@ umask.
 Every payload is read through one positional reader (_Payload): a load
 checks the header and the payload's size, and a volume or a 3D "u1y"
 mask holds a duplicate of the payload's descriptor until it is freed.
-A loaded volume (FileVolume) and a loaded "u1y" mask (FileMask3D) read
-~512 KB of slices at a time into one buffer as their chunks() are used,
-and a volume checks each chunk's HU range while it is in cache, so drr
-holds no volume and cohort counts each truth mask's columns holding
-about one chunk of it. values and packed read the whole array once, for
-library callers, and cache it. A "u1y" mask's padding bits are checked
-at load, by chunk, when ny is not a multiple of 8. A 3D "u8" payload is
-checked (0 or 1) and packed one z-chunk at a time at load, and a 2D
-mask is read whole at load; neither holds a descriptor. Because writes
-replace a file by rename, a loaded volume or mask reads the bytes it was
-loaded with; a payload cut short after the load is a SizeMismatch when
-the missing bytes are read.
+Each is a grid type built from_source its payload's reader, so by
+grid's one chunk rule it is read ~512 KB of slices at a time into one
+buffer as its chunks() are used, until values or packed reads it whole
+and keeps it; a volume checks each chunk's HU range while it is in cache
+(_volume_reader). So drr holds no volume, and cohort counts each truth
+mask's columns holding about one chunk of it. A "u1y" mask's padding
+bits are checked at load, by chunk, when ny is not a multiple of 8. A 3D
+"u8" payload is checked (0 or 1) and packed one z-chunk at a time at
+load, and a 2D mask is read whole at load; neither holds a descriptor.
+Because writes replace a file by rename, a loaded volume or mask reads
+the bytes it was loaded with; a payload cut short after the load is a
+SizeMismatch when the missing bytes are read.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ import numpy as np
 
 from .errors import IoFailure, MalformedHeader, MalformedMask, SizeMismatch
 from .grid import (HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume,
-                   _within_hu, check_label, check_padding, check_size, check_spacing, z_chunks,
-                   z_whole)
+                   _within_hu, check_label, check_padding, check_size, check_spacing, z_chunks)
 
 _DTYPES = {"i16le": np.dtype("<i2"), "u8": np.dtype(np.uint8), "u1y": np.dtype(np.uint8)}
 # The payload dtypes a header may name, by its number of dims.
@@ -244,7 +243,7 @@ def _check_bits(path: Path, array: np.ndarray) -> None:
 
 
 def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
-    """A "u1y" mask as a FileMask3D; a "u8" one read (by z-chunk if 3D), checked 0/1 and held."""
+    """A "u1y" mask read as it is used; a "u8" one read (by z-chunk if 3D), checked 0/1, held."""
     dims, spacing, label, dtype, data_path = _load(path, {n: _MASKS[n] for n in ndims},
                                                    labeled=True)
     shape = dims[::-1] if dtype != "u1y" else [dims[2], -(-dims[1] // 8), dims[0]]
@@ -255,7 +254,7 @@ def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
         return Mask2D(*dims, *spacing, array.view(bool), label)
     g = GridGeometry(*dims, *spacing)
     if dtype == "u1y":
-        mask = FileMask3D(g, payload, label)
+        mask = Mask3D.from_source(g, lambda: payload.read, label)
         try:
             check_padding(g.ny, mask.chunks())
         except ValueError as exc:  # a padding bit is set
@@ -269,72 +268,28 @@ def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
     return Mask3D.from_packed(g, packed, label)
 
 
-class FileMask3D(Mask3D):
-    """A loaded "u1y" 3D mask, read from its payload as FileVolume reads a volume.
+def _volume_reader(payload: _Payload):
+    """A volume file's fill(out, z0): payload.read, the HU range checked while out is in cache.
 
-    chunks() reads the packed bytes ~512 KB of slices at a time into one
-    buffer, so column_counts, the one pass over a whole mask in a cohort,
-    holds about one chunk of it; packed reads the mask whole once, for
-    library callers, and caches it.
+    A value outside [HU_MIN, HU_MAX] is a ValueError naming the payload.
     """
-
-    def __init__(self, geometry: GridGeometry, payload: _Payload, label: str):
-        check_label(label)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "payload", payload)
-
-    def chunks(self):
-        """Yield the packed z-chunks in order, in one buffer that the next chunk overwrites."""
-        return z_chunks(self.geometry.packed_zyx, np.uint8, self.payload.read)
-
-    @functools.cached_property
-    def packed(self) -> np.ndarray:
-        """The read-only (nz, ceil(ny/8), nx) packed mask, read as one chunk on first use."""
-        return z_whole(self.geometry.packed_zyx, np.uint8, self.payload.read)
-
-
-class FileVolume:
-    """A volume file's int16 HU values, read from its payload one z-chunk at a time.
-
-    Holds the payload (_Payload), opened and size-checked by load_volume,
-    whose descriptor is closed when the volume is freed. chunks() reads
-    the volume in z order, ~512 KB of slices at a time (grid.z_chunks),
-    into one buffer, and checks each chunk's HU range while it is in
-    cache. values reads the whole volume once, for library callers, and
-    caches it. A payload that ends early is a SizeMismatch; a value
-    outside [HU_MIN, HU_MAX] is a ValueError naming the payload.
-    """
-
-    def __init__(self, geometry: GridGeometry, payload: _Payload):
-        self.geometry = geometry
-        self.payload = payload
-
-    def _read(self, out: np.ndarray, z0: int) -> np.ndarray:
-        """Read slices z0 .. z0 + len(out) of the volume into out, check them, and return out."""
-        if not _within_hu(self.payload.read(out, z0)):
-            raise ValueError(f"{self.payload.path}: values outside [{HU_MIN}, {HU_MAX}]")
+    def read(out: np.ndarray, z0: int) -> np.ndarray:
+        if not _within_hu(payload.read(out, z0)):
+            raise ValueError(f"{payload.path}: values outside [{HU_MIN}, {HU_MAX}]")
         return out
-
-    def chunks(self):
-        """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
-        return z_chunks(self.geometry.shape_zyx, "<i2", self._read)
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The read-only (nz, ny, nx) int16 volume, read as one chunk on first use."""
-        return z_whole(self.geometry.shape_zyx, "<i2", self._read)
+    return read
 
 
-def load_volume(path: str | Path) -> FileVolume:
-    """A volume (header JSON + i16le raw) whose payload is read as it is used (FileVolume)."""
+def load_volume(path: str | Path) -> VoxelVolume:
+    """A volume (header JSON + i16le raw) whose payload is read, and checked, as it is used."""
     dims, spacing, _, _, data_path = _load(path, _VOLUME, labeled=False)
     payload = _open_payload(data_path, 2 * math.prod(dims))
-    return FileVolume(GridGeometry(*dims, *spacing), payload)
+    return VoxelVolume.from_source(GridGeometry(*dims, *spacing),
+                                   functools.partial(_volume_reader, payload))
 
 
 def load_mask3d(path: str | Path) -> Mask3D:
-    """A 3D mask; a "u1y" payload is read as it is used (FileMask3D)."""
+    """A 3D mask; a "u1y" payload is read as it is used."""
     return _load_mask(path, (3,))
 
 

@@ -17,17 +17,16 @@ work that way, one slice after another, each slice painted in place in
 the chunk being read from the slice before it (_painter), and
 generate_phantom makes no 3D array at all. Each coronal silhouette is
 made in 2D from its box's column minima, which is exactly the OR over y
-of the voxel test. The HU volume (PhantomVolume) is a pure function of
-the spec, painted only when read: io.save_volume streams it to disk, and
-projection.render_drr projects it, in z-chunks of ~512 KB, so neither
-ever holds its 128 MB volume. Its painter repaints only the pixels whose
-set of solids changed (_volume_painter); on the CT grid a chunk is one
-slice, painted in the buffer that already holds the slice before it, so
-no slice is copied. Each packed truth mask (PhantomMask, 8 MB on the
-512 x 512 x 244 CT grid) is painted the same way when read: its painter
-toggles each changed lung voxel's bit in a packed slice (Mask3D.packed
-layout, _truth_painter), and io.save_mask3d streams it to disk chunk by
-chunk. "Lungs intersect" is tested only where the two
+of the voxel test. A case's HU volume and packed truth masks are grid
+types built from_source their painters (_volume_painter, _truth_painter),
+so by grid's one chunk rule each is painted in z-chunks of ~512 KB as it
+is read: io.save_volume, io.save_mask3d and projection.render_drr never
+hold a 128 MB volume or 8 MB mask of the 512 x 512 x 244 CT grid. The
+volume painter repaints only the pixels whose set of solids changed; the
+truth painter toggles each changed lung voxel's bit in a packed slice
+(Mask3D.packed layout). On the CT grid a volume chunk is one slice,
+painted in the buffer that already holds the slice before it, so no
+slice is copied. "Lungs intersect" is tested only where the two
 lung boxes overlap (_lungs_meet). The truth masks are the voxelized lung
 ellipsoids themselves; the contour-style 2D mask is the lung silhouette
 minus the occluder silhouettes; a second annotator is simulated by
@@ -51,8 +50,7 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import SpecViolation
-from .grid import (HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, check_label, is_finite_number,
-                   z_chunks, z_whole)
+from .grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume, is_finite_number
 
 # Probability that a boundary-band pixel flips in the annotator-2 variant.
 # Calibrated on the default cohort so the median 2D Dice between the two
@@ -173,8 +171,16 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class PhantomCase:
+    """One phantom: its spec, its truth, and its annotators' 2D masks, which are held.
+
+    volume and the truth masks are built from_source their painters, so
+    by grid's one chunk rule each is painted when read, until values or
+    packed paints it whole and keeps it. Every part but the spec compares
+    by identity.
+    """
+
     spec: PhantomSpec
-    volume: PhantomVolume
+    volume: VoxelVolume
     truth_right: Mask3D
     truth_left: Mask3D
     sota2d_right: Mask2D
@@ -392,34 +398,6 @@ def _truth_painter(geom: GridGeometry, lung: _Sorted):
     return _painter(0, step)
 
 
-class PhantomMask(Mask3D):
-    """A lung's packed truth mask: a pure function of its sorted columns, painted when read.
-
-    The mask counterpart of PhantomVolume. chunks() paints it in z
-    order, ~512 KB of packed slices at a time, in place in one buffer
-    (grid.z_chunks), so io.save_mask3d writes it and column_counts counts
-    it without ever holding it. packed paints it whole, once, for library
-    callers, and caches it. Each paints with its own _truth_painter, so
-    iterators of one mask are independent.
-    """
-
-    def __init__(self, geometry: GridGeometry, lung: _Sorted, label: str):
-        check_label(label)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "lung", lung)
-
-    def chunks(self):
-        """Yield the packed z-chunks in order, in one buffer that the next chunk overwrites."""
-        return z_chunks(self.geometry.packed_zyx, np.uint8,
-                        _truth_painter(self.geometry, self.lung))
-
-    @functools.cached_property
-    def packed(self) -> np.ndarray:
-        """The read-only (nz, ceil(ny/8), nx) packed mask, painted whole on first use."""
-        return z_whole(self.geometry.packed_zyx, np.uint8, _truth_painter(self.geometry, self.lung))
-
-
 def _lungs_meet(a: _Box, b: _Box) -> bool:
     """Some voxel passes both lungs' tests: looked for only where their boxes overlap."""
     z0, z1 = max(a.z0, b.z0), min(a.z0 + len(a.bounds), b.z0 + len(b.bounds))
@@ -483,38 +461,6 @@ def _volume_painter(spec: PhantomSpec, made: dict):
                 cols = np.concatenate([cols for cols, _ in steps[z]])
             plane.put(cols, table.take(held.take(cols)))  # put takes flat y * nx + x indices
     return _painter(spec.hu.air, step)
-
-
-@dataclass(frozen=True)
-class PhantomVolume:
-    """A phantom's int16 HU volume: a pure function of its spec, painted when read.
-
-    chunks() paints it in z order, ~512 KB of slices at a time, in place
-    in one buffer (grid.z_chunks), so io.save_volume writes it and
-    projection.render_drr projects it without ever holding it. values
-    paints it whole, once, for library callers, and caches it. Each
-    paints with its own _volume_painter, which paints each slice from the
-    one before it, so iterators of one volume are independent. made
-    holds the lungs' _Sorted that generate_phantom made for the truth
-    masks, so no lung is sorted twice per case; the torso and the domes
-    a cohort shares are sorted by _sort_solid, which keeps them.
-    """
-
-    spec: PhantomSpec
-    made: dict[str, _Sorted] = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return self.spec.geometry
-
-    def chunks(self):
-        """Yield the volume's z-chunks in order, in one buffer that the next chunk overwrites."""
-        return z_chunks(self.geometry.shape_zyx, np.int16, _volume_painter(self.spec, self.made))
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The read-only (nz, ny, nx) int16 volume, painted whole on first use."""
-        return z_whole(self.geometry.shape_zyx, np.int16, _volume_painter(self.spec, self.made))
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -591,9 +537,11 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
 
     return PhantomCase(
         spec=spec,
-        volume=PhantomVolume(spec, made),
-        truth_right=PhantomMask(g, made["lung_right"], "right"),
-        truth_left=PhantomMask(g, made["lung_left"], "left"),
+        volume=VoxelVolume.from_source(g, functools.partial(_volume_painter, spec, made)),
+        truth_right=Mask3D.from_source(g, functools.partial(_truth_painter, g, made["lung_right"]),
+                                       "right"),
+        truth_left=Mask3D.from_source(g, functools.partial(_truth_painter, g, made["lung_left"]),
+                                      "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
         sota2d_left=m2d(sota_l_bits, "left"),
         annot2_right=m2d(annot2_r, "right"),
@@ -830,8 +778,8 @@ def generate_cohort(base: PhantomSpec, n: int, seed: int,
     """n perturbed cases, deterministic given (base, n, seed, perturb_pct).
 
     The list holds each case's 2D masks, not its volume or its truth masks:
-    those are painted only when read (PhantomVolume, PhantomMask), and
-    cached on their case only when read whole.
+    those are painted only when read (grid.VoxelVolume.from_source,
+    Mask3D.from_source), and cached on their case only when read whole.
     """
     if n < 1:
         raise ValueError("cohort size must be at least 1")

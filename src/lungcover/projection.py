@@ -83,7 +83,7 @@ def render_drr(volume: VoxelVolume, window: WindowSpec = DEFAULT_WINDOW) -> DrrI
     is floor(v + 0.5)). Every kind of volume yields HU values already in
     range: a VoxelVolume is checked when it is built, a phantom's values
     come from its checked spec, and a loaded volume checks each chunk as
-    it reads it (io.FileVolume).
+    it reads it (io.load_volume).
     """
     # in place, the same operations in the same order: one (nz, nx) float64 array, not
     # one per step, so a CT-grid drr does not grow and trim the malloc heap by ~4 MB a call

@@ -1,6 +1,7 @@
 """Geometry and container invariants: shapes, ranges, immutability."""
 
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from lungcover.grid import (
     VoxelVolume,
     voxel_volume_ml,
 )
+from lungcover.io import load_mask3d, load_volume, save_mask3d, save_volume
+from lungcover.phantom import default_spec, generate_phantom
 
 
 def small_geometry(nx=4, ny=3, nz=2, sx=1.0, sy=1.0, sz=1.0) -> GridGeometry:
@@ -320,3 +323,60 @@ class TestDrrImage:
         img = DrrImage(nx=2, nz=2, pixels=np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 9
+
+
+# The built-in specs' 320 mm field on a 32^3 grid.
+COARSE = GridGeometry(32, 32, 32, 10.0, 10.0, 10.0)
+WHOLE = {"volume": "values", "mask": "packed"}
+
+
+def one_of_each(kind: str, made: str, tmp_path):
+    """The default phantom's volume or right truth mask on COARSE: held, loaded or painted."""
+    case = generate_phantom(replace(default_spec(), geometry=COARSE))
+    painted = case.volume if kind == "volume" else case.truth_right
+    if made == "painted":
+        return painted
+    if made == "held":
+        return (VoxelVolume(COARSE, painted.values) if kind == "volume"
+                else Mask3D.from_packed(COARSE, painted.packed, "right"))
+    save, load = (save_volume, load_volume) if kind == "volume" else (save_mask3d, load_mask3d)
+    save(painted, tmp_path / "saved.json")
+    return load(tmp_path / "saved.json")
+
+
+def count_source_calls(obj) -> list:
+    """Make obj's source append to the list returned each time it is called."""
+    calls, source = [], obj._source
+    object.__setattr__(obj, "_source", lambda: calls.append(1) or source())
+    return calls
+
+
+@pytest.mark.parametrize("made", ["held", "loaded", "painted"])
+@pytest.mark.parametrize("kind", ["volume", "mask"])
+class TestOneChunkRule:
+    """Every volume and 3D mask: views of the whole array once it is held, else a source's chunks."""
+
+    def test_chunks_view_the_whole_array_once_it_is_held(self, kind, made, tmp_path,
+                                                         monkeypatch):
+        obj = one_of_each(kind, made, tmp_path)
+        slice_bytes = (2 * COARSE.ny if kind == "volume" else COARSE.packed_zyx[1]) * COARSE.nx
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 5 * slice_bytes)  # 7 chunks of 32 slices
+        if made == "held":
+            calls = []
+        else:
+            assert WHOLE[kind] not in vars(obj)
+            streamed = np.concatenate([chunk.copy() for chunk in obj.chunks()])
+            calls = count_source_calls(obj)
+        whole = getattr(obj, WHOLE[kind])
+        assert len(calls) == (made != "held")  # filled once, from a new fill
+        chunks = list(obj.chunks())
+        assert [len(chunk) for chunk in chunks] == [5] * 6 + [2]
+        assert all(np.shares_memory(chunk, whole) for chunk in chunks)
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
+        assert len(calls) == (made != "held")  # the source is not called again
+        if made != "held":
+            np.testing.assert_array_equal(streamed, whole)
+
+    def test_every_kind_is_the_one_grid_type(self, kind, made, tmp_path):
+        assert type(one_of_each(kind, made, tmp_path)) is (VoxelVolume if kind == "volume"
+                                                           else Mask3D)

@@ -292,20 +292,31 @@ class TestPackedMask3D:
         assert b"".join(c.tobytes() for c in loaded.chunks()) == mask.packed.tobytes()
 
     def test_repr_and_equality_read_no_payload(self, tmp_path, monkeypatch):
-        """repr shows the geometry and label; == and hash are by identity; no payload is read."""
+        """repr shows the geometry (and label); == and hash are by identity; no payload is read.
+
+        So for 3D masks and volumes; 2D masks and DRR images, held whole,
+        compare by identity too, where comparing their arrays would raise.
+        """
         g = GridGeometry(nx=3, ny=5, nz=2, sx=1.0, sy=1.0, sz=1.0)
         held = Mask3D(g, np.ones(g.shape_zyx, bool), "right")
         save_mask3d(held, tmp_path / "m.json")
+        save_volume(VoxelVolume(g, np.zeros(g.shape_zyx, np.int16)), tmp_path / "v.json")
+        save_mask2d(Mask2D(3, 2, 1.0, 1.0, np.ones((2, 3), bool), "left"), tmp_path / "m2.json")
         a, b = load_mask3d(tmp_path / "m.json"), load_mask3d(tmp_path / "m.json")
+        va, vb = load_volume(tmp_path / "v.json"), load_volume(tmp_path / "v.json")
+        flat_a, flat_b = load_mask2d(tmp_path / "m2.json"), load_mask2d(tmp_path / "m2.json")
+        drr_a, drr_b = (DrrImage(3, 2, np.zeros((2, 3), np.uint8)) for _ in range(2))
 
         def read(*args):
             raise AssertionError("payload read")
         monkeypatch.setattr(io_module._Payload, "read", read)
-        assert repr(a) == f"FileMask3D(geometry={g!r}, label='right')"
-        assert repr(held) == f"Mask3D(geometry={g!r}, label='right')"
-        assert a == a and a != b and held != a
-        assert len({a, b, held, a}) == 3
+        assert repr(a) == repr(held) == f"Mask3D(geometry={g!r}, label='right')"
+        assert repr(va) == f"VoxelVolume(geometry={g!r})"
+        for x, y in ((a, b), (held, a), (va, vb), (flat_a, flat_b), (drr_a, drr_b)):
+            assert x == x and x != y and y != x
+            assert len({x, y, x}) == 2
         assert "packed" not in vars(a) and "packed" not in vars(b)
+        assert "values" not in vars(va) and "values" not in vars(vb)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                         reason="reads the resident set size from /proc")

@@ -32,13 +32,11 @@ from scipy import integrate, ndimage
 from lungcover.cli import main
 from lungcover.concordance import dice, obscured_fraction
 from lungcover.errors import SpecViolation
-from lungcover.grid import GridGeometry, VoxelVolume
+from lungcover.grid import GridGeometry, Mask3D, VoxelVolume
 from lungcover.phantom import (
     DEFAULT_JSON_GEOMETRY,
     Ellipsoid,
-    PhantomMask,
     PhantomSpec,
-    PhantomVolume,
     SphereCap,
     TissueHu,
     analytic_obscured_fraction,
@@ -335,7 +333,7 @@ PAINTER_SPECS = {
 def assert_truth_is_unpainted(case) -> None:
     """Neither packed truth mask of the case is held whole: each is painted only when read."""
     for mask in (case.truth_right, case.truth_left):
-        assert isinstance(mask, PhantomMask) and "packed" not in vars(mask)
+        assert isinstance(mask, Mask3D) and "packed" not in vars(mask)
 
 
 class TestSlicePainter:
@@ -556,7 +554,7 @@ def assert_projects_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> 
         case = generate_phantom(spec)
     except SpecViolation:
         return
-    values = PhantomVolume(case.volume.spec).values  # painted as one chunk, by another instance
+    values = generate_phantom(spec).volume.values  # painted as one chunk, by another instance
     want = drr_contract(values)
     save_volume(case.volume, out_dir / "volume.json")
     with mock.patch.object(grid, "_CHUNK_BYTES", chunk_bytes):
@@ -627,7 +625,7 @@ ONE_SLICE_CHUNKS = GridGeometry(512, 512, 6, 0.625, 0.625, 320.0 / 6)
 
 
 class TestOneSliceChunks:
-    @pytest.fixture(scope="class")
+    @pytest.fixture  # new cases for each test: once a volume's values are read, it paints no more
     def cases(self):
         base = replace(anatomical_spec(), geometry=ONE_SLICE_CHUNKS)
         assert grid.chunk_depth(2 * 512 * 512) == 1
@@ -635,7 +633,7 @@ class TestOneSliceChunks:
 
     def test_chunks_are_the_values_and_the_reference(self, cases):
         volume = cases[0].volume
-        want = reference_phantom(volume.spec)["volume"]
+        want = reference_phantom(cases[0].spec)["volume"]
         chunks = [c.copy() for c in volume.chunks()]
         assert [len(c) for c in chunks] == [1] * 6
         np.testing.assert_array_equal(np.concatenate(chunks), want)
@@ -724,8 +722,8 @@ def assert_streams_its_truth(spec: PhantomSpec, planes: int, out_dir) -> None:
     except SpecViolation:
         return
     g = spec.geometry
-    for mask in (case.truth_right, case.truth_left):
-        want = eager_truth(g, mask.lung)
+    for mask, lung in ((case.truth_right, spec.lung_right), (case.truth_left, spec.lung_left)):
+        want = eager_truth(g, _sort(g, _box(g, lung)))
         counts = np.bitwise_count(want).sum(axis=1)
         with mock.patch.object(grid, "_CHUNK_BYTES", max(1, planes * want[0].nbytes)):
             save_mask3d(mask, out_dir / "truth.json")
@@ -756,25 +754,32 @@ class TestStreamedTruth:
         """phantom writes every volume and truth mask from its chunks, never from a whole array."""
         def whole(self):
             raise AssertionError(f"{type(self).__name__} painted whole")
-        for cls, name in ((PhantomMask, "packed"), (PhantomMask, "bits"),
-                          (PhantomVolume, "values")):
+        for cls, name in ((Mask3D, "packed"), (Mask3D, "bits"), (VoxelVolume, "values")):
             monkeypatch.setattr(cls, name, property(whole))
         for spec in ("default", "anatomical"):
             assert main(["phantom", "--out", str(tmp_path / spec), "--spec", spec, "--n", "2",
                          "--quiet"]) == 0
 
     def test_repr_and_equality_paint_nothing(self, monkeypatch):
-        """repr shows the geometry and label; == and hash are by identity; nothing is painted."""
-        case = generate_phantom(ANISO)
+        """repr shows the geometry and label; == and hash are by identity; nothing is painted.
 
+        So a case, whose 2D masks compare by identity too, compares without raising.
+        """
         def painter(*args):
             raise AssertionError("painted")
-        monkeypatch.setattr(phantom, "_truth_painter", painter)
+        for name in ("_truth_painter", "_volume_painter"):  # before a case takes them
+            monkeypatch.setattr(phantom, name, painter)
+        case, again = generate_phantom(ANISO), generate_phantom(ANISO)
         right, left = case.truth_right, case.truth_left
-        assert repr(right) == f"PhantomMask(geometry={ANISO.geometry!r}, label='right')"
+        assert repr(right) == f"Mask3D(geometry={ANISO.geometry!r}, label='right')"
+        assert repr(case.volume) == f"VoxelVolume(geometry={ANISO.geometry!r})"
         assert right == right and right != left
         assert len({right, left, right}) == 2
+        assert case == case and case != again and case.volume != again.volume
+        assert case.sota2d_right == case.sota2d_right != again.sota2d_right
+        assert len({case, again, case}) == 2
         assert_truth_is_unpainted(case)
+        assert "values" not in vars(case.volume)
 
     def test_lungs_meeting_only_inside_their_box_overlap_intersect(self):
         """Lungs whose boxes overlap in every axis: meeting in a few voxels, and just apart.

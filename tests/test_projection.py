@@ -7,6 +7,7 @@ away from zero, not to even.
 
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from lungcover import grid
 from lungcover.grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import load_volume, save_volume
-from lungcover.phantom import PhantomVolume, TissueHu, default_spec, generate_phantom
+from lungcover.phantom import TissueHu, _volume_painter, default_spec, generate_phantom
 from lungcover.projection import (
     _FOLDS,
     DEFAULT_WINDOW,
@@ -188,10 +189,14 @@ class TestStreamedDrr:
         assert_drr_in_chunks(values, max(1, planes * 2 * ny * 2), tmp_path)
 
 
-def phantom_volume(ny: int, hu: TissueHu) -> PhantomVolume:
-    """The default spec on a 12 x ny x 10 grid over its own 320 mm field, painted with hu."""
+def phantom_volume(ny: int, hu: TissueHu) -> VoxelVolume:
+    """The default spec on a 12 x ny x 10 grid over its own 320 mm field, painted with hu.
+
+    Built from the volume painter itself: generate_phantom's lung checks reject these grids.
+    """
     g = GridGeometry(nx=12, ny=ny, nz=10, sx=320 / 12, sy=320 / ny, sz=320 / 10)
-    return PhantomVolume(replace(default_spec(), geometry=g, hu=hu))
+    spec = replace(default_spec(), geometry=g, hu=hu)
+    return VoxelVolume.from_source(g, partial(_volume_painter, spec, {}))
 
 
 class TestFoldedColumnSums:
