@@ -117,8 +117,9 @@ def cmd_phantom(args) -> int:
             "spec": spec_to_dict(case.spec),
         })
         _say(args, f"wrote {case_dir}")
-        # its 2D masks and the lungs' sorted columns, freed before the next case is painted;
-        # the torso's sorted columns outlive it, shared by the cohort (phantom._sort_solid)
+        # its 2D masks and the lungs' and heart's sorted columns, freed before the next case is
+        # made; the torso's and domes' sorted columns outlive it, shared by the cohort
+        # (phantom._sort_solid)
         del case
     manifest = {
         "kind": "lungcover-cohort",

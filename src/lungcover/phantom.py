@@ -10,10 +10,10 @@ of slice z, over the solid's index box (_box). The box's (y, x) columns
 are sorted by txy (_sort): at slice z the test holds on exactly the
 first searchsorted(sorted txy, bound, "right") of them, so going from
 one slice to the next changes only the columns between the two counts.
-The lungs are sorted once per case, the heart each time the volume is
-painted, and the torso and the domes, which every case of a cohort
-shares, once per cohort (_sort_solid). Both painters
-work that way, one slice after another, each slice painted in place in
+generate_phantom makes every sort a case needs, and only it: the lungs
+and the heart once per case, and the torso and the domes, which every
+case of a cohort shares, once per cohort (_sort_solid). The painters
+only paint, one slice after another, each slice painted in place in
 the chunk being read from the slice before it (_painter), and
 generate_phantom makes no 3D array at all. Each coronal silhouette is
 made in 2D from its box's column minima, which is exactly the OR over y
@@ -197,8 +197,10 @@ def _axis_centers(n: int, s: float) -> np.ndarray:
 
 def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]:
     """Index range whose voxel centers might fall in [lo_mm, hi_mm], padded by 1."""
-    lo = max(0, int(math.floor(lo_mm / s - 0.5)) - 1)
-    hi = min(n, int(math.ceil(hi_mm / s - 0.5)) + 2)
+    # clamping changes no span, and keeps an end that overflowed to inf (1e308 + 1e308) finite
+    lo, hi = (min(max(mm / s, -2.0), n + 2.0) for mm in (lo_mm, hi_mm))
+    lo = max(0, int(math.floor(lo - 0.5)) - 1)
+    hi = min(n, int(math.ceil(hi - 0.5)) + 2)
     return lo, max(lo, hi)
 
 
@@ -225,14 +227,14 @@ class _Box:
         return self.ty[:, None] + self.tx[None, :]
 
 
-def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
-    """The solid's index box, or None when no voxel center can fall in the solid.
+def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap | None) -> _Box | None:
+    """The solid's index box, or None when there is no solid or no voxel center can fall in it.
 
-    The y-span starts on a multiple of 8, so the box's rows pack into
-    whole bytes of a packed mask (Mask3D.packed); widening the box is exact,
-    because membership is the voxel-center test itself. A dome's box
-    starts at its first slice at or above its cap plane.
+    Each span is _index_span's, padded by one voxel. A dome's box starts
+    at its first slice at or above its cap plane.
     """
+    if solid is None:
+        return None
     cx, cy, cz = solid.center
     if isinstance(solid, Ellipsoid):
         (hx, hy, hz), cut, unit = solid.semi_axes, -math.inf, solid.semi_axes
@@ -247,7 +249,6 @@ def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Box | None:
     zs = zs[zs >= cut]
     if x0 >= x1 or y0 >= y1 or z0 >= z1:
         return None
-    y0 -= y0 % 8  # only now: a box beyond the grid must stay empty
     tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / unit[0]) ** 2
     ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / unit[1]) ** 2
     if isinstance(solid, Ellipsoid):
@@ -289,8 +290,6 @@ class _Sorted:
     cols: np.ndarray
     counts: tuple[int, ...]  # one per grid slice
     zs: range
-    ys: slice
-    xs: slice
 
     def changes(self):
         """Yield (z, lo, hi) for each slice z whose voxels differ from slice z - 1's.
@@ -326,7 +325,7 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
     cols += rows
     cols += box.ys.start * geom.nx + box.xs.start
     cols.flags.writeable = False
-    return _Sorted(cols, tuple(counts.tolist()), zs, box.ys, box.xs)
+    return _Sorted(cols, tuple(counts.tolist()), zs)
 
 
 # The solids that cohort_case takes unchanged from the base spec, so that every case of a
@@ -338,7 +337,7 @@ _COHORT_SOLIDS = ("torso", "diaphragm_right", "diaphragm_left")
 def _sort_solid(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Sorted | None:
     """_sort of the solid's box, kept for the cases that share the solid.
 
-    The volume painter sorts here the torso and the domes, which every
+    generate_phantom sorts here the torso and the domes, which every
     case of a cohort shares (_COHORT_SOLIDS), so each is sorted once per
     cohort (~0.6 MB of torso columns on the CT grid). Keyed by the frozen
     geometry and solid; a read-only _Sorted carries no state from one
@@ -415,43 +414,29 @@ def _lungs_meet(a: _Box, b: _Box) -> bool:
 _PAINT_ORDER = (("torso", "soft"), ("lung_right", "lung"), ("lung_left", "lung"),
                 ("heart", "heart"), ("diaphragm_right", "diaphragm"),
                 ("diaphragm_left", "diaphragm"))
+_LUNGS = ("lung_right", "lung_left")
+_OCCLUDERS = ("heart", "diaphragm_right", "diaphragm_left")
 
 
-def _volume_painter(spec: PhantomSpec, made: dict):
+def _volume_painter(geom: GridGeometry, air: int, solids: list):
     """The fill(out, z0) that paints the HU volume's (ny, nx) slices: see _painter.
 
-    Each slice is air, then the torso, the lungs, the heart and the
-    domes, each solid painted over the ones before it: a pixel takes the
-    HU of the last solid holding it. held keeps one bit per solid for
-    each pixel; between slices only the columns a solid gains or loses
+    solids holds one (_Sorted, HU) pair per solid in _PAINT_ORDER, as
+    generate_phantom sorted them. Each slice is air, then each solid
+    painted over the ones before it: a pixel takes the HU of the last
+    solid holding it. held keeps one bit per solid for each pixel;
+    between slices only the columns a solid gains or loses
     (_Sorted.changes) flip their bit and are repainted, through a table
-    from each set of solids to its HU. made maps a solid's field name to
-    its _Sorted where generate_phantom has made it (the lungs); the torso
-    and the domes are sorted by _sort_solid, once per cohort, and the
-    heart here, once per painter.
+    from each set of solids to its HU.
     """
-    g = spec.geometry
-    solids = []
-    for name, tissue in _PAINT_ORDER:
-        solid = getattr(spec, name)
-        if name in made:
-            sorted_ = made[name]
-        elif solid is None:
-            continue
-        elif name in _COHORT_SOLIDS:
-            sorted_ = _sort_solid(g, solid)
-        else:
-            sorted_ = _sort(g, _box(g, solid))
-        if sorted_ is not None:
-            solids.append((sorted_, getattr(spec.hu, tissue)))
     # bit i stands for solids[i]: a set of solids takes the HU of its highest bit
-    table = np.array([spec.hu.air] + [solids[m.bit_length() - 1][1]
-                                      for m in range(1, 1 << len(solids))], np.int16)
-    steps = [[] for _ in range(g.nz)]  # per slice: (the columns that change, their solid's bit)
+    table = np.array([air] + [solids[m.bit_length() - 1][1]
+                              for m in range(1, 1 << len(solids))], np.int16)
+    steps = [[] for _ in range(geom.nz)]  # per slice: (the columns that change, their solid's bit)
     for i, (sorted_, _) in enumerate(solids):
         for z, lo, hi in sorted_.changes():
             steps[z].append((sorted_.cols[lo:hi], 1 << i))
-    held = np.zeros(g.ny * g.nx, np.uint8)
+    held = np.zeros(geom.ny * geom.nx, np.uint8)
 
     def step(plane: np.ndarray, z: int) -> None:
         if steps[z]:
@@ -460,7 +445,7 @@ def _volume_painter(spec: PhantomSpec, made: dict):
             if len(steps[z]) > 1:  # once every bit of the slice is set
                 cols = np.concatenate([cols for cols, _ in steps[z]])
             plane.put(cols, table.take(held.take(cols)))  # put takes flat y * nx + x indices
-    return _painter(spec.hu.air, step)
+    return _painter(air, step)
 
 
 # --- annotator jitter ---------------------------------------------------------
@@ -508,39 +493,44 @@ def _jitter_bits(bits: np.ndarray, radius: int, rng: np.random.Generator) -> np.
 def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     """Paint the spec's 2D annotator masks; its volume and truth masks are painted when read.
 
-    Every SpecViolation comes from here, before any volume or truth slice is painted.
+    Every SpecViolation comes from here, before any solid is sorted or
+    any volume or truth slice is painted. Here, and only here, are a
+    case's solids sorted: the lungs and the heart from their boxes, the
+    torso and the domes through _sort_solid. The painters take the sorts.
     """
     g = spec.geometry
-    sils, boxes, made = [], [], {}
-    for name in ("lung_right", "lung_left"):
-        boxes.append(_box(g, getattr(spec, name)))
-        sils.append(_silhouette(g, boxes[-1]))
-        made[name] = _sort(g, boxes[-1])
-    sota_r_bits, sota_l_bits = sils
+    boxes = {name: _box(g, getattr(spec, name)) for name in _LUNGS + _OCCLUDERS}
+    sota_r_bits, sota_l_bits = (_silhouette(g, boxes[name]) for name in _LUNGS)
     if not sota_r_bits.any() or not sota_l_bits.any():
         raise SpecViolation("a lung rasterizes to zero voxels at this resolution")
-    if _lungs_meet(*boxes):
+    if _lungs_meet(*(boxes[name] for name in _LUNGS)):
         raise SpecViolation("lungs intersect")
 
     occ_sil = np.zeros((g.nz, g.nx), dtype=bool)
-    for solid in (spec.heart, spec.diaphragm_right, spec.diaphragm_left):
-        if solid is not None:
-            occ_sil |= _silhouette(g, _box(g, solid))
+    for name in _OCCLUDERS:
+        occ_sil |= _silhouette(g, boxes[name])
     sota_r_bits &= ~occ_sil
     sota_l_bits &= ~occ_sil
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.rng_seed)))
     annot2_r = _jitter_bits(sota_r_bits, spec.annotator_jitter_px, rng)  # right drawn first
     annot2_l = _jitter_bits(sota_l_bits, spec.annotator_jitter_px, rng)
 
+    sorts = {name: _sort_solid(g, getattr(spec, name)) if name in _COHORT_SOLIDS
+             else _sort(g, boxes[name])
+             for name, _ in _PAINT_ORDER if getattr(spec, name) is not None}
+    solids = [(sorts[name], getattr(spec.hu, tissue)) for name, tissue in _PAINT_ORDER
+              if sorts.get(name) is not None]
+
     def m2d(bits: np.ndarray, label: str) -> Mask2D:
         return Mask2D(g.nx, g.nz, g.sx, g.sz, bits, label)
 
     return PhantomCase(
         spec=spec,
-        volume=VoxelVolume.from_source(g, functools.partial(_volume_painter, spec, made)),
-        truth_right=Mask3D.from_source(g, functools.partial(_truth_painter, g, made["lung_right"]),
+        volume=VoxelVolume.from_source(g, functools.partial(_volume_painter, g, spec.hu.air,
+                                                            solids)),
+        truth_right=Mask3D.from_source(g, functools.partial(_truth_painter, g, sorts["lung_right"]),
                                        "right"),
-        truth_left=Mask3D.from_source(g, functools.partial(_truth_painter, g, made["lung_left"]),
+        truth_left=Mask3D.from_source(g, functools.partial(_truth_painter, g, sorts["lung_left"]),
                                       "left"),
         sota2d_right=m2d(sota_r_bits, "right"),
         sota2d_left=m2d(sota_l_bits, "left"),
@@ -777,8 +767,9 @@ def generate_cohort(base: PhantomSpec, n: int, seed: int,
                     perturb_pct: float = 15.0) -> list[PhantomCase]:
     """n perturbed cases, deterministic given (base, n, seed, perturb_pct).
 
-    The list holds each case's 2D masks, not its volume or its truth masks:
-    those are painted only when read (grid.VoxelVolume.from_source,
+    The list holds each case's 2D masks and its lungs' and heart's sorted
+    columns, not its volume or its truth masks: those are painted from the
+    columns only when read (grid.VoxelVolume.from_source,
     Mask3D.from_source), and cached on their case only when read whole.
     """
     if n < 1:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import gc
+import hashlib
 import io
 import json
 import math
@@ -26,7 +27,8 @@ from lungcover.cli import main
 from lungcover.concordance import obscured_fraction
 from lungcover.grid import LABELS, Mask2D
 from lungcover.io import load_mask2d, load_mask3d, save_mask2d
-from lungcover.phantom import analytic_obscured_fraction, spec_from_dict
+from lungcover.phantom import (analytic_obscured_fraction, default_spec, spec_from_dict,
+                               spec_to_dict)
 from lungcover.reporting import fmt
 from lungcover.stats import describe, describe_quartiles
 
@@ -201,6 +203,36 @@ def test_phantom_rerun_is_byte_identical(tmp_path, spec_file, cohort):
     again = tmp_path / "again"
     make_cohort(again, spec_file)
     assert tree_bytes(again) == tree_bytes(cohort)
+
+
+# The default spec on a JSON grid that is anisotropic, clips the torso in z
+# and has ny % 8 != 0, so the last packed truth byte of a column is padded.
+PINNED_GRID = {"dims": [80, 60, 100], "spacing_mm": [4.0, 5.4, 3.2]}
+
+
+@pytest.mark.parametrize("run", ["default", "grid"])
+def test_phantom_bytes_are_pinned(run, tmp_path):
+    """SHA-256 of every file phantom writes, recorded in tests/phantom_sha256.json.
+
+    manifest.json is left out: its oracle floats go through LAPACK
+    (np.roots), so their last bits may vary by platform. A refactor keeps
+    every digest: a change that moves one voxel, one jitter flip or one
+    header byte fails here, and one that changes the output on purpose
+    records the new digests and says why.
+    """
+    if run == "default":
+        argv = ["--spec", "default", "--n", "3", "--seed", "0"]
+    else:
+        doc = spec_to_dict(default_spec())
+        doc["geometry"] = PINNED_GRID
+        (tmp_path / "grid.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--spec", str(tmp_path / "grid.json"), "--n", "2"]
+    out = tmp_path / run
+    assert main(["phantom", "--out", str(out), *argv, "--quiet"]) == 0
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in tree_bytes(out).items() if name != "manifest.json"}
+    want = json.loads((Path(__file__).parent / "phantom_sha256.json").read_text())[run]
+    assert got == want
 
 
 def test_phantom_zero_jitter_copies_first_annotator(tmp_path, spec_file):
@@ -504,6 +536,13 @@ def test_drr_infinite_window_rejected(cohort, tmp_path, capsys, window):
 
 def test_drr_missing_volume_is_io_failure(tmp_path, capsys):
     rc = main(["drr", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.pgm")])
+    assert rc == 2
+    assert one_error_line(capsys).startswith("error: IoFailure:")
+
+
+def test_path_holding_a_newline_is_one_error_line(tmp_path, capsys):
+    """Every whitespace run of a message is one space, so a newline in a path ends no line."""
+    rc = main(["drr", str(tmp_path / "no\nsuch.json"), "--out", str(tmp_path / "x.pgm")])
     assert rc == 2
     assert one_error_line(capsys).startswith("error: IoFailure:")
 

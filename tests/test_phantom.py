@@ -661,14 +661,29 @@ class TestOneSliceChunks:
             np.testing.assert_array_equal(np.concatenate(got), getattr(painted, whole))
 
     def test_the_sort_cache_keeps_only_the_shared_solids(self, cases):
-        """Painting two cases sorts the torso and the domes once, and each case's heart anew."""
+        """Two cases sort the torso and the domes once, and each case's heart anew."""
         assert cases[0].spec.heart != cases[1].spec.heart
         _sort_solid.cache_clear()
-        for case in cases:
+        for case in [generate_phantom(case.spec) for case in cases]:
             for _ in case.volume.chunks():
                 pass
         info = _sort_solid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+    def test_painting_a_generated_case_sorts_nothing(self, cases, monkeypatch):
+        """generate_phantom makes every sort its case needs: the painters only paint."""
+        case = generate_phantom(cases[1].spec)
+
+        def sort(*args):
+            raise AssertionError("sorted while painting")
+        for name in ("_sort", "_sort_solid"):
+            monkeypatch.setattr(phantom, name, sort)
+        painted = [b"".join(c.tobytes() for c in payload.chunks())
+                   for payload in (case.volume, case.truth_right, case.truth_left)]
+        want = reference_phantom(case.spec)
+        assert painted[0] == want["volume"].tobytes()
+        for got, truth in zip(painted[1:], ("truth_right", "truth_left")):
+            assert got == np.packbits(want[truth], axis=1, bitorder="little").tobytes()
 
     def test_shared_torso_sort_carries_no_state(self, cases):
         """Cases 0, 1, then 0 again: the torso, sorted once for both, paints each case exactly."""
@@ -688,24 +703,25 @@ class TestOneSliceChunks:
         assert painted[2] == painted[3] == painted[0]
 
 
-def eager_truth(geom: GridGeometry, lung) -> np.ndarray:
+def eager_truth(geom: GridGeometry, box) -> np.ndarray:
     """A lung's packed truth mask as generate_phantom painted it before it streamed: whole.
 
     Each slice is toggled from the one before it, over the bytes of the
     lung's box, and the slices since the last change are copied in one go.
     """
+    lung = _sort(geom, box)
     truth = np.zeros(geom.packed_zyx, np.uint8)
-    js, width = slice(lung.ys.start // 8, geom.packed_zyx[1]), lung.xs.stop - lung.xs.start
+    js, width = slice(box.ys.start // 8, geom.packed_zyx[1]), box.xs.stop - box.xs.start
     y, x = np.divmod(lung.cols, geom.nx)
     bit = np.uint8(1) << (y & 7).astype(np.uint8)
-    byte = ((y >> 3) - js.start) * width + (x - lung.xs.start)
+    byte = ((y >> 3) - js.start) * width + (x - box.xs.start)
     plane = np.zeros((js.stop - js.start, width), np.uint8)
     flat, done = plane.reshape(-1), lung.zs.start
     for z, lo, hi in lung.changes():
-        truth[done:z, js, lung.xs] = plane
+        truth[done:z, js, box.xs] = plane
         np.bitwise_xor.at(flat, byte[lo:hi], bit[lo:hi])
         done = z
-    truth[done:lung.zs.stop, js, lung.xs] = plane
+    truth[done:lung.zs.stop, js, box.xs] = plane
     return truth
 
 
@@ -723,7 +739,7 @@ def assert_streams_its_truth(spec: PhantomSpec, planes: int, out_dir) -> None:
         return
     g = spec.geometry
     for mask, lung in ((case.truth_right, spec.lung_right), (case.truth_left, spec.lung_left)):
-        want = eager_truth(g, _sort(g, _box(g, lung)))
+        want = eager_truth(g, _box(g, lung))
         counts = np.bitwise_count(want).sum(axis=1)
         with mock.patch.object(grid, "_CHUNK_BYTES", max(1, planes * want[0].nbytes)):
             save_mask3d(mask, out_dir / "truth.json")
@@ -1373,6 +1389,19 @@ def test_phantom_on_mutated_spec_is_one_error_line(spec_run_dir, data):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+def test_solid_reaching_infinity_is_one_error_line(spec_run_dir, capsys):
+    """A dome at x = 1e308 of radius 1e308 ends at x = inf: its index box raises no OverflowError."""
+    doc = json.loads(json.dumps(SMALL_ANATOMICAL))
+    doc["diaphragm_right"].update(center_mm=[1e308, 160.0, 30.0], radius_mm=1e308)
+    path = spec_run_dir / "infinite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["phantom", "--out", str(spec_run_dir / "infinite"), "--spec", str(path),
+               "--n", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert err.startswith("error: ") and err.count("\n") == 1 if rc else err == ""
 
 
 def test_small_anatomical_spec_runs(spec_run_dir):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from lungcover import grid
 from lungcover.grid import HU_MAX, HU_MIN, GridGeometry, Mask2D, Mask3D, VoxelVolume
 from lungcover.io import load_volume, save_volume
-from lungcover.phantom import TissueHu, _volume_painter, default_spec, generate_phantom
+from lungcover.phantom import (_PAINT_ORDER, TissueHu, _box, _sort, _volume_painter, default_spec,
+                               generate_phantom)
 from lungcover.projection import (
     _FOLDS,
     DEFAULT_WINDOW,
@@ -196,7 +197,10 @@ def phantom_volume(ny: int, hu: TissueHu) -> VoxelVolume:
     """
     g = GridGeometry(nx=12, ny=ny, nz=10, sx=320 / 12, sy=320 / ny, sz=320 / 10)
     spec = replace(default_spec(), geometry=g, hu=hu)
-    return VoxelVolume.from_source(g, partial(_volume_painter, spec, {}))
+    sorts = [(_sort(g, _box(g, getattr(spec, name))), getattr(hu, tissue))
+             for name, tissue in _PAINT_ORDER]
+    solids = [(sorted_, tissue) for sorted_, tissue in sorts if sorted_ is not None]
+    return VoxelVolume.from_source(g, partial(_volume_painter, g, hu.air, solids))
 
 
 class TestFoldedColumnSums:
