@@ -3,24 +3,23 @@
 
 Run from the repository root:
 
-    python scripts/mutants.py [--catalogue scripts/mutants.json]
+    python scripts/mutants.py
 
-The catalogue is a JSON list. Each entry gives a name, a file under
-src/, an exact old text that must occur in that file exactly once, the
-new text that replaces it, and the tests (pytest node ids) that must
-fail once it is replaced. The gate first checks every old text, so a
-refactor that moves one has to update the catalogue on purpose. Then,
-in a temporary copy of src/, it runs all the named tests unmutated
-(they must pass), and each mutant in turn: apply it, run
-``python -m pytest -x -q`` on its tests with the copy first on
-PYTHONPATH, and put the file back. A mutant is killed when pytest
-reports a failed test (exit 1); any other outcome, a pass included,
-fails the gate. Exit status 0 means every mutant was killed.
+The catalogue, scripts/mutants.json, is a JSON list. Each entry gives
+a name, a file under src/, an exact old text that must occur in that
+file exactly once, the new text that replaces it, and the tests
+(pytest node ids) that must fail once it is replaced. The gate first
+checks every old text, so a refactor that moves one has to update the
+catalogue on purpose. Then, in a temporary copy of src/, it runs all
+the named tests unmutated (they must pass), and each mutant in turn:
+apply it, run ``python -m pytest -x -q`` on its tests with the copy
+first on PYTHONPATH, and put the file back. A mutant is killed when
+pytest reports a failed test (exit 1); any other outcome, a pass
+included, fails the gate. Exit status 0 means every mutant was killed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -33,9 +32,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def load(path: Path) -> list[dict]:
+def load() -> list[dict]:
     """The catalogue's entries, once each old text occurs exactly once in its file."""
-    entries = json.loads(path.read_text(encoding="utf-8"))
+    entries = json.loads((REPO / "scripts" / "mutants.json").read_text(encoding="utf-8"))
     stale = []
     for entry in entries:
         count = (REPO / "src" / entry["file"]).read_text(encoding="utf-8").count(entry["old"])
@@ -55,9 +54,7 @@ def pytest(src: Path, tests: list[str], *flags: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--catalogue", type=Path, default=REPO / "scripts" / "mutants.json")
-    entries = load(parser.parse_args().catalogue)
+    entries = load()
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))

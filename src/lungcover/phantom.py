@@ -64,14 +64,15 @@ def _floats(obj, name: str, n: int = 0, positive: bool = False) -> None:
     """Store obj.name as a float (n = 0) or a tuple of n floats, each finite (and > 0).
 
     The one number rule of the spec types: bool, NaN, +-Infinity, huge
-    ints and strings are SpecViolation, as are lists of the wrong length.
+    ints and strings are SpecViolation, as are lists of the wrong length
+    and lengths of 1e150 mm or more, whose squares would overflow.
     """
     v = getattr(obj, name)
     items = v if n else [v]
-    if not (isinstance(items, (list, tuple)) and len(items) == max(n, 1)
-            and all(is_finite_number(x) and (x > 0 or not positive) for x in items)):
-        raise SpecViolation(f"{type(obj).__name__} {name} must be {n or 'one'} "
-                            f"{'positive ' * positive}finite number(s), got {reprlib.repr(v)}")
+    if not (isinstance(items, (list, tuple)) and len(items) == max(n, 1) and all(
+            is_finite_number(x) and abs(x) < 1e150 and (x > 0 or not positive) for x in items)):
+        raise SpecViolation(f"{type(obj).__name__} {name} must be {n or 'one'} {'positive ' * positive}"
+                            f"number(s) below 1e150 in magnitude, got {reprlib.repr(v)}")
     floats = tuple(float(x) for x in items)
     object.__setattr__(obj, name, floats if n else floats[0])
 
@@ -197,10 +198,8 @@ def _axis_centers(n: int, s: float) -> np.ndarray:
 
 def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]:
     """Index range whose voxel centers might fall in [lo_mm, hi_mm], padded by 1."""
-    # clamping changes no span, and keeps an end that overflowed to inf (1e308 + 1e308) finite
-    lo, hi = (min(max(mm / s, -2.0), n + 2.0) for mm in (lo_mm, hi_mm))
-    lo = max(0, int(math.floor(lo - 0.5)) - 1)
-    hi = min(n, int(math.ceil(hi - 0.5)) + 2)
+    lo = max(0, int(math.floor(lo_mm / s - 0.5)) - 1)
+    hi = min(n, int(math.ceil(hi_mm / s - 0.5)) + 2)
     return lo, max(lo, hi)
 
 

@@ -1392,7 +1392,7 @@ def test_phantom_on_mutated_spec_is_one_error_line(spec_run_dir, data):
 
 
 def test_solid_reaching_infinity_is_one_error_line(spec_run_dir, capsys):
-    """A dome at x = 1e308 of radius 1e308 ends at x = inf: its index box raises no OverflowError."""
+    """A dome at x = 1e308 of radius 1e308 would end at x = inf: the spec rejects it, in one line."""
     doc = json.loads(json.dumps(SMALL_ANATOMICAL))
     doc["diaphragm_right"].update(center_mm=[1e308, 160.0, 30.0], radius_mm=1e308)
     path = spec_run_dir / "infinite.json"
@@ -1400,8 +1400,9 @@ def test_solid_reaching_infinity_is_one_error_line(spec_run_dir, capsys):
     rc = main(["phantom", "--out", str(spec_run_dir / "infinite"), "--spec", str(path),
                "--n", "1", "--quiet"])
     err = capsys.readouterr().err
-    assert rc in (0, 1, 2)
-    assert err.startswith("error: ") and err.count("\n") == 1 if rc else err == ""
+    assert rc == 1
+    assert err.startswith("error: SpecViolation: diaphragm_right: SphereCap center must be ")
+    assert err.count("\n") == 1
 
 
 def test_small_anatomical_spec_runs(spec_run_dir):
