@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,36 +92,63 @@ def _load_spec(name_or_path: str, seed: int, jitter_px: int | None):
     return spec
 
 
+def _phantom_case(args, base, out: Path, index: int) -> dict:
+    """Make case index of the cohort, write its seven files, and return its manifest entry.
+
+    The case, its 2D masks and its lungs' and heart's sorted columns are freed on
+    return; the torso's and domes' sorted columns outlive it, shared by the cohort
+    (phantom._sort_solid).
+    """
+    case = cohort_case(base, index, args.seed, args.perturb_pct)
+    case_id = f"case_{index:03d}"
+    case_dir = out / case_id
+    save_volume(case.volume, case_dir / "volume.json")
+    save_mask3d(case.truth_right, case_dir / "truth_right.json")
+    save_mask3d(case.truth_left, case_dir / "truth_left.json")
+    save_mask2d(case.sota2d_right, case_dir / "sota2d_right.json")
+    save_mask2d(case.sota2d_left, case_dir / "sota2d_left.json")
+    save_mask2d(case.annot2_right, case_dir / "annot2_right.json")
+    save_mask2d(case.annot2_left, case_dir / "annot2_left.json")
+    return {
+        "case_id": case_id,
+        "dir": case_id,
+        "oracle_obscured_pct": {s: 100.0 * analytic_obscured_fraction(case.spec, s)
+                                for s in LABELS},
+        "oracle_tolerance_pct": {s: oracle_tolerance_pct(case.spec, s) for s in LABELS},
+        "spec": spec_to_dict(case.spec),
+    }
+
+
 def cmd_phantom(args) -> int:
+    """Write the cohort's cases two at a time, then its manifest.
+
+    Cases are made in index-ordered pairs: this thread makes case 2k
+    while one worker thread makes case 2k + 1, so one case paints while
+    the kernel copies the other's writes (which release the GIL). Every
+    case depends only on its index, so each file's bytes, the manifest's
+    entries and the ``wrote`` lines are as one case at a time would make
+    them, in index order. A pair in which a case fails waits for its
+    other case, then raises the error of the lower failing index; no
+    later case starts and no manifest is written.
+    """
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     base = _load_spec(args.spec, args.seed, args.jitter_px)
     out = Path(args.out)
+    make = functools.partial(_phantom_case, args, base, out)
     entries = []
-    for index in range(args.n):
-        case = cohort_case(base, index, args.seed, args.perturb_pct)
-        case_id = f"case_{index:03d}"
-        case_dir = out / case_id
-        save_volume(case.volume, case_dir / "volume.json")
-        save_mask3d(case.truth_right, case_dir / "truth_right.json")
-        save_mask3d(case.truth_left, case_dir / "truth_left.json")
-        save_mask2d(case.sota2d_right, case_dir / "sota2d_right.json")
-        save_mask2d(case.sota2d_left, case_dir / "sota2d_left.json")
-        save_mask2d(case.annot2_right, case_dir / "annot2_right.json")
-        save_mask2d(case.annot2_left, case_dir / "annot2_left.json")
-        entries.append({
-            "case_id": case_id,
-            "dir": case_id,
-            "oracle_obscured_pct": {s: 100.0 * analytic_obscured_fraction(case.spec, s)
-                                    for s in LABELS},
-            "oracle_tolerance_pct": {s: oracle_tolerance_pct(case.spec, s) for s in LABELS},
-            "spec": spec_to_dict(case.spec),
-        })
-        _say(args, f"wrote {case_dir}")
-        # its 2D masks and the lungs' and heart's sorted columns, freed before the next case is
-        # made; the torso's and domes' sorted columns outlive it, shared by the cohort
-        # (phantom._sort_solid)
-        del case
+    with ThreadPoolExecutor(1) as worker:
+        for index in range(0, args.n, 2):
+            second = worker.submit(make, index + 1) if index + 1 < args.n else None
+            try:
+                entries.append(make(index))
+            finally:  # the pair's other case ends before an error of this one is raised
+                if second is not None:
+                    wait([second])
+            _say(args, f"wrote {out / entries[-1]['dir']}")
+            if second is not None:
+                entries.append(second.result())  # raises case index + 1's error
+                _say(args, f"wrote {out / entries[-1]['dir']}")
     manifest = {
         "kind": "lungcover-cohort",
         "n_cases": args.n,

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import lungcover
 from lungcover.cli import main
 from lungcover.concordance import obscured_fraction
+from lungcover.errors import SpecViolation
 from lungcover.grid import LABELS, Mask2D
 from lungcover.io import load_mask2d, load_mask3d, save_mask2d
 from lungcover.phantom import (analytic_obscured_fraction, default_spec, spec_from_dict,
@@ -454,28 +455,64 @@ def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
 
 
 def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):
-    """A CT case holds 2 x 8 MB of truth masks (and 128 MB more once its volume is read):
-    the previous one must be gone when the next is built."""
-    import gc
+    """A CT case holds 2 x 8 MB of truth masks (and 128 MB more once its volume is read).
+    Cases are made in pairs, so when case i is requested only case i - 1, its pair's
+    other case, may be alive: every case below it must be gone."""
     import weakref
 
     from lungcover import cli
-    real, cases, alive = cli.cohort_case, [], []
+    real, cases, alive = cli.cohort_case, {}, {}
 
-    def tracked(*args, **kwargs):
-        alive.extend(ref() is not None for ref in cases)
-        case = real(*args, **kwargs)
-        cases.append(weakref.ref(case))
+    def tracked(base, index, *args, **kwargs):
+        alive[index] = sorted(i for i, ref in list(cases.items()) if ref() is not None)
+        case = real(base, index, *args, **kwargs)
+        cases[index] = weakref.ref(case)
         return case
 
     monkeypatch.setattr(cli, "cohort_case", tracked)
     gc.disable()  # freed by reference counting, not by a collection that may come later
     try:
-        make_cohort(tmp_path / "c", spec_file, n=3)
+        make_cohort(tmp_path / "c", spec_file, n=5)
     finally:
         gc.enable()
-    assert len(cases) == 3
-    assert alive == [False] * 3  # case 0 when 1 is requested; cases 0 and 1 when 2 is
+    assert sorted(alive) == list(range(5))
+    for index, seen in alive.items():
+        assert set(seen) <= {index - 1}, (index, seen)
+
+
+@pytest.mark.parametrize("fail_at, error_of", [({2}, 2), ({3}, 3), ({2, 3}, 2)])
+def test_phantom_failing_pair_raises_its_lowest_error_and_starts_no_later_case(
+        tmp_path, spec_file, capsys, monkeypatch, fail_at, error_of):
+    """A pair in which a case fails waits for its other case, then raises the error of
+    its lower failing index: no later case starts, and no manifest is written."""
+    from lungcover import cli
+    real, asked = cli.cohort_case, []
+
+    def cohort_case(base, index, *args, **kwargs):
+        asked.append(index)
+        if index in fail_at:
+            raise SpecViolation(f"case {index}: made to fail")
+        return real(base, index, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cohort_case", cohort_case)
+    out = tmp_path / "c"
+    assert main(["phantom", "--out", str(out), "--spec", str(spec_file), "--n", "5"]) == 1
+    assert one_error_line(capsys) == f"error: SpecViolation: case {error_of}: made to fail\n"
+    assert sorted(asked) == [0, 1, 2, 3]
+    assert not (out / "manifest.json").exists()
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [f"case_{i:03d}" for i in range(4) if i not in fail_at]
+    for name in written:
+        assert sorted(p.name for p in (out / name).glob("*.json")) == sorted(CASE_FILES)
+
+
+def test_phantom_progress_lines_come_in_index_order(tmp_path, spec_file, capsys):
+    out = tmp_path / "c"
+    assert main(["phantom", "--out", str(out), "--spec", str(spec_file), "--n", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == (
+        [f"wrote {out / f'case_{i:03d}'}" for i in range(5)] + [str(out / "manifest.json")])
+    cases = json.loads((out / "manifest.json").read_text())["cases"]
+    assert [entry["case_id"] for entry in cases] == [f"case_{i:03d}" for i in range(5)]
 
 
 def test_anatomical_cohort_matches_its_oracles(tmp_path):
