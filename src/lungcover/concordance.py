@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BothEmpty, EmptyReference, GeometryMismatch
-from .grid import GridGeometry, Mask2D, Mask3D, sum_y, voxel_volume_ml
+from .grid import GridGeometry, Mask2D, Mask3D, fold_y, voxel_volume_ml
 
 
 def _require_same_grid(a: Mask3D, b: Mask3D) -> None:
@@ -200,15 +200,15 @@ def _union_column_counts(right: Mask3D, left: Mask3D) -> np.ndarray:
 
     |R| + |L| - |R & L| per column. |R & L| is counted only when some
     column has voxels of both masks (none does when the lungs are
-    disjoint in projection), in one pass over both masks' packed z-chunks,
-    as _pair_counts does, so neither mask is held whole. The result is at
-    most ny, so it fits the column dtype.
+    disjoint in projection), in one fold over both masks' packed z-chunks
+    (grid.fold_y: two loaded CT-grid masks in two z-halves at once), so
+    neither mask is held whole. The result is at most ny, so it fits the
+    column dtype.
     """
     cols_r, cols_l = right.column_counts, left.column_counts
     if not ((cols_r > 0) & (cols_l > 0)).any():
         return cols_r + cols_l
-    inter = sum_y((np.bitwise_count(a & b) for a, b in zip(right.chunks(), left.chunks())),
-                  np.empty_like(cols_l))
+    inter = fold_y((right, left), np.empty_like(cols_l), lambda a, b: np.bitwise_count(a & b))
     return cols_r + (cols_l - inter)
 
 

@@ -17,11 +17,22 @@ mark it read-only. So a value derived from a mask's bits, such as
 A volume (VoxelVolume) or a 3D mask (Mask3D) is held, built from its
 array, or built ``from_source``: source() returns a fresh fill(out, z0)
 of z-slices (z_chunks), a phantom's painter or a file's payload reader.
-One chunk rule serves both: once the whole array is held (built held,
-or filled whole by ``values`` / ``packed``, which cache it), chunks()
-yields z_views of it; otherwise z_chunks of a new fill, so the array is
-never held on the way to a file, a DRR or a column count. The repr of
-either shows no array, and both compare (and hash) by identity.
+One chunk rule serves both (_ZArray): once the whole array is held
+(built held, or filled whole by ``values`` / ``packed``, which cache
+it), chunks() yields z_views of it; otherwise z_chunks of a new fill, in
+one buffer that the next chunk overwrites, so the array is never held
+on the way to a file, a DRR or a column count. The repr of either shows
+no array, and both compare (and hash) by identity.
+
+Every 2D answer (the DRR's column sums, a mask's column counts, the
+intersection counts of two masks) is one fold over the chunks, fold_y.
+A seekable array, held or read by a file's positional reader, of at
+least _SPLIT_BYTES (~6 MiB: a CT-grid volume or truth mask) is folded
+in two z-halves at once, each in its own thread and its own buffer, on
+two cores. A painter paints each slice from the one before it, so it is
+not seekable, and its array is folded in one pass; so is a smaller
+array, such as every array of a 128^3 desk case, for which a thread
+start and a second buffer cost more than a second core saves.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,25 +94,36 @@ def check_label(label) -> None:
 _CHUNK_BYTES = 1 << 19
 
 
+# A seekable array (held, or read from a file) of at least this many bytes is
+# folded into its 2D answer in two z-halves at once (fold_y): the 128 MB volume
+# and the 7.6 MiB packed truth masks of the 512 x 512 x 244 CT grid. The 4 MiB
+# volume and 256 KiB masks of a 128^3 desk case stay on one thread: folding every
+# desk volume in halves made 55 desk render_drr calls 35 % slower on two CPUs
+# (12-16 % pinned to one), each call paying a thread start and a second buffer.
+_SPLIT_BYTES = 6 << 20
+
+
 def chunk_depth(slice_bytes: int) -> int:
     """Slices per z-chunk when one slice takes slice_bytes: ~_CHUNK_BYTES, at least one."""
     return max(1, _CHUNK_BYTES // slice_bytes)
 
 
-def z_chunks(shape: tuple[int, ...], dtype, fill):
-    """Yield an array's z-chunks in order, in one buffer that the next chunk overwrites.
+def z_chunks(shape: tuple[int, ...], dtype, fill, z0: int = 0, z1: int | None = None):
+    """Yield an array's z-chunks of slices [z0, z1) in order, in one buffer the next overwrites.
 
     shape is (nz, *slice shape): (nz, ny, nx) int16 for a volume,
-    GridGeometry.packed_zyx uint8 for a packed 3D mask. fill(out, z0)
-    writes slices z0 .. z0 + len(out) into out and returns it; out holds
-    chunk_depth slices, fewer at the end. Each chunk is yielded as a
-    read-only view: the buffer is fill's alone (a phantom painter paints
-    each chunk from the slice it left there), so a caller's write raises.
+    GridGeometry.packed_zyx uint8 for a packed 3D mask; z1 None is nz.
+    fill(out, z) writes slices z .. z + len(out) into out and returns it;
+    out holds chunk_depth slices, fewer at the end. Each chunk is yielded
+    as a read-only view: the buffer is fill's alone (a phantom painter
+    paints each chunk from the slice it left there), so a caller's write
+    raises.
     """
-    nz, plane = shape[0], tuple(shape[1:])
+    nz = shape[0] if z1 is None else z1
+    plane = tuple(shape[1:])
     depth = chunk_depth(math.prod(plane) * np.dtype(dtype).itemsize)
-    buf = np.empty((min(depth, nz), *plane), dtype)
-    for z in range(0, nz, depth):
+    buf = np.empty((min(depth, nz - z0), *plane), dtype)
+    for z in range(z0, nz, depth):
         chunk = fill(buf[:nz - z], z).view()
         chunk.flags.writeable = False
         yield chunk
@@ -122,10 +145,36 @@ def z_views(arr: np.ndarray):
     return (arr[z:z + depth] for z in range(0, len(arr), depth))
 
 
-def _z_chunks_of(obj, whole: str, shape: tuple[int, ...], dtype):
-    """The one chunk rule: z_views of obj.<whole> once it is held, else z_chunks of a new fill."""
-    held = vars(obj).get(whole)
-    return z_views(held) if held is not None else z_chunks(shape, dtype, obj._source())
+class _ZArray:
+    """A volume's or a 3D mask's (nz, ...) array, held or filled from its source by z-chunk.
+
+    The one chunk rule of both kinds. A subclass names the cached
+    property that holds the whole array (_WHOLE) and gives its shape and
+    dtype (_layout); from_source sets _source and _seeks.
+    """
+
+    _WHOLE: str
+
+    def chunks(self, z0: int = 0, z1: int | None = None):
+        """The array's z-chunks of slices [z0, z1) in order (z1 None: nz), ~512 KB of slices each.
+
+        z_views of the array once it is held, else z_chunks of a new
+        fill. Only a seekable array (_seekable) is asked for chunks from
+        a z0 other than 0, and z0 is then on a chunk boundary.
+        """
+        held = vars(self).get(self._WHOLE)
+        if held is not None:
+            return z_views(held[z0:z1])
+        return z_chunks(*self._layout, self._source(), z0, z1)
+
+    def _seekable(self) -> bool:
+        """Whether chunks may start at any chunk boundary and run beside another thread's.
+
+        True of a held array and of a file's positional reader; not of a
+        painter, whose chunks come only in z order from slice 0, each slice
+        painted from the one before it.
+        """
+        return self._WHOLE in vars(self) or self._seeks
 
 
 def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
@@ -161,6 +210,55 @@ def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
         chunk.sum(axis=1, dtype=out.dtype, out=rows)
         for row in leftovers:
             rows += row
+    return out
+
+
+def fold_y(arrays, out: np.ndarray, op=None, folds: int = 0) -> np.ndarray:
+    """sum_y of op(*chunks) over the z-chunks of arrays into out, shape (nz, nx); return out.
+
+    arrays are volumes or 3D masks of one grid and kind; op maps one
+    z-chunk of each to the (depth, n, nx) chunk summed, and None takes
+    the one array's chunk as it is. The one fold of every 2D answer.
+
+    When every array is seekable (_ZArray._seekable) and each is at least
+    _SPLIT_BYTES, one worker thread folds slices [mid, nz) into their
+    rows of out, in its own chunk buffer and fold scratch, while this
+    thread folds [0, mid); mid is the chunk boundary at or just past
+    nz / 2. The reads, range checks and folds all release the GIL, so
+    the halves run on two cores. A painter's array and a small one are
+    folded in one pass. The sums are exact integers, so out is the same
+    either way. If either half raises, the other is waited for and the
+    lower half's error is raised, the one a single pass meets first; the
+    worker never outlives the call.
+    """
+    shape, dtype = arrays[0]._layout
+    nz, slice_bytes = shape[0], math.prod(shape[1:]) * np.dtype(dtype).itemsize
+    depth = chunk_depth(slice_bytes)
+    mid = depth * -(-nz // (2 * depth))
+
+    def fold(z0: int, z1: int) -> None:
+        parts = [a.chunks(z0, z1) for a in arrays]
+        sum_y(parts[0] if op is None else map(op, *parts), out[z0:z1], folds)
+
+    if mid >= nz or nz * slice_bytes < _SPLIT_BYTES or not all(a._seekable() for a in arrays):
+        fold(0, nz)
+        return out
+    failed = []
+
+    def upper() -> None:
+        try:
+            fold(mid, nz)
+        except BaseException as exc:  # raised in the caller's thread, after the lower half
+            failed.append(exc)
+
+    worker = threading.Thread(target=upper, name="lungcover-fold-upper")
+    worker.start()
+    try:
+        fold(0, mid)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -218,18 +316,19 @@ _SOURCE_HU = np.dtype("<i2")
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class VoxelVolume:
+class VoxelVolume(_ZArray):
     """CT-like scalar volume, int16 HU values in [-1024, 3071], held or filled from a source.
 
     ``VoxelVolume(geometry, values)`` range-checks the values and holds
-    them; ``from_source(geometry, source)`` fills little-endian int16
-    slices, from a phantom's painter (its spec is checked) or a volume
-    file's reader (io.load_volume checks each chunk's HU range). chunks(),
-    for io.save_volume and projection.render_drr, and values follow the
-    module's one chunk rule.
+    them; ``from_source(geometry, source, seekable)`` fills little-endian
+    int16 slices, from a phantom's painter (its spec is checked) or a
+    volume file's reader (io.load_volume checks each chunk's HU range;
+    seekable). chunks(), for io.save_volume and projection.render_drr,
+    and values follow the module's one chunk rule.
     """
 
     geometry: GridGeometry
+    _WHOLE = "values"
 
     def __init__(self, geometry: GridGeometry, values):
         raw = np.asarray(values)
@@ -242,20 +341,21 @@ class VoxelVolume:
         object.__setattr__(self, "values", _freeze(raw, np.int16))
 
     @classmethod
-    def from_source(cls, geometry: GridGeometry, source) -> "VoxelVolume":
+    def from_source(cls, geometry: GridGeometry, source, seekable: bool = False) -> "VoxelVolume":
+        """A volume whose slices source() fills: a painter, or a reader if seekable."""
         volume = cls.__new__(cls)
-        object.__setattr__(volume, "geometry", geometry)
-        object.__setattr__(volume, "_source", source)
+        for name, value in dict(geometry=geometry, _source=source, _seeks=seekable).items():
+            object.__setattr__(volume, name, value)
         return volume
+
+    @property
+    def _layout(self) -> tuple[tuple[int, int, int], np.dtype]:
+        return self.geometry.shape_zyx, _SOURCE_HU
 
     @cached_property
     def values(self) -> np.ndarray:
         """The read-only (nz, ny, nx) int16 volume, filled whole from the source on first use."""
-        return z_whole(self.geometry.shape_zyx, _SOURCE_HU, self._source())
-
-    def chunks(self):
-        """The values' z-chunks in order, ~512 KB of slices each."""
-        return _z_chunks_of(self, "values", self.geometry.shape_zyx, _SOURCE_HU)
+        return z_whole(*self._layout, self._source())
 
 
 def check_padding(ny: int, chunks) -> None:
@@ -270,7 +370,7 @@ def check_padding(ny: int, chunks) -> None:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Mask3D:
+class Mask3D(_ZArray):
     """Binary voxel mask on a grid, labeled right/left/both, one bit per voxel.
 
     ``packed`` is the read-only uint8 array, shape ``geometry.packed_zyx``:
@@ -280,14 +380,16 @@ class Mask3D:
     ``Mask3D(geometry, bits, label)`` packs and holds a bool (or 0/1)
     array; ``Mask3D.from_packed`` holds packed bytes as they are, once
     their padding bits (y >= ny) are 0 (check_padding);
-    ``from_source(geometry, source, label)`` fills packed slices, from a
-    phantom's truth painter or a "u1y" file's reader (io.load_mask3d).
-    chunks(), which io.save_mask3d writes and column_counts folds over,
-    and packed follow the module's one chunk rule.
+    ``from_source(geometry, source, label, seekable)`` fills packed
+    slices, from a phantom's truth painter or a "u1y" file's reader
+    (io.load_mask3d; seekable). chunks(), which io.save_mask3d writes and
+    column_counts folds over, and packed follow the module's one chunk
+    rule.
     """
 
     geometry: GridGeometry
     label: str
+    _WHOLE = "packed"
 
     def __init__(self, geometry: GridGeometry, bits, label: str):
         bits = np.asarray(bits, bool)
@@ -306,8 +408,10 @@ class Mask3D:
         return cls.__new__(cls)._set(geometry, label, packed=_freeze(packed, np.uint8))
 
     @classmethod
-    def from_source(cls, geometry: GridGeometry, source, label: str) -> "Mask3D":
-        return cls.__new__(cls)._set(geometry, label, _source=source)
+    def from_source(cls, geometry: GridGeometry, source, label: str,
+                    seekable: bool = False) -> "Mask3D":
+        """A mask whose packed slices source() fills: a painter, or a reader if seekable."""
+        return cls.__new__(cls)._set(geometry, label, _source=source, _seeks=seekable)
 
     def _set(self, geometry: GridGeometry, label: str, **packed_or_source) -> "Mask3D":
         check_label(label)
@@ -315,14 +419,14 @@ class Mask3D:
             object.__setattr__(self, name, value)
         return self
 
+    @property
+    def _layout(self) -> tuple[tuple[int, int, int], np.dtype]:
+        return self.geometry.packed_zyx, np.dtype(np.uint8)
+
     @cached_property
     def packed(self) -> np.ndarray:
         """The read-only (nz, ceil(ny/8), nx) packed mask, filled whole from source on first use."""
-        return z_whole(self.geometry.packed_zyx, np.uint8, self._source())
-
-    def chunks(self):
-        """Yield the packed bytes' z-chunks in order, ~512 KB of slices each."""
-        return _z_chunks_of(self, "packed", self.geometry.packed_zyx, np.uint8)
+        return z_whole(*self._layout, self._source())
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -340,13 +444,14 @@ class Mask3D:
     def column_counts(self) -> np.ndarray:
         """Read-only mask voxel count of each (z, x) column along y, shape (nz, nx).
 
-        A popcount summed over y, one z-chunk at a time. Cached: the bits
-        cannot change. The dtype is the smallest unsigned type that holds
-        ny, so the sum cannot overflow.
+        A popcount summed over y, one z-chunk at a time (fold_y: a large
+        loaded mask in two z-halves at once). Cached: the bits cannot
+        change. The dtype is the smallest unsigned type that holds ny, so
+        the sum cannot overflow.
         """
         g = self.geometry
-        cols = sum_y((np.bitwise_count(chunk) for chunk in self.chunks()),
-                     np.empty((g.nz, g.nx), np.min_scalar_type(g.ny)))
+        cols = fold_y((self,), np.empty((g.nz, g.nx), np.min_scalar_type(g.ny)),
+                      np.bitwise_count)
         cols.flags.writeable = False
         return cols
 

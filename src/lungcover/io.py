@@ -41,10 +41,18 @@ grid's one chunk rule it is read ~512 KB of slices at a time into one
 buffer as its chunks() are used, until values or packed reads it whole
 and keeps it; a volume checks each chunk's HU range while it is in cache
 (_volume_reader). So drr holds no volume, and cohort counts each truth
-mask's columns holding about one chunk of it. A "u1y" mask's padding
-bits are checked at load, by chunk, when ny is not a multiple of 8. A 3D
-"u8" payload is checked (0 or 1) and packed one z-chunk at a time at
-load, and a 2D mask is read whole at load; neither holds a descriptor.
+mask's columns holding about one chunk of it. The reader is seekable: it
+reads any slices, from any thread, with no state of its own. So a
+payload of grid._SPLIT_BYTES (~6 MiB) or more, such as a CT-grid volume
+or truth mask, is summed or counted in two z-halves at once
+(grid.fold_y), one buffer per half, and each half's chunks are
+range-checked as they are read. An error in either half is raised after
+both end, the lower half's first, as a single pass would meet it. A
+128^3 desk payload (4 MiB volume, 256 KiB mask) is read on one thread.
+A "u1y" mask's padding bits are checked at load, by chunk, when ny is
+not a multiple of 8. A 3D "u8" payload is checked (0 or 1) and packed
+one z-chunk at a time at load, and a 2D mask is read whole at load;
+neither holds a descriptor.
 Because writes replace a file by rename, a loaded volume or mask reads
 the bytes it was loaded with; a payload cut short after the load is a
 SizeMismatch when the missing bytes are read.
@@ -129,6 +137,7 @@ class _Payload:
     """A payload file, size-checked by _open_payload, read by slices with positional reads.
 
     Holds a duplicate of the descriptor _open_payload opened, and closes it when freed.
+    read keeps no file position, so two threads may read one payload at once (grid.fold_y).
     """
 
     def __init__(self, path: Path, size: int, fd: int):
@@ -254,7 +263,7 @@ def _load_mask(path: str | Path, ndims: tuple[int, ...]) -> Mask2D | Mask3D:
         return Mask2D(*dims, *spacing, array.view(bool), label)
     g = GridGeometry(*dims, *spacing)
     if dtype == "u1y":
-        mask = Mask3D.from_source(g, lambda: payload.read, label)
+        mask = Mask3D.from_source(g, lambda: payload.read, label, seekable=True)
         try:
             check_padding(g.ny, mask.chunks())
         except ValueError as exc:  # a padding bit is set
@@ -285,7 +294,7 @@ def load_volume(path: str | Path) -> VoxelVolume:
     dims, spacing, _, _, data_path = _load(path, _VOLUME, labeled=False)
     payload = _open_payload(data_path, 2 * math.prod(dims))
     return VoxelVolume.from_source(GridGeometry(*dims, *spacing),
-                                   functools.partial(_volume_reader, payload))
+                                   functools.partial(_volume_reader, payload), seekable=True)
 
 
 def load_mask3d(path: str | Path) -> Mask3D:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
+import threading
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -70,7 +71,8 @@ def _floats(obj, name: str, n: int = 0, positive: bool = False) -> None:
     v = getattr(obj, name)
     items = v if n else [v]
     if not (isinstance(items, (list, tuple)) and len(items) == max(n, 1) and all(
-            is_finite_number(x) and abs(x) < 1e150 and (x > 0 or not positive) for x in items)):
+            is_finite_number(x) and abs(float(x)) < 1e150 and (x > 0 or not positive)
+            for x in items)):
         raise SpecViolation(f"{type(obj).__name__} {name} must be {n or 'one'} {'positive ' * positive}"
                             f"number(s) below 1e150 in magnitude, got {reprlib.repr(v)}")
     floats = tuple(float(x) for x in items)
@@ -335,6 +337,12 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
 _COHORT_SOLIDS = ("torso", "diaphragm_right", "diaphragm_left")
 
 
+# Held around the calls of _sort_solid: lru_cache lets two threads that miss at
+# once both compute, so without it both cases of a phantom command's first pair
+# would sort the torso. The second waits and then hits.
+_SHARED_SORTS = threading.Lock()
+
+
 @functools.lru_cache(maxsize=len(_COHORT_SOLIDS))
 def _sort_solid(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> _Sorted | None:
     """_sort of the solid's box, kept for the cases that share the solid.
@@ -535,9 +543,10 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     annot2_r = _jitter_bits(sota_r_bits, spec.annotator_jitter_px, rng)  # right drawn first
     annot2_l = _jitter_bits(sota_l_bits, spec.annotator_jitter_px, rng)
 
-    sorts = {name: _sort_solid(g, getattr(spec, name)) if name in _COHORT_SOLIDS
-             else _sort(g, boxes[name])
-             for name, _ in _PAINT_ORDER if getattr(spec, name) is not None}
+    with _SHARED_SORTS:
+        sorts = {name: _sort_solid(g, getattr(spec, name)) for name in _COHORT_SOLIDS
+                 if getattr(spec, name) is not None}
+    sorts.update((name, _sort(g, boxes[name])) for name in _LUNGS + ("heart",))
     solids = [(sorts[name], getattr(spec.hu, tissue)) for name, tissue in _PAINT_ORDER
               if sorts.get(name) is not None]
 

@@ -2,15 +2,20 @@
 
 The DRR is an orthographic parallel-ray projection along +y: each output
 pixel is the mean HU of its y-column, mapped through a display window to
-8 bits. render_drr folds over the volume's z-chunks (``volume.chunks()``)
-and sums each chunk along y while it is in cache, so a phantom's volume is
+8 bits. render_drr folds over the volume's z-chunks (grid.fold_y) and
+sums each chunk along y while it is in cache, so a phantom's volume is
 painted, and a loaded volume read from its file, ~512 KB at a time: only
 the (nz, nx) column sums are held. The sum first adds the two halves of a
 chunk's rows in int16, three times, into one buffer of half a chunk, and
 widens only the eighth of the rows left: exact, because 8 voxels of
 range-checked HU fit int16, and about twice as fast as widening every
-row. Masks move between 2D and 3D by
-extrusion (replicate along y) and projection (OR along y).
+row. A loaded or held volume of grid._SPLIT_BYTES (~6 MiB) or more, such
+as the 128 MB CT volume, is read, checked and summed in two z-halves at
+once, each with its own chunk buffer and half-chunk scratch; the sums
+are exact integers, so the image is the same. A phantom's volume, painted
+slice from slice, and a 4 MiB desk volume are summed in one pass. Masks
+move between 2D and 3D by extrusion (replicate along y) and projection
+(OR along y).
 project(extrude(m)) == m for every ny >= 1.
 """
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, sum_y
+from .grid import HU_MAX, HU_MIN, DrrImage, GridGeometry, Mask2D, Mask3D, VoxelVolume, fold_y
 
 
 @dataclass(frozen=True)
@@ -54,16 +59,17 @@ _FOLDS = (np.iinfo(np.int16).max // max(-HU_MIN, HU_MAX)).bit_length() - 1
 def _column_sums(volume: VoxelVolume) -> np.ndarray:
     """Exact integer sum of each (z, x) column of a volume, shape (nz, nx), one z-chunk at a time.
 
-    Each chunk's rows are first added in int16 halves, _FOLDS times
-    (grid.sum_y), which cannot overflow: every kind of volume yields
-    HU values already range-checked (a VoxelVolume when it is built, a
-    loaded volume as each chunk is read, a phantom's from its checked
-    TissueHu). Only the ny / 8 rows left are widened, to int32 when ny
-    voxels of the widest HU fit it and to int64 otherwise.
+    A large loaded or held volume is summed in two z-halves at once
+    (grid.fold_y). Each chunk's rows are first added in int16 halves,
+    _FOLDS times (grid.sum_y), which cannot overflow: every kind of
+    volume yields HU values already range-checked (a VoxelVolume when it
+    is built, a loaded volume as each chunk is read, a phantom's from its
+    checked TissueHu). Only the ny / 8 rows left are widened, to int32
+    when ny voxels of the widest HU fit it and to int64 otherwise.
     """
     g = volume.geometry
     acc = np.int32 if max(-HU_MIN, HU_MAX) * g.ny <= np.iinfo(np.int32).max else np.int64
-    return sum_y(volume.chunks(), np.empty((g.nz, g.nx), acc), folds=_FOLDS)
+    return fold_y((volume,), np.empty((g.nz, g.nx), acc), folds=_FOLDS)
 
 
 def _mean_along_y(volume: VoxelVolume) -> np.ndarray:

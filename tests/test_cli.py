@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -452,6 +453,28 @@ def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
     info = _lung_fraction.cache_info()
     # right, left, then "both" from the two cached sides, per case
     assert (info.misses, info.hits) == (2 * 3, 2 * 3)
+
+
+def test_phantom_sorts_each_shared_solid_once(tmp_path, monkeypatch):
+    """Both cases of a pair need the torso's and domes' sorts: one thread sorts each, and
+    the other waits for it rather than sorting it again."""
+    from dataclasses import replace
+
+    from lungcover import phantom
+    from lungcover.grid import GridGeometry
+    spec = replace(phantom.anatomical_spec(), geometry=GridGeometry(32, 32, 32, 10.0, 10.0, 10.0))
+    (tmp_path / "spec.json").write_text(json.dumps(phantom.spec_to_dict(spec)), encoding="utf-8")
+    real = phantom._sort
+
+    def slow(*args):  # a wide window in which both threads of a pair ask for one sort
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(phantom, "_sort", slow)
+    phantom._sort_solid.cache_clear()
+    make_cohort(tmp_path / "c", tmp_path / "spec.json", n=4)
+    info = phantom._sort_solid.cache_info()
+    assert info.misses == info.currsize == 3, info
 
 
 def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):

@@ -1,6 +1,8 @@
 """Geometry and container invariants: shapes, ranges, immutability."""
 
 import dataclasses
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lungcover import grid
+from lungcover.concordance import _union_column_counts
+from lungcover.errors import SizeMismatch
 from lungcover.grid import (
     HU_MAX,
     HU_MIN,
@@ -21,6 +25,7 @@ from lungcover.grid import (
 )
 from lungcover.io import load_mask3d, load_volume, save_mask3d, save_volume
 from lungcover.phantom import default_spec, generate_phantom
+from lungcover.projection import _column_sums, render_drr
 
 
 def small_geometry(nx=4, ny=3, nz=2, sx=1.0, sy=1.0, sz=1.0) -> GridGeometry:
@@ -380,3 +385,155 @@ class TestOneChunkRule:
     def test_every_kind_is_the_one_grid_type(self, kind, made, tmp_path):
         assert type(one_of_each(kind, made, tmp_path)) is (VoxelVolume if kind == "volume"
                                                            else Mask3D)
+
+
+def record_fills(obj) -> list:
+    """Make each fill of obj's source append (first slice, thread ident) to the list returned."""
+    fills, source = [], obj._source
+
+    def traced():
+        fill = source()
+
+        def recorded(out, z0):
+            fills.append((z0, threading.get_ident()))
+            return fill(out, z0)
+        return recorded
+    object.__setattr__(obj, "_source", traced)
+    return fills
+
+
+class TestTwoHalves:
+    """fold_y folds a large seekable array's two z-halves at once, to the one-pass answer."""
+
+    NX, NY = 7, 11
+
+    @staticmethod
+    def one_pass(monkeypatch, fold):
+        """fold() with no array large enough to split."""
+        with monkeypatch.context() as m:
+            m.setattr(grid, "_SPLIT_BYTES", 1 << 62)
+            return fold()
+
+    @staticmethod
+    def split_into_chunks(monkeypatch, slice_bytes: int, depth: int) -> None:
+        """Split every seekable array, in chunks of depth slices of slice_bytes."""
+        monkeypatch.setattr(grid, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", depth * slice_bytes)
+
+    def assert_halves(self, fills, nz: int, depth: int) -> None:
+        """Each chunk was filled once: [0, mid) in this thread and [mid, nz) in one other."""
+        mid = depth * -(-nz // (2 * depth))
+        assert sorted(z for z, _ in fills) == list(range(0, nz, depth))
+        here = threading.get_ident()
+        assert {ident for z, ident in fills if z < mid} == {here}
+        upper = {ident for z, ident in fills if z >= mid}
+        assert len(upper) == (mid < nz) and here not in upper
+
+    # odd nz, nz not a multiple of the depth, nz = 1 (never split) and an even split
+    CASES = [(13, 2), (12, 5), (15, 3), (1, 1), (1, 4), (2, 1), (16, 4)]
+
+    @pytest.mark.parametrize("nz, depth", CASES)
+    def test_drr_is_the_one_pass_drr(self, nz, depth, tmp_path, monkeypatch):
+        g = small_geometry(self.NX, self.NY, nz)
+        values = np.random.default_rng(nz * depth).integers(HU_MIN, HU_MAX + 1, g.shape_zyx)
+        held = VoxelVolume(g, values)
+        save_volume(held, tmp_path / "vol.json")
+        loaded = load_volume(tmp_path / "vol.json")
+        want = self.one_pass(monkeypatch, lambda: render_drr(held).pixels)
+        fills = record_fills(loaded)
+        self.split_into_chunks(monkeypatch, 2 * self.NY * self.NX, depth)
+        for volume in (held, loaded):
+            np.testing.assert_array_equal(_column_sums(volume),
+                                          values.sum(axis=1, dtype=np.int64))
+            np.testing.assert_array_equal(render_drr(volume).pixels, want)
+        self.assert_halves(fills[:len(fills) // 2], nz, depth)
+
+    @pytest.mark.parametrize("nz, depth", CASES)
+    def test_column_and_union_counts_are_the_one_pass_counts(self, nz, depth, tmp_path,
+                                                             monkeypatch):
+        g = small_geometry(self.NX, self.NY, nz)
+        rng = np.random.default_rng(nz * depth)
+        bits = [rng.random(g.shape_zyx) < 0.35 for _ in range(2)]  # overlapping columns
+        held = [Mask3D(g, b, "right") for b in bits]
+        for k, mask in enumerate(held):
+            save_mask3d(mask, tmp_path / f"m{k}.json")
+
+        def loaded():
+            return [load_mask3d(tmp_path / f"m{k}.json") for k in range(2)]
+        want = self.one_pass(monkeypatch, lambda: _union_column_counts(*loaded()))
+        np.testing.assert_array_equal(want, (bits[0] | bits[1]).sum(axis=1))
+        self.split_into_chunks(monkeypatch, g.packed_zyx[1] * self.NX, depth)
+        masks = loaded()
+        fills = record_fills(masks[0])
+        for pair in (held, masks, loaded()):
+            np.testing.assert_array_equal(_union_column_counts(*pair), want)
+            for mask, b in zip(pair, bits):
+                np.testing.assert_array_equal(mask.column_counts, b.sum(axis=1))
+        # masks[0]: column_counts, then the intersection pass
+        self.assert_halves(fills[:len(fills) // 2], nz, depth)
+        self.assert_halves(fills[len(fills) // 2:], nz, depth)
+
+    G = small_geometry(NX, NY, 9)  # depth 2: [0, 6) and [6, 9)
+    MID = 6
+
+    def saved_volume(self, tmp_path, bad_slices=()):
+        """A loaded volume of G with HU_MAX + 1 in one voxel of each of bad_slices."""
+        values = np.zeros(self.G.shape_zyx, np.int16)
+        save_volume(VoxelVolume(self.G, values), tmp_path / "vol.json")
+        raw = tmp_path / "vol.raw"
+        data = bytearray(raw.read_bytes())
+        for z in bad_slices:
+            at = 2 * z * self.NY * self.NX
+            data[at:at + 2] = np.array(HU_MAX + 1, "<i2").tobytes()
+        raw.write_bytes(data)
+        return load_volume(tmp_path / "vol.json")
+
+    def fold_error(self, monkeypatch, volume, split: bool) -> Exception:
+        """The error render_drr raises: the two halves' fold if split, else one pass."""
+        start = threading.active_count()
+        with monkeypatch.context() as m:
+            m.setattr(grid, "_SPLIT_BYTES", 0 if split else 1 << 62)
+            m.setattr(grid, "_CHUNK_BYTES", 2 * 2 * self.NY * self.NX)
+            with pytest.raises((ValueError, SizeMismatch)) as caught:
+                render_drr(volume)
+        assert threading.active_count() == start  # the worker ended with the call
+        return caught.value
+
+    @pytest.mark.parametrize("bad_slices", [(0, 8), (5, 6), (8,), (1,)],
+                             ids=["both-halves", "both-sides-of-mid", "upper-only", "lower-only"])
+    def test_out_of_range_hu_is_the_one_pass_error(self, tmp_path, monkeypatch, bad_slices):
+        volume = self.saved_volume(tmp_path, bad_slices)
+        err = self.fold_error(monkeypatch, volume, split=True)
+        assert type(err) is ValueError
+        assert str(err) == f"{tmp_path / 'vol.raw'}: values outside [{HU_MIN}, {HU_MAX}]"
+
+    @pytest.mark.parametrize("cut_at, bad_slices, error", [
+        (3, (), SizeMismatch),  # both halves end early: the lower half's offset
+        (8, (), SizeMismatch),  # only the upper half ends early
+        (8, (1,), ValueError),  # the lower half's HU error, not the upper half's SizeMismatch
+        (0, (), SizeMismatch),
+    ])
+    def test_payload_cut_short_is_the_one_pass_error(self, tmp_path, monkeypatch, cut_at,
+                                                     bad_slices, error):
+        """A payload cut to cut_at slices after the load fails as a single pass would."""
+        volume = self.saved_volume(tmp_path, bad_slices)
+        os.truncate(tmp_path / "vol.raw", cut_at * 2 * self.NY * self.NX + 3)
+        want = self.fold_error(monkeypatch, volume, split=False)
+        got = self.fold_error(monkeypatch, volume, split=True)
+        assert type(got) is type(want) is error and str(got) == str(want)
+
+    def test_a_painted_volume_folds_in_one_pass(self, monkeypatch):
+        """A painter paints each slice from the one before: it is never split, at any size."""
+        case = generate_phantom(replace(default_spec(), geometry=COARSE))
+        held = VoxelVolume(COARSE, case.volume.values)
+        fresh = generate_phantom(case.spec)
+        fills = record_fills(fresh.volume)
+        self.split_into_chunks(monkeypatch, 2 * COARSE.ny * COARSE.nx, 3)
+        drr = render_drr(fresh.volume).pixels
+        assert [z for z, _ in fills] == list(range(0, COARSE.nz, 3))
+        assert {ident for _, ident in fills} == {threading.get_ident()}
+        np.testing.assert_array_equal(drr, render_drr(held).pixels)
+        truth = record_fills(fresh.truth_right)
+        np.testing.assert_array_equal(fresh.truth_right.column_counts,
+                                      case.truth_right.bits.sum(axis=1))
+        assert {ident for _, ident in truth} == {threading.get_ident()}
