@@ -14,18 +14,26 @@ Errors print exactly one line on stderr: ``error: <Kind>: <message>``.
 ``scripts/run_pipeline.py`` and the benchmark do. The parser is built on the
 first call and reused; each call looks up ``cmd_<command>`` in this module
 when it runs, so a wrapper set on a ``cmd_*`` attribute still takes effect.
+
+A command loads only the modules it uses. This module imports what every
+command needs (errors, grid, io, and projection for the drr window
+defaults); phantom, concordance, reporting (with stats) and the worker
+pool are imported by the commands that use them, so a fresh ``drr``
+loads none of them. The functions that bench/tracing.py and the tests
+rebind on this module (cohort_case, analyze_case, build_cohort_report,
+...) stay attributes of it, as stand-ins that import their module when
+first called.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 from pathlib import Path
 
-from .concordance import agreement, analyze_case, union2d
 from .errors import IoFailure, LungCoverError, MalformedHeader, SpecViolation, ValidationError
 from .grid import LABELS
 from .io import (
@@ -33,34 +41,36 @@ from .io import (
     load_mask2d,
     load_mask3d,
     load_volume,
+    read_csv,
     read_json,
     relative_path,
     save_mask2d,
     save_mask3d,
     save_pgm,
     save_volume,
+    write_csv,
     write_json,
 )
-from .phantom import (
-    NAMED_SPECS,
-    analytic_obscured_fraction,
-    cohort_case,
-    oracle_tolerance_pct,
-    spec_from_dict,
-    spec_to_dict,
-)
 from .projection import DEFAULT_WINDOW, WindowSpec, render_drr
-from .reporting import (
-    AGREEMENT_COLUMNS,
-    CASE_COLUMNS,
-    EXAM_COLUMNS,
-    build_cohort_report,
-    concordance_rows,
-    read_csv,
-    report_from_json,  # noqa: F401  (bench/tracing.py wraps it under this name)
-    write_cohort_tables,
-    write_csv,
-)
+
+
+def _stand_in(module: str, name: str):
+    """Call lungcover.<module>.<name>, importing the module on the first call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+cohort_case = _stand_in("phantom", "cohort_case")
+analytic_obscured_fraction = _stand_in("phantom", "analytic_obscured_fraction")
+oracle_tolerance_pct = _stand_in("phantom", "oracle_tolerance_pct")
+analyze_case = _stand_in("concordance", "analyze_case")
+agreement = _stand_in("concordance", "agreement")
+union2d = _stand_in("concordance", "union2d")
+build_cohort_report = _stand_in("reporting", "build_cohort_report")
+write_cohort_tables = _stand_in("reporting", "write_cohort_tables")
+report_from_json = _stand_in("reporting", "report_from_json")  # bench/tracing.py wraps it
 
 
 class UsageError(ValidationError):
@@ -74,6 +84,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _SpecHelp(argparse.HelpFormatter):
+    """Names the phantom specs only when help is shown, so parsing imports no phantom."""
+
+    def _expand_help(self, action):
+        text = super()._expand_help(action)
+        if "{specs}" in text:
+            from .phantom import NAMED_SPECS
+            text = text.replace("{specs}", ", ".join(sorted(NAMED_SPECS)))
+        return text
+
+
 def _say(args, *parts) -> None:
     if not args.quiet:
         print(*parts)
@@ -82,6 +103,7 @@ def _say(args, *parts) -> None:
 # --- phantom -------------------------------------------------------------------
 
 def _load_spec(name_or_path: str, seed: int, jitter_px: int | None):
+    from .phantom import NAMED_SPECS, spec_from_dict
     builder = NAMED_SPECS.get(name_or_path)
     if builder is not None:
         return builder(rng_seed=seed,
@@ -99,6 +121,7 @@ def _phantom_case(args, base, out: Path, index: int) -> dict:
     return; the torso's and domes' sorted columns outlive it, shared by the cohort
     (phantom._sort_solid).
     """
+    from .phantom import spec_to_dict
     case = cohort_case(base, index, args.seed, args.perturb_pct)
     case_id = f"case_{index:03d}"
     case_dir = out / case_id
@@ -131,6 +154,9 @@ def cmd_phantom(args) -> int:
     other case, then raises the error of the lower failing index; no
     later case starts and no manifest is written.
     """
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    from .phantom import spec_to_dict
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     base = _load_spec(args.spec, args.seed, args.jitter_px)
@@ -175,6 +201,7 @@ def cmd_drr(args) -> int:
 # --- analyze -------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .reporting import CASE_COLUMNS, concordance_rows
     report = analyze_case(
         load_mask3d(args.ct_right),
         load_mask3d(args.ct_left),
@@ -213,6 +240,7 @@ def _case_report(case_dir: Path, case_id: str) -> tuple[tuple, dict[str, list], 
     Each mask file is loaded once; the exam row describes the grid the truth
     masks were measured on, and the 2D masks also serve the agreement pairs.
     """
+    from .reporting import concordance_rows
     truth = [load_mask3d(case_dir / f"truth_{side}.json") for side in ("right", "left")]
     g = truth[0].geometry
     exam_row = (case_id, g.sx, g.sz, g.nz, g.nz * g.sz)
@@ -233,6 +261,7 @@ def _case_report(case_dir: Path, case_id: str) -> tuple[tuple, dict[str, list], 
 
 
 def cmd_cohort(args) -> int:
+    from .reporting import AGREEMENT_COLUMNS, CASE_COLUMNS, EXAM_COLUMNS
     cohort_dir = Path(args.cohort)
     manifest_path = cohort_dir / "manifest.json"
     if not manifest_path.exists():
@@ -315,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Quantify lung volume missed by 2D coverage masks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phantom", parents=[common],
+    p = sub.add_parser("phantom", parents=[common], formatter_class=_SpecHelp,
                        help="generate a synthetic cohort with analytic ground truth")
     p.add_argument("--out", required=True, help="cohort output directory")
     p.add_argument("--spec", default="default",
-                   help="named spec (%s) or a JSON spec file" % ", ".join(sorted(NAMED_SPECS)))
+                   help="named spec ({specs}) or a JSON spec file")
     p.add_argument("--n", type=int, default=55, help="number of cases (default 55)")
     p.add_argument("--seed", type=int, default=0,
                    help="cohort seed; with a JSON spec it drives only the perturbations")

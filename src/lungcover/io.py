@@ -24,6 +24,8 @@ MalformedHeader.
 
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
+A CSV table (write_csv) is RFC 4180 (CRLF, minimal quoting), with a '.'
+decimal point and 6 significant digits per float.
 A payload is written from an iterable of buffers, one after another: a
 2D mask is one buffer, and a volume or a 3D mask is its z-chunks
 (``volume.chunks()``, ``mask.chunks()``). A phantom's volume and truth
@@ -60,14 +62,15 @@ SizeMismatch when the missing bytes are read.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import math
 import os
 import reprlib
-import secrets
 import weakref
 from collections.abc import Iterable
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +89,7 @@ def _create_temp(path: Path) -> tuple[int, Path]:
     """A new file beside ``path``, created as ``open()`` would: mode 0o666 & ~umask."""
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     while True:
-        tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}")
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
         try:
             return os.open(tmp, flags, 0o666), tmp
         except FileExistsError:
@@ -346,3 +349,30 @@ def write_json(obj: dict | list, path: str | Path) -> None:
 
 def write_text(text: str, path: str | Path) -> None:
     _atomic_write_bytes(Path(path), (text.encode("utf-8"),))
+
+
+def fmt(value) -> str:
+    """CSV cell: 6 significant digits for floats, empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".6g")
+
+
+def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    buf = StringIO()
+    writer = csv.writer(buf)  # default lineterminator CRLF per RFC 4180
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    write_text(buf.getvalue(), path)
+
+
+def read_csv(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))

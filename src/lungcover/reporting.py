@@ -1,6 +1,6 @@
-"""Cohort aggregation and the CSV/JSON report writers.
+"""Cohort aggregation and the CSV/JSON report tables.
 
-Numbers written to CSV carry 6 significant digits. Every aggregate in
+Numbers written to CSV (io.write_csv) carry 6 significant digits. Every aggregate in
 the cohort report is computed from the values re-read out of the
 just-written per-case CSVs, not from in-memory intermediates, so the
 report always equals the stats functions applied to the published
@@ -8,20 +8,16 @@ per-case rows.
 
 The cohort report is built as one document, the dict written to
 ``cohort_report.json``; ``table1.csv`` .. ``table4.csv`` are views of it.
-
-CSV dialect: RFC 4180 (CRLF, minimal quoting), '.' decimal point.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 
 from .concordance import ConcordanceReport
 from .errors import MalformedHeader, ValidationError
 from .grid import LABELS
-from .io import write_json, write_text
+from .io import write_csv, write_json
 from .stats import describe, describe_quartiles, paired_compare
 
 CASE_COLUMNS = ("case_id", "label", "total_ml", "covered_ml", "obscured_ml",
@@ -29,33 +25,6 @@ CASE_COLUMNS = ("case_id", "label", "total_ml", "covered_ml", "obscured_ml",
 EXAM_COLUMNS = ("case_id", "pixel_spacing_mm", "slice_thickness_mm", "num_slices",
                 "scan_length_mm")
 AGREEMENT_COLUMNS = ("case_id", "label", "mask_kind", "dsc", "ji")
-
-
-def fmt(value) -> str:
-    """CSV cell: 6 significant digits for floats, empty for None."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".6g")
-
-
-def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # default lineterminator CRLF per RFC 4180
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    write_text(buf.getvalue(), path)
-
-
-def read_csv(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def concordance_rows(report: ConcordanceReport) -> list[tuple]:

@@ -8,7 +8,9 @@ against an independent reference implementation instead of re-exporting
 one.
 
 scipy.special is imported inside the two functions that need it, so
-importing lungcover (and every command but cohort) loads numpy only.
+importing this module loads numpy only, and of the commands only cohort,
+whose report runs the tests, loads scipy. Importing lungcover loads
+neither this module nor numpy (lungcover/__init__).
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def paired_t_test(xs, ys) -> TestResult:
         raise DegenerateVariance("paired differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
-    from scipy.special import betainc  # deferred: keeps scipy out of import lungcover
+    from scipy.special import betainc  # deferred: keeps scipy out of import lungcover.stats
 
     p = 1.0 if t == 0.0 else float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TestResult(name="paired_t", statistic=t, p_value=p, n=n, df=df)
@@ -180,7 +182,7 @@ def _poly(coeffs, x: float) -> float:
 
 def _shapiro_coefficients(n: int) -> np.ndarray:
     """Weight vector a (antisymmetric, unit norm) for the W numerator."""
-    from scipy.special import ndtri  # deferred: keeps scipy out of import lungcover
+    from scipy.special import ndtri  # deferred: keeps scipy out of import lungcover.stats
 
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     summ2 = float((m * m).sum())

@@ -28,10 +28,9 @@ from lungcover.cli import main
 from lungcover.concordance import obscured_fraction
 from lungcover.errors import SpecViolation
 from lungcover.grid import LABELS, Mask2D
-from lungcover.io import load_mask2d, load_mask3d, save_mask2d
+from lungcover.io import fmt, load_mask2d, load_mask3d, save_mask2d
 from lungcover.phantom import (analytic_obscured_fraction, default_spec, spec_from_dict,
                                spec_to_dict)
-from lungcover.reporting import fmt
 from lungcover.stats import describe, describe_quartiles
 
 from strategies import JSON_VALUES, mutated
@@ -90,6 +89,55 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["phantom", "--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_phantom_help_names_every_named_spec(capsys):
+    from lungcover.phantom import NAMED_SPECS
+    assert main(["phantom", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "named spec (%s)" % ", ".join(sorted(NAMED_SPECS)) in text
+
+
+# The public names of the package, as they were when each was imported eagerly.
+PUBLIC_NAMES = (
+    'AgreementReport', 'AllZeroDifferences', 'BothEmpty', 'ConcordanceReport',
+    'DEFAULT_WINDOW', 'DegenerateVariance', 'DescriptiveSummary', 'DrrImage', 'Ellipsoid',
+    'EmptyInput', 'EmptyReference', 'GeometryMismatch', 'GridGeometry', 'HU_MAX', 'HU_MIN',
+    'IoFailure', 'LABELS', 'LabelMeasures', 'LengthMismatch', 'LungCoverError',
+    'MalformedHeader', 'MalformedMask', 'Mask2D', 'Mask3D', 'PairedComparison', 'PhantomCase',
+    'PhantomSpec', 'QuartileSummary', 'SizeMismatch', 'SpecViolation', 'SphereCap',
+    'TestResult', 'TissueHu', 'TooFewSamples', 'TooManySamples', 'ValidationError',
+    'VoxelVolume', 'WindowSpec', 'agreement', 'analytic_obscured_fraction', 'analyze_case',
+    'anatomical_spec', 'cohort_case', 'default_spec', 'describe', 'describe_quartiles', 'dice',
+    'extrude_mask', 'generate_cohort', 'generate_phantom', 'jaccard', 'load_mask',
+    'load_mask2d', 'load_mask3d', 'load_volume', 'mask_volume_ml', 'obscured_fraction',
+    'obscured_mask', 'oracle_tolerance_pct', 'overlap_mask', 'paired_compare', 'paired_t_test',
+    'pgm_bytes', 'project_mask', 'render_drr', 'save_mask2d', 'save_mask3d', 'save_pgm',
+    'save_volume', 'shapiro_wilk', 'spec_from_dict', 'spec_to_dict', 'union2d',
+    'voxel_volume_ml', 'wilcoxon_signed_rank')
+SUBMODULES = ("cli", "concordance", "errors", "grid", "io", "phantom", "projection",
+              "reporting", "stats")
+
+
+def test_package_names_are_pinned():
+    assert lungcover.__all__ == list(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) | set(SUBMODULES) <= set(dir(lungcover))
+
+
+def test_every_package_name_is_its_module_attribute():
+    import importlib
+    for module in SUBMODULES:
+        assert getattr(lungcover, module) is importlib.import_module(f"lungcover.{module}")
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"lungcover.{lungcover._MODULE_OF[name]}")
+        assert getattr(lungcover, name) is getattr(module, name), name
+    namespace = {}
+    exec("from lungcover import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lungcover.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from lungcover import no_such_name", {})
 
 
 def test_no_command_is_usage_error(capsys):
@@ -477,30 +525,52 @@ def test_phantom_sorts_each_shared_solid_once(tmp_path, monkeypatch):
     assert info.misses == info.currsize == 3, info
 
 
-def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):
-    """A CT case holds 2 x 8 MB of truth masks (and 128 MB more once its volume is read).
-    Cases are made in pairs, so when case i is requested only case i - 1, its pair's
-    other case, may be alive: every case below it must be gone."""
+def _alive_when_requested(out, spec_file, monkeypatch, worker_first=False) -> dict:
+    """Case index -> the indices of the cases still alive when case index is requested.
+
+    With worker_first, the main thread asks for case 2k only once the worker has made
+    case 2k + 1, the order in which the worker runs ahead of the main thread."""
+    import threading
     import weakref
 
     from lungcover import cli
     real, cases, alive = cli.cohort_case, {}, {}
+    made = {i: threading.Event() for i in range(5)}
 
     def tracked(base, index, *args, **kwargs):
+        if worker_first and index % 2 == 0 and index + 1 < 5:
+            assert made[index + 1].wait(10)
         alive[index] = sorted(i for i, ref in list(cases.items()) if ref() is not None)
         case = real(base, index, *args, **kwargs)
         cases[index] = weakref.ref(case)
+        made[index].set()
         return case
 
     monkeypatch.setattr(cli, "cohort_case", tracked)
     gc.disable()  # freed by reference counting, not by a collection that may come later
     try:
-        make_cohort(tmp_path / "c", spec_file, n=5)
+        make_cohort(out, spec_file, n=5)
     finally:
         gc.enable()
     assert sorted(alive) == list(range(5))
+    return alive
+
+
+def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):
+    """A CT case holds 2 x 8 MB of truth masks (and 128 MB more once its volume is read).
+    Cases are made in pairs (2k, 2k + 1), so when case i is requested only case i ^ 1,
+    its pair's other case, may be alive: every case of an earlier pair must be gone."""
+    for index, seen in _alive_when_requested(tmp_path / "c", spec_file, monkeypatch).items():
+        assert set(seen) <= {index ^ 1}, (index, seen)
+
+
+def test_phantom_frees_each_case_while_the_worker_runs_ahead(tmp_path, spec_file,
+                                                            monkeypatch):
+    """The worker may make case 2k + 1 before the main thread asks for case 2k; then
+    case 2k + 1 may be alive, and still no case of an earlier pair."""
+    alive = _alive_when_requested(tmp_path / "c", spec_file, monkeypatch, worker_first=True)
     for index, seen in alive.items():
-        assert set(seen) <= {index - 1}, (index, seen)
+        assert set(seen) <= {index ^ 1}, (index, seen)
 
 
 @pytest.mark.parametrize("fail_at, error_of", [({2}, 2), ({3}, 3), ({2, 3}, 2)])
@@ -1085,49 +1155,72 @@ def test_cohort_on_mutated_manifest_is_one_error_line(two_case_cohort, data):
 
 # --- start-up cost -------------------------------------------------------------------
 
-# Run in a fresh interpreter: prints the scipy modules loaded after each step.
-_SCIPY_PROBE = """
+# Runs one command (or, given "null", only ``import lungcover``) in a fresh interpreter
+# and prints the lungcover, numpy and scipy modules and the worker pool it loaded.
+_MODULE_PROBE = """
 import json, sys
-from pathlib import Path
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-import lungcover, lungcover.cli
-from lungcover.cli import main
-seen = {"import": scipy_modules()}
-spec, out = sys.argv[1], Path(sys.argv[2])
-case = out / "case_000"
-steps = {
-    "phantom": ["phantom", "--out", str(out), "--spec", spec, "--n", "2"],
-    "drr": ["drr", str(case / "volume.json"), "--out", str(out / "a.pgm")],
-    "analyze": ["analyze", "--ct-right", str(case / "truth_right.json"),
-                "--ct-left", str(case / "truth_left.json"),
-                "--mask2d-right", str(case / "sota2d_right.json"),
-                "--mask2d-left", str(case / "sota2d_left.json"), "--out", str(out / "an")],
-    "agreement": ["agreement", str(case / "sota2d_right.json"),
-                  str(case / "annot2_right.json")],
-    "cohort": ["cohort", str(out)],
-}
-for name, argv in steps.items():
-    assert main(argv + ["--quiet"]) == 0, name
-    seen[name] = scipy_modules()
-print(json.dumps(seen))
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import lungcover
+else:
+    from lungcover.cli import main
+    assert main(argv + ["--quiet"]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("lungcover")
+                        or m in ("numpy", "scipy", "scipy.special", "concurrent.futures"))))
 """
 
 
-def test_only_cohort_loads_scipy(tmp_path, spec_file):
-    """Every command but cohort runs on numpy alone; cohort loads scipy.special."""
+@pytest.fixture(scope="module")
+def fresh_modules(tmp_path_factory, spec_file) -> dict[str, set[str]]:
+    """Step -> the modules a fresh interpreter loaded to run it; phantom makes the cohort."""
+    out = tmp_path_factory.mktemp("fresh") / "cohort"
+    case = out / "case_000"
+    steps = {
+        "import": None,
+        "phantom": ["phantom", "--out", str(out), "--spec", str(spec_file), "--n", "2"],
+        "drr": ["drr", str(case / "volume.json"), "--out", str(out / "a.pgm")],
+        "analyze": ["analyze", "--ct-right", str(case / "truth_right.json"),
+                    "--ct-left", str(case / "truth_left.json"),
+                    "--mask2d-right", str(case / "sota2d_right.json"),
+                    "--mask2d-left", str(case / "sota2d_left.json"), "--out", str(out / "an")],
+        "agreement": ["agreement", str(case / "sota2d_right.json"),
+                      str(case / "annot2_right.json")],
+        "cohort": ["cohort", str(out)],
+    }
     src = str(Path(lungcover.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(spec_file),
-                           str(tmp_path / "cohort")],
-                          env=env, capture_output=True, text=True, check=True)
-    seen = json.loads(done.stdout.splitlines()[-1])
+    seen = {}
+    for step, argv in steps.items():
+        done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(argv)],
+                              env=env, capture_output=True, text=True, check=True)
+        seen[step] = set(json.loads(done.stdout.splitlines()[-1]))
+    return seen
+
+
+def test_import_lungcover_loads_no_numpy_and_no_submodule(fresh_modules):
+    assert fresh_modules["import"] == {"lungcover"}
+
+
+def test_each_command_loads_only_its_own_modules(fresh_modules):
+    """drr needs no phantom, concordance, reporting or pool; phantom no reporting;
+    cohort no phantom."""
+    assert not fresh_modules["drr"] & {"lungcover.phantom", "lungcover.concordance",
+                                       "lungcover.reporting", "lungcover.stats",
+                                       "concurrent.futures"}
+    assert not fresh_modules["phantom"] & {"lungcover.concordance", "lungcover.reporting",
+                                           "lungcover.stats"}
+    assert "lungcover.phantom" not in fresh_modules["cohort"]
+    assert "concurrent.futures" in fresh_modules["phantom"]
+
+
+def test_only_cohort_loads_scipy(fresh_modules):
+    """Every command but cohort runs on numpy alone; cohort loads scipy.special."""
     for step in ("import", "phantom", "drr", "analyze", "agreement"):
-        assert seen[step] == [], step
-    assert "scipy.special" in seen["cohort"]
+        assert not {m for m in fresh_modules[step] if m.startswith("scipy")}, step
+    for step in ("phantom", "drr", "analyze", "agreement", "cohort"):
+        assert "numpy" in fresh_modules[step], step
+    assert "scipy.special" in fresh_modules["cohort"]
 
 
 # --- benchmark contract ------------------------------------------------------------
