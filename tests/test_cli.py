@@ -260,7 +260,7 @@ def test_phantom_rerun_is_byte_identical(tmp_path, spec_file, cohort):
 PINNED_GRID = {"dims": [80, 60, 100], "spacing_mm": [4.0, 5.4, 3.2]}
 
 
-@pytest.mark.parametrize("run", ["default", "grid"])
+@pytest.mark.parametrize("run", ["default", "anatomical", "grid"])
 def test_phantom_bytes_are_pinned(run, tmp_path):
     """SHA-256 of every file phantom writes, recorded in tests/phantom_sha256.json.
 
@@ -270,8 +270,8 @@ def test_phantom_bytes_are_pinned(run, tmp_path):
     header byte fails here, and one that changes the output on purpose
     records the new digests and says why.
     """
-    if run == "default":
-        argv = ["--spec", "default", "--n", "3", "--seed", "0"]
+    if run in ("default", "anatomical"):  # anatomical paints both domes (SphereCap)
+        argv = ["--spec", run, "--n", "3", "--seed", "0"]
     else:
         doc = spec_to_dict(default_spec())
         doc["geometry"] = PINNED_GRID

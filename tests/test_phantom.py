@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, ndimage
 
@@ -317,6 +317,26 @@ def phantom_specs(draw) -> PhantomSpec:
     )
 
 
+# A sphere centred on a voxel centre of a 1 mm grid: txy = dx^2 + dy^2 are
+# small integers, exact in floating point, so many columns tie. Its cap plane
+# is the voxel-centre plane z = 8.5, and on that slice the bound 25 equals the
+# txy of the 12 columns (+-3, +-4), (+-4, +-3), (+-5, 0) and (0, +-5).
+TIE_GEOMETRY = GridGeometry(17, 17, 17, 1.0, 1.0, 1.0)
+TIE_CAP = SphereCap((8.5, 8.5, 8.5), 5.0, 8.5)
+
+
+# Every solid centred on a voxel centre of TIE_GEOMETRY with integer or dyadic terms, so
+# many columns tie with each other and with a slice's bound, and the right dome is TIE_CAP,
+# whose cap plane is the voxel-centre plane of slice 8.
+TIE_SPEC = PhantomSpec(
+    geometry=TIE_GEOMETRY,
+    lung_right=Ellipsoid((12.5, 8.5, 8.5), (2.0, 4.0, 4.0)),
+    lung_left=Ellipsoid((4.5, 8.5, 8.5), (2.0, 4.0, 4.0)),
+    torso=Ellipsoid((8.5, 8.5, 8.5), (8.0, 8.0, 8.0)),
+    heart=Ellipsoid((8.5, 8.5, 8.5), (4.0, 4.0, 4.0)),
+    diaphragm_right=TIE_CAP,
+)
+
 PAINTER_SPECS = {
     "default": default_spec(),
     "anatomical": anatomical_spec(),
@@ -328,6 +348,9 @@ PAINTER_SPECS = {
     "heart-beyond-y": replace(ANISO, heart=Ellipsoid((29.0, 60.0, 30.0), (9.0, 3.0, 200.0))),
     # ny not a multiple of 8: the lung boxes' packed byte rows end in padding bits
     "ny-70": replace(ANISO, geometry=GridGeometry(96, 70, 72, 0.66, 0.66, 1.25)),
+    # the byte pin's grid: anisotropic, the torso clipped in z, ny % 8 != 0
+    "pinned-grid": replace(default_spec(), geometry=GridGeometry(80, 60, 100, 4.0, 5.4, 3.2)),
+    "ties": TIE_SPEC,
 }
 
 
@@ -444,14 +467,6 @@ def assert_sorted_columns_are_the_test(geom: GridGeometry, solid) -> None:
         assert count == len(got), z
 
 
-# A sphere centred on a voxel centre of a 1 mm grid: txy = dx^2 + dy^2 are
-# small integers, exact in floating point, so many columns tie. Its cap plane
-# is the voxel-centre plane z = 8.5, and on that slice the bound 25 equals the
-# txy of the 12 columns (+-3, +-4), (+-4, +-3), (+-5, 0) and (0, +-5).
-TIE_GEOMETRY = GridGeometry(17, 17, 17, 1.0, 1.0, 1.0)
-TIE_CAP = SphereCap((8.5, 8.5, 8.5), 5.0, 8.5)
-
-
 class TestSortedColumns:
     @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
     def test_first_counts_are_the_voxels_that_pass(self, spec):
@@ -497,13 +512,13 @@ class TestSortedColumns:
         7.6 MiB packed masks; now generate_phantom holds neither. A
         chunks() pass holds one chunk (one 512 KB slice of the volume, 16
         packed slices of a truth mask), painted in place, and the
-        painter's state: for the volume the per-pixel solid bits and each
-        solid's sorted columns; for a truth mask the byte and bit of each
-        of its lung's columns. column_counts adds one chunk's popcount. A
-        volume slice repaints at most 2**14 columns per put, so its intp
-        index temporaries stay small even on slice 0, where the clipped
-        torso and the 10 m heart enter together (~96 K columns, which
-        took the pass to ~2.2 MiB in one put).
+        painter's state: for the volume each slice's event offsets and
+        one block of at most phantom._EVENTS (2**13) change events, their
+        columns and HUs, with the test temporaries that make it (~1 MiB in
+        all); for a truth mask the byte and bit of each of its lung's
+        columns. column_counts adds one chunk's popcount. The budget cuts
+        even slice 0, where the clipped torso and the 10 m heart enter
+        together (~96 K events): made in one block, the pass took ~4.5 MiB.
         """
         spec = replace(default_spec(), geometry=DEFAULT_JSON_GEOMETRY)
         generate_phantom(spec)  # first-call allocations are not the painter's
@@ -527,6 +542,70 @@ class TestSortedColumns:
         assert count_pass <= 3 * 2 ** 20, count_pass
         assert "values" not in vars(case.volume)
         assert_truth_is_unpainted(case)
+
+
+def slice_events(spec: PhantomSpec) -> np.ndarray:
+    """The change events of each slice of the spec's volume: the columns its solids gain or lose."""
+    g = spec.geometry
+    events = np.zeros(g.nz, np.intp)
+    for name in SOLIDS:
+        sorted_ = _sort(g, _box(g, getattr(spec, name)))
+        if sorted_ is not None:
+            events += np.abs(np.diff(sorted_.counts, prepend=0))
+    return events
+
+
+def assert_volume_is_the_reference(spec: PhantomSpec) -> None:
+    """The volume's chunks() are reference_phantom's volume."""
+    got = np.concatenate([chunk.copy() for chunk in generate_phantom(spec).volume.chunks()])
+    np.testing.assert_array_equal(got, reference_phantom(spec)["volume"])
+
+
+@st.composite
+def torso_and_heart_from_below(draw) -> PhantomSpec:
+    """phantom_specs with a torso and a heart that both reach below the grid's first slice."""
+    spec = draw(phantom_specs())
+    g = spec.geometry
+    fov = (g.nx * g.sx, g.ny * g.sy, g.nz * g.sz)
+
+    def from_below():
+        center = (fov[0] * draw(st.floats(0.1, 0.9)), fov[1] * draw(st.floats(0.1, 0.9)),
+                  fov[2] * draw(st.floats(-0.2, 0.2)))
+        semi = (fov[0] * draw(st.floats(0.2, 1.0)), fov[1] * draw(st.floats(0.2, 1.0)),
+                fov[2] * draw(st.floats(0.3, 1.0)))
+        return Ellipsoid(center, semi)
+    return replace(spec, torso=from_below(), heart=from_below())
+
+
+class TestVolumeBlocks:
+    """The volume painter's change events, made in blocks of at most phantom._EVENTS."""
+
+    @pytest.mark.parametrize("spec", [TIE_SPEC, replace(anatomical_spec(), geometry=COARSE_128)],
+                             ids=["ties", "coarse-anatomical"])
+    def test_one_event_blocks(self, spec, monkeypatch):
+        """A budget of 1: each event is a block, so every slice of more than one event is split."""
+        assert slice_events(spec).max() > 1
+        monkeypatch.setattr(phantom, "_EVENTS", 1)
+        assert_volume_is_the_reference(spec)
+
+    def test_budget_cuts_blocks_between_and_inside_slices(self, monkeypatch):
+        """3000 events: slice 0 takes three blocks, and later blocks hold several slices."""
+        base = default_spec()
+        events = slice_events(base)
+        assert 2 * 3000 < events[0] and max(events[1:]) < 1000
+        monkeypatch.setattr(phantom, "_EVENTS", 3000)
+        for case in generate_cohort(base, 3, seed=5):
+            assert_volume_is_the_reference(case.spec)
+
+    @settings(max_examples=40)
+    @given(spec=torso_and_heart_from_below(), budget=st.sampled_from([1, 7, 64, 1 << 13]))
+    def test_random_heart_entering_with_the_torso(self, spec, budget):
+        """Both enter at slice 0, as in ANISO, where many columns change for both at once."""
+        g = spec.geometry
+        torso, heart = (_sort(g, _box(g, solid)) for solid in (spec.torso, spec.heart))
+        assume(torso is not None and heart is not None and torso.counts[0] and heart.counts[0])
+        with mock.patch.object(phantom, "_EVENTS", budget):
+            assert_matches_reference(spec)
 
 
 def assert_streams_its_values(spec: PhantomSpec, chunk_bytes: int, out_dir) -> None:
