@@ -5,10 +5,12 @@ ellipsoids, an optional heart/mediastinum ellipsoid and optional
 diaphragm domes (sphere caps protruding into the lungs from below).
 Voxel membership is voxel-center inclusion, painted with priority
 heart/diaphragm > lung > soft tissue > air, so brute-force counts are
-exact. Every painter uses one voxel-center test per solid, txy <= bound
-of slice z, over the solid's index box (_box). The box's (y, x) columns
-are sorted by txy (_sort): at slice z the test holds on exactly the
-first searchsorted(sorted txy, bound, "right") of them, so going from
+exact. Every painter uses one voxel-center test per solid, made once on
+the whole grid: voxel (z, y, x) is inside when ty[y] + tx[x] <= bounds[z]
+(_box). The solid's index box is derived from that test, as the tightest
+box holding every voxel that passes, and its (y, x) columns are sorted
+by txy = ty[y] + tx[x] (_sort): at slice z the test holds on exactly the
+first searchsorted(sorted txy, bounds[z], "right") of them, so going from
 one slice to the next changes only the columns between the two counts.
 generate_phantom makes every sort a case needs, and only it: the lungs
 and the heart once per case, and the torso and the domes, which every
@@ -16,8 +18,8 @@ case of a cohort shares, once per cohort (_sort_solid). The painters
 only paint, one slice after another, each slice painted in place in
 the chunk being read from the slice before it (_painter), and
 generate_phantom makes no 3D array at all. Each coronal silhouette is
-made in 2D from its box's column minima, which is exactly the OR over y
-of the voxel test. A case's HU volume and packed truth masks are grid
+made in 2D from the least ty, which is exactly the OR over y of the
+voxel test. A case's HU volume and packed truth masks are grid
 types built from_source their painters (_volume_painter, _truth_painter),
 so by grid's one chunk rule each is painted in z-chunks of ~512 KB as it
 is read: io.save_volume, io.save_mask3d and projection.render_drr never
@@ -199,25 +201,18 @@ def _axis_centers(n: int, s: float) -> np.ndarray:
     return (np.arange(n) + 0.5) * s
 
 
-def _index_span(lo_mm: float, hi_mm: float, n: int, s: float) -> tuple[int, int]:
-    """Index range whose voxel centers might fall in [lo_mm, hi_mm], padded by 1."""
-    lo = max(0, int(math.floor(lo_mm / s - 0.5)) - 1)
-    hi = min(n, int(math.ceil(hi_mm / s - 0.5)) + 2)
-    return lo, max(lo, hi)
-
-
 @dataclass(frozen=True)
 class _Box:
-    """A solid's index box and the terms of its voxel-center test.
+    """A solid's voxel-center test on the whole grid, and the index box where it passes.
 
-    Voxel (z, y, x) of the box, z in [z0, z0 + len(bounds)), is inside
-    the solid when txy[y - ys.start, x - xs.start] <= bounds[z - z0]:
-    the one test every mask, silhouette and volume is painted with. txy
-    is ty[:, None] + tx[None, :], made anew on each use, so a box holds
-    only its 1D terms.
+    Voxel (z, y, x) of the grid is inside the solid when
+    ty[y] + tx[x] <= bounds[z]: the one test every mask, silhouette and
+    volume is painted with. zs, ys and xs are derived from it (_box):
+    the tightest runs of slices, rows and columns holding every voxel
+    that passes. The terms are read-only, and cost nx + ny + nz floats.
     """
 
-    z0: int
+    zs: slice
     ys: slice
     xs: slice
     ty: np.ndarray
@@ -226,93 +221,83 @@ class _Box:
 
     @property
     def txy(self) -> np.ndarray:
-        return self.ty[:, None] + self.tx[None, :]
+        """The test values of the box's (y, x) columns, made anew on each use."""
+        return self.ty[self.ys, None] + self.tx[None, self.xs]
+
+
+def _run(passes: np.ndarray) -> slice | None:
+    """The indices from the first that passes to the last, or None when none does."""
+    at = np.flatnonzero(passes)
+    return slice(int(at[0]), int(at[-1]) + 1) if at.size else None
 
 
 def _box(geom: GridGeometry, solid: Ellipsoid | SphereCap | None) -> _Box | None:
-    """The solid's index box, or None when there is no solid or no voxel center can fall in it.
+    """The solid's test and box, or None when there is no solid or no voxel passes its test.
 
-    Each span is _index_span's, padded by one voxel. A dome's box starts
-    at its first slice at or above its cap plane.
+    Rounding a sum is monotone in each term, so the least test value of
+    the grid is ty.min() + tx.min(): slice z holds a voxel that passes
+    when that sum is <= bounds[z], and row y (column x) when
+    ty[y] + tx.min() (ty.min() + tx[x]) is <= the greatest bound. A dome's
+    bounds are -inf below its cap plane.
     """
     if solid is None:
         return None
     cx, cy, cz = solid.center
-    if isinstance(solid, Ellipsoid):
-        (hx, hy, hz), cut, unit = solid.semi_axes, -math.inf, solid.semi_axes
-    else:
-        hx = hy = hz = solid.radius
-        cut, unit = solid.cap_z, (1.0, 1.0)  # the sphere test is in mm; x / 1.0 is exact
-    x0, x1 = _index_span(cx - hx, cx + hx, geom.nx, geom.sx)
-    y0, y1 = _index_span(cy - hy, cy + hy, geom.ny, geom.sy)
-    z0, z1 = _index_span(max(cut, cz - hz), cz + hz, geom.nz, geom.sz)
-    zs = _axis_centers(geom.nz, geom.sz)[z0:z1]
-    z0 += int(np.count_nonzero(zs < cut))  # the centers ascend: drop those below the cap
-    zs = zs[zs >= cut]
-    if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return None
+    zc = _axis_centers(geom.nz, geom.sz)
+    # the sphere test is in mm: x / 1.0 is exact
+    ux, uy, uz = solid.semi_axes if isinstance(solid, Ellipsoid) else (1.0, 1.0, solid.radius)
     # a semi-axis a few ulps above 0 overflows a term to inf (a bound to -inf): the exact
     # limit of the test, which no voxel center off the solid's center plane passes
     with np.errstate(over="ignore"):  # thread-local, as every errstate is
-        tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / unit[0]) ** 2
-        ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / unit[1]) ** 2
+        tx = ((_axis_centers(geom.nx, geom.sx) - cx) / ux) ** 2
+        ty = ((_axis_centers(geom.ny, geom.sy) - cy) / uy) ** 2
         if isinstance(solid, Ellipsoid):
-            bounds = 1.0 - ((zs - cz) / hz) ** 2
+            bounds = 1.0 - ((zc - cz) / uz) ** 2
         else:  # scalar ** is C pow, which can round differently from the array square
-            bounds = np.array([hz * hz - (z - cz) ** 2 for z in zs])
-    return _Box(z0, slice(y0, y1), slice(x0, x1), ty, tx, bounds)
+            bounds = np.full(geom.nz, -np.inf)
+            cap = int(np.searchsorted(zc, solid.cap_z))  # the centers ascend: first at or above
+            bounds[cap:] = [uz * uz - (z - cz) ** 2 for z in zc[cap:]]
+    zs = _run(ty.min() + tx.min() <= bounds)
+    if zs is None:
+        return None
+    for arr in (ty, tx, bounds):
+        arr.flags.writeable = False
+    top = bounds.max()
+    return _Box(zs, _run(ty + tx.min() <= top), _run(ty.min() + tx <= top), ty, tx, bounds)
 
 
 def _silhouette(geom: GridGeometry, box: _Box | None) -> np.ndarray:
     """The solid's coronal (nz, nx) silhouette: the OR over y of its voxel test.
 
-    Made in 2D and exact: some y of a column passes txy[y, x] <= bound
-    exactly when the column's minimum does, and that minimum is
-    min(ty) + tx[x], because rounding a sum is monotone in each term.
+    Made in 2D and exact: some y of a column passes ty[y] + tx[x] <= bound
+    exactly when ty.min() + tx[x] does, because rounding a sum is
+    monotone in each term.
     """
-    sil = np.zeros((geom.nz, geom.nx), bool)
-    if box is not None:
-        sil[box.z0:box.z0 + len(box.bounds), box.xs] = box.ty.min() + box.tx <= box.bounds[:, None]
-    return sil
+    if box is None:
+        return np.zeros((geom.nz, geom.nx), bool)
+    return box.ty.min() + box.tx <= box.bounds[:, None]
 
 
 @dataclass(frozen=True)
 class _Sorted:
-    """A solid's voxel-center test, with its box's columns sorted by their test value.
+    """A solid's test (box), with its box's columns sorted by their test value.
 
     cols holds the box's (y, x) columns as flat int32 indices y * nx + x
     of a grid slice, in ascending txy (ties in any order). At slice z the
     test txy <= bound holds on exactly cols[:counts[z]], where counts[z]
-    is searchsorted(sorted txy, bound, "right") inside the box's slices
-    zs and 0 outside them: every value <= bound sorts before every value
-    > bound, and equal values pass or fail together. So between slices
-    z - 1 and z only the columns between counts[z - 1] and counts[z]
-    change, whichever is larger; the bounds need not be monotone. cols is
-    read-only and counts a tuple: one sort may serve many cases
-    (_sort_solid). ty, tx and bounds are the box's terms padded to the
-    grid, ty and tx with +inf and bounds with -inf, so any voxel of the
-    grid is inside the solid when ty[y] + tx[x] <= bounds[z]: the float
-    expression the columns are sorted by, so the same test. They are
-    read-only too, and cost nx + ny + nz floats.
+    is searchsorted(sorted txy, bounds[z], "right"): every value <= bound
+    sorts before every value > bound, and equal values pass or fail
+    together. No voxel outside the box passes, so neither does any off
+    the first counts[z] columns. Between slices z - 1 and z only the
+    columns between counts[z - 1] and counts[z] change, whichever is
+    larger; the bounds need not be monotone. cols and the box's terms
+    are read-only and counts a tuple: one sort may serve many cases
+    (_sort_solid).
     """
 
     cols: np.ndarray
     counts: tuple[int, ...]  # one per grid slice
-    zs: range
-    ty: np.ndarray
-    tx: np.ndarray
-    bounds: np.ndarray
-
-    def changes(self):
-        """Yield (z, lo, hi) for each slice z whose voxels differ from slice z - 1's.
-
-        cols[lo:hi] are the columns that enter or leave the solid there.
-        """
-        prev = 0
-        for z in range(self.zs.start, min(self.zs.stop + 1, len(self.counts))):
-            if self.counts[z] != prev:
-                yield z, min(prev, self.counts[z]), max(prev, self.counts[z])
-                prev = self.counts[z]
+    box: _Box
 
 
 def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
@@ -321,14 +306,13 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
     The int64 argsort is the largest temporary besides txy itself:
     searchsorted reads the sorted values through it, without a copy.
     txy is freed before the columns are built, so the two never meet.
+    A slice off the box has every bound below the least txy: count 0.
     """
     if box is None:
         return None
-    txy, width = box.txy.ravel(), len(box.tx)
+    txy, width = box.txy.ravel(), box.xs.stop - box.xs.start
     order = np.argsort(txy)
-    zs = range(box.z0, box.z0 + len(box.bounds))
-    counts = np.zeros(geom.nz, np.intp)
-    counts[zs.start:zs.stop] = np.searchsorted(txy, box.bounds, "right", sorter=order)
+    counts = np.searchsorted(txy, box.bounds, "right", sorter=order)
     del txy
     cols = order.astype(np.int32)
     del order
@@ -336,11 +320,8 @@ def _sort(geom: GridGeometry, box: _Box | None) -> _Sorted | None:
     rows *= geom.nx - width
     cols += rows
     cols += box.ys.start * geom.nx + box.xs.start
-    ty, tx, bounds = np.full(geom.ny, np.inf), np.full(geom.nx, np.inf), np.full(geom.nz, -np.inf)
-    ty[box.ys], tx[box.xs], bounds[zs.start:zs.stop] = box.ty, box.tx, box.bounds
-    for arr in (cols, ty, tx, bounds):
-        arr.flags.writeable = False
-    return _Sorted(cols, tuple(counts.tolist()), zs, ty, tx, bounds)
+    cols.flags.writeable = False
+    return _Sorted(cols, tuple(counts.tolist()), box)
 
 
 # The solids that cohort_case takes unchanged from the base spec, so that every case of a
@@ -401,7 +382,8 @@ def _painter(blank, step):
 def _truth_painter(geom: GridGeometry, lung: _Sorted):
     """The fill(out, z0) that paints the lung's packed truth slices (Mask3D.packed): see _painter.
 
-    A voxel that enters or leaves flips bit y % 8 of its byte; several
+    At slice z the voxels of the columns between counts[z - 1] and
+    counts[z] enter or leave; each flips bit y % 8 of its byte. Several
     voxels of one byte may flip in one slice, hence np.bitwise_xor.at.
     """
     byte, x = np.divmod(lung.cols, geom.nx)  # byte holds y until it is made the byte index
@@ -410,25 +392,23 @@ def _truth_painter(geom: GridGeometry, lung: _Sorted):
     byte *= geom.nx
     byte += x
     del x
-    changed = {z: slice(lo, hi) for z, lo, hi in lung.changes()}
+    counts = (0,) + lung.counts
 
     def step(plane: np.ndarray, z: int) -> None:
-        if z in changed:  # plane is a slice of a C-contiguous out: reshape is a view
-            np.bitwise_xor.at(plane.reshape(-1), byte[changed[z]], bit[changed[z]])
+        lo, hi = sorted(counts[z:z + 2])
+        if lo < hi:  # plane is a slice of a C-contiguous out: reshape is a view
+            np.bitwise_xor.at(plane.reshape(-1), byte[lo:hi], bit[lo:hi])
     return _painter(0, step)
 
 
 def _lungs_meet(a: _Box, b: _Box) -> bool:
     """Some voxel passes both lungs' tests: looked for only where their boxes overlap."""
-    z0, z1 = max(a.z0, b.z0), min(a.z0 + len(a.bounds), b.z0 + len(b.bounds))
-    ys = slice(max(a.ys.start, b.ys.start), min(a.ys.stop, b.ys.stop))
-    xs = slice(max(a.xs.start, b.xs.start), min(a.xs.stop, b.xs.stop))
-    if z0 >= z1 or ys.start >= ys.stop or xs.start >= xs.stop:
+    zs, ys, xs = (slice(max(p.start, q.start), min(p.stop, q.stop))
+                  for p, q in ((a.zs, b.zs), (a.ys, b.ys), (a.xs, b.xs)))
+    if zs.start >= zs.stop or ys.start >= ys.stop or xs.start >= xs.stop:
         return False
-    ta, tb = (box.txy[ys.start - box.ys.start:ys.stop - box.ys.start,
-                      xs.start - box.xs.start:xs.stop - box.xs.start] for box in (a, b))
-    return any(((ta <= a.bounds[z - a.z0]) & (tb <= b.bounds[z - b.z0])).any()
-               for z in range(z0, z1))
+    ta, tb = (box.ty[ys, None] + box.tx[None, xs] for box in (a, b))
+    return any(((ta <= a.bounds[z]) & (tb <= b.bounds[z])).any() for z in range(zs.start, zs.stop))
 
 
 # The solids of the HU volume in paint order, each with its HU field.
@@ -453,7 +433,7 @@ def _volume_painter(geom: GridGeometry, air: int, solids: list):
     solids holds one (_Sorted, HU) pair per solid in _PAINT_ORDER, as
     generate_phantom sorted them. A pixel takes the HU of the last solid
     whose test it passes, or air. Between slices only the columns a solid
-    gains or loses (_Sorted.changes) can change, so each slice is the
+    gains or loses (see _Sorted) can change, so each slice is the
     slice before it and one put of its change events, (column, HU) pairs,
     each HU found by testing every solid at the event's voxel with
     ty[y] + tx[x] <= bounds[z], the expression _sort ranks by. The events
@@ -489,10 +469,11 @@ def _volume_painter(geom: GridGeometry, air: int, solids: list):
         y, x = np.divmod(cols, geom.nx)
         hu = np.full(e1 - e0, air, np.int16)
         for sorted_, value in solids:  # in paint order: the last solid passed wins
-            if sorted_.zs.start < z1 and z < sorted_.zs.stop:  # else its bounds are all -inf
-                t = sorted_.ty.take(y)
-                t += sorted_.tx.take(x)
-                np.copyto(hu, value, where=t <= np.repeat(sorted_.bounds[z:z1], per_slice))
+            box = sorted_.box
+            if box.zs.start < z1 and z < box.zs.stop:  # else no voxel of the block passes
+                t = box.ty.take(y)
+                t += box.tx.take(x)
+                np.copyto(hu, value, where=t <= np.repeat(box.bounds[z:z1], per_slice))
         block[:] = e0, e1, cols, hu
 
     starts_list = starts.tolist()
@@ -735,7 +716,9 @@ def oracle_tolerance_pct(spec: PhantomSpec, side: str) -> float:
     """
     if side == "both":
         return max(oracle_tolerance_pct(spec, "right"), oracle_tolerance_pct(spec, "left"))
-    lung = spec.lung_right if side == "right" else spec.lung_left
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be right, left or both, got {side!r}")
+    lung = getattr(spec, f"lung_{side}")
     return 100.0 * 0.375 * spec.geometry.sx / lung.semi_axes[0] + 0.5
 
 

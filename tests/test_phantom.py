@@ -52,8 +52,7 @@ from lungcover.phantom import (
 )
 from lungcover import grid, phantom
 from lungcover.io import load_mask3d, load_volume, save_mask3d, save_volume
-from lungcover.phantom import (JITTER_FLIP_PROB, _axis_centers, _box, _grow, _index_span, _jitter_bits,
-                               _sort, _sort_solid)
+from lungcover.phantom import JITTER_FLIP_PROB, _box, _grow, _jitter_bits, _sort, _sort_solid
 from lungcover.projection import DEFAULT_WINDOW, project_mask, render_drr
 
 from strategies import JSON_VALUES, mutated
@@ -144,11 +143,12 @@ def quad_fraction(spec: PhantomSpec, side: str) -> float:
     return value / (2.0 * math.pi / 3.0)  # unit ball volume / 2: depth is 2 sqrt(.)
 
 
+def centers(n: int, s: float) -> np.ndarray:
+    return (np.arange(n) + 0.5) * s
+
+
 def ellipsoid_field(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
     """Normalized squared distance of every voxel center from the ellipsoid."""
-    def centers(n, s):
-        return (np.arange(n) + 0.5) * s
-
     (cx, cy, cz), (ax, ay, az) = e.center, e.semi_axes
     tx = ((centers(geom.nx, geom.sx) - cx) / ax) ** 2
     ty = ((centers(geom.ny, geom.sy) - cy) / ay) ** 2
@@ -157,42 +157,28 @@ def ellipsoid_field(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
 
 
 def rasterize_ellipsoid(geom: GridGeometry, e: Ellipsoid) -> np.ndarray:
-    """Bool (nz, ny, nx): voxel centers inside the ellipsoid."""
-    out = np.zeros(geom.shape_zyx, dtype=bool)
+    """Bool (nz, ny, nx): voxel centers inside the ellipsoid, each voxel of the grid tested."""
     (cx, cy, cz), (ax, ay, az) = e.center, e.semi_axes
-    x0, x1 = _index_span(cx - ax, cx + ax, geom.nx, geom.sx)
-    y0, y1 = _index_span(cy - ay, cy + ay, geom.ny, geom.sy)
-    z0, z1 = _index_span(cz - az, cz + az, geom.nz, geom.sz)
-    if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return out
-    tx = ((_axis_centers(geom.nx, geom.sx)[x0:x1] - cx) / ax) ** 2
-    ty = ((_axis_centers(geom.ny, geom.sy)[y0:y1] - cy) / ay) ** 2
-    tz = ((_axis_centers(geom.nz, geom.sz)[z0:z1] - cz) / az) ** 2
+    tx = ((centers(geom.nx, geom.sx) - cx) / ax) ** 2
+    ty = ((centers(geom.ny, geom.sy) - cy) / ay) ** 2
+    tz = ((centers(geom.nz, geom.sz) - cz) / az) ** 2
     txy = ty[:, None] + tx[None, :]
-    for k, t in enumerate(tz):
-        out[z0 + k, y0:y1, x0:x1] = txy <= 1.0 - t
-    return out
+    return np.stack([txy <= 1.0 - t for t in tz])
 
 
 def rasterize_cap(geom: GridGeometry, c: SphereCap) -> np.ndarray:
-    """Bool (nz, ny, nx): voxel centers inside the sphere and at z >= cap_z."""
-    out = np.zeros(geom.shape_zyx, dtype=bool)
+    """Bool (nz, ny, nx): voxel centers inside the sphere and at z >= cap_z, each voxel tested."""
     (cx, cy, cz), r = c.center, c.radius
-    x0, x1 = _index_span(cx - r, cx + r, geom.nx, geom.sx)
-    y0, y1 = _index_span(cy - r, cy + r, geom.ny, geom.sy)
-    z0, z1 = _index_span(max(c.cap_z, cz - r), cz + r, geom.nz, geom.sz)
-    if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        return out
-    xs = _axis_centers(geom.nx, geom.sx)[x0:x1] - cx
-    ys = _axis_centers(geom.ny, geom.sy)[y0:y1] - cy
-    zs = _axis_centers(geom.nz, geom.sz)[z0:z1]
+    xs = centers(geom.nx, geom.sx) - cx
+    ys = centers(geom.ny, geom.sy) - cy
     txy = (ys ** 2)[:, None] + (xs ** 2)[None, :]
     r2 = r * r
-    for k, z in enumerate(zs):
-        if z < c.cap_z:
-            continue
-        out[z0 + k, y0:y1, x0:x1] = txy <= r2 - (z - cz) ** 2
-    return out
+    return np.stack([txy <= r2 - (z - cz) ** 2 if z >= c.cap_z else np.zeros_like(txy, bool)
+                     for z in centers(geom.nz, geom.sz)])
+
+
+def rasterize(geom: GridGeometry, solid: Ellipsoid | SphereCap) -> np.ndarray:
+    return (rasterize_ellipsoid if isinstance(solid, Ellipsoid) else rasterize_cap)(geom, solid)
 
 
 def scipy_band(bits: np.ndarray, radius: int) -> np.ndarray:
@@ -441,30 +427,68 @@ SOLIDS = ("torso", "lung_right", "lung_left", "heart", "diaphragm_right", "diaph
 
 
 def assert_sorted_columns_are_the_test(geom: GridGeometry, solid) -> None:
-    """At every slice z, _sort's first counts[z] columns are the box columns passing the test.
+    """At every slice z, _sort's first counts[z] columns are the slice's columns passing the test.
 
     Compared as sets of grid-slice indices y * nx + x, against
-    np.flatnonzero(txy <= bound) of the same box; outside the box's
-    slices no column passes. The changes() steps replay the counts.
+    np.flatnonzero(ty[:, None] + tx[None, :] <= bounds[z]) over the whole
+    slice; cols is a permutation of the box's columns.
     """
-    box, sorted_ = _box(geom, solid), _sort(geom, _box(geom, solid))
+    box = _box(geom, solid)
+    sorted_ = _sort(geom, box)
     if box is None:
         assert sorted_ is None
         return
+    assert sorted_.box is box and len(sorted_.counts) == geom.nz
     ys, xs = np.arange(box.ys.start, box.ys.stop), np.arange(box.xs.start, box.xs.stop)
     flat = (ys[:, None] * geom.nx + xs[None, :]).ravel()  # box column -> grid slice index
     np.testing.assert_array_equal(np.sort(sorted_.cols), np.sort(flat))  # a permutation
-    count = 0
-    steps = {z: (lo, hi) for z, lo, hi in sorted_.changes()}
+    txy = (box.ty[:, None] + box.tx[None, :]).ravel()
     for z in range(geom.nz):
-        inside = 0 <= z - box.z0 < len(box.bounds)
-        want = flat[np.flatnonzero(box.txy.ravel() <= box.bounds[z - box.z0])] if inside else []
         got = sorted_.cols[:sorted_.counts[z]]
-        np.testing.assert_array_equal(np.sort(got), np.sort(want), err_msg=f"slice {z}")
-        if z in steps:  # the columns between the old and the new count change
-            assert sorted(steps[z]) == [min(count, len(got)), max(count, len(got))]
-            count = len(got)
-        assert count == len(got), z
+        np.testing.assert_array_equal(np.sort(got), np.flatnonzero(txy <= box.bounds[z]),
+                                      err_msg=f"slice {z}")
+
+
+def assert_box_bounds_the_voxels_that_pass(geom: GridGeometry, solid) -> None:
+    """_box's spans are exactly the bounding box of the voxels the whole-grid reference passes.
+
+    The box is None exactly when no voxel passes.
+    """
+    with np.errstate(over="ignore"):  # a semi-axis of a few ulps overflows the reference too
+        inside = rasterize(geom, solid)
+    box = _box(geom, solid)
+    if not inside.any():
+        assert box is None
+        return
+    spans = []
+    for axes in ((1, 2), (0, 2), (0, 1)):
+        at = np.flatnonzero(inside.any(axis=axes))
+        spans.append(slice(int(at[0]), int(at[-1]) + 1))
+    assert (box.zs, box.ys, box.xs) == tuple(spans)
+
+
+@st.composite
+def solids_on_grids(draw) -> tuple[GridGeometry, Ellipsoid | SphereCap]:
+    """A solid of phantom_specs on its grid; a cap may lie on a voxel-center plane.
+
+    An ellipsoid may be 5e-324 mm thick on one axis, and then is centred
+    on a voxel-center plane of that axis, where some voxels pass, or left
+    where it was.
+    """
+    spec = draw(phantom_specs())
+    g = spec.geometry
+    solid = getattr(spec, draw(st.sampled_from([n for n in SOLIDS if getattr(spec, n)])))
+    if isinstance(solid, SphereCap) and draw(st.booleans()):
+        solid = replace(solid, cap_z=(draw(st.integers(-1, g.nz)) + 0.5) * g.sz)
+    elif isinstance(solid, Ellipsoid) and draw(st.booleans()):
+        axis = draw(st.integers(0, 2))
+        n, s = ((g.nx, g.sx), (g.ny, g.sy), (g.nz, g.sz))[axis]
+        semi, center = list(solid.semi_axes), list(solid.center)
+        semi[axis] = 5e-324
+        if draw(st.booleans()):
+            center[axis] = (draw(st.integers(0, n - 1)) + 0.5) * s
+        solid = Ellipsoid(tuple(center), tuple(semi))
+    return g, solid
 
 
 class TestSortedColumns:
@@ -480,6 +504,17 @@ class TestSortedColumns:
         for name in SOLIDS:
             if getattr(spec, name) is not None:
                 assert_sorted_columns_are_the_test(spec.geometry, getattr(spec, name))
+
+    @pytest.mark.parametrize("spec", PAINTER_SPECS.values(), ids=PAINTER_SPECS.keys())
+    def test_box_bounds_the_voxels_that_pass(self, spec):
+        for name in SOLIDS:
+            if getattr(spec, name) is not None:
+                assert_box_bounds_the_voxels_that_pass(spec.geometry, getattr(spec, name))
+
+    @settings(max_examples=150)
+    @given(case=solids_on_grids())
+    def test_random_solids_box_bounds_the_voxels_that_pass(self, case):
+        assert_box_bounds_the_voxels_that_pass(*case)
 
     @pytest.mark.parametrize("solid", [TIE_CAP, Ellipsoid((8.5, 8.5, 8.5), (5.0, 5.0, 5.0)),
                                        Ellipsoid((8.5, 8.5, 8.5), (4.0, 4.0, 4.0))],
@@ -498,7 +533,8 @@ class TestSortedColumns:
 
     def test_cap_plane_slice_holds_its_boundary_ring(self):
         box = _box(TIE_GEOMETRY, TIE_CAP)
-        assert box.z0 == 8 and box.bounds[0] == 25.0  # the cap plane is slice 8's centre
+        assert box.zs.start == 8 and box.bounds[8] == 25.0  # the cap plane is slice 8's centre
+        assert box.bounds[7] == -np.inf
         assert np.count_nonzero(box.txy == 25.0) == 12
         sorted_ = _sort(TIE_GEOMETRY, box)
         assert sorted_.counts[8] == np.count_nonzero(box.txy <= 25.0)
@@ -799,12 +835,14 @@ def eager_truth(geom: GridGeometry, box) -> np.ndarray:
     bit = np.uint8(1) << (y & 7).astype(np.uint8)
     byte = ((y >> 3) - js.start) * width + (x - box.xs.start)
     plane = np.zeros((js.stop - js.start, width), np.uint8)
-    flat, done = plane.reshape(-1), lung.zs.start
-    for z, lo, hi in lung.changes():
-        truth[done:z, js, box.xs] = plane
-        np.bitwise_xor.at(flat, byte[lo:hi], bit[lo:hi])
-        done = z
-    truth[done:lung.zs.stop, js, box.xs] = plane
+    flat, count, done = plane.reshape(-1), 0, 0
+    for z, new in enumerate(lung.counts):
+        if new != count:
+            truth[done:z, js, box.xs] = plane
+            lo, hi = sorted((count, new))
+            np.bitwise_xor.at(flat, byte[lo:hi], bit[lo:hi])
+            count, done = new, z
+    truth[done:, js, box.xs] = plane
     return truth
 
 
@@ -881,22 +919,25 @@ class TestStreamedTruth:
         assert "values" not in vars(case.volume)
 
     def test_lungs_meeting_only_inside_their_box_overlap_intersect(self):
-        """Lungs whose boxes overlap in every axis: meeting in a few voxels, and just apart.
+        """Lungs whose boxes overlap in every axis: meeting in a few voxels, and diagonally apart.
 
-        Voxel centres are 10 mm apart at 5 + 10 k mm. The right lung spans
-        x = 130 .. 220 mm; the left one 60 .. 150 mm (centres 135 and 145
-        in both) or 39 .. 129 mm (none), and its padded box still reaches
-        x = 145 mm.
+        Voxel centres are 10 mm apart at 5 + 10 k mm. The right lung's box
+        spans x and y = 135 .. 215 mm. The left lung, 70 mm to its left,
+        spans x = 65 .. 145 mm and meets it at x = 135 and 145 mm. Moved
+        70 mm down in y as well, its box spans 65 .. 145 mm in x and y, so
+        the two boxes still share the corner x, y = 135 .. 145 mm; the
+        lungs, 99 mm apart against radii of 45 mm, share no voxel.
         """
         g = COARSE_128
-        right = Ellipsoid((175.0, 165.0, 165.0), (45.0, 45.0, 45.0))
-        for x, meets in ((105.0, True), (84.0, False)):
-            left = Ellipsoid((x, 165.0, 165.0), (45.0, 45.0, 45.0))
+        right = Ellipsoid((175.0, 175.0, 165.0), (45.0, 45.0, 45.0))
+        for (x, y), meets in (((105.0, 175.0), True), ((105.0, 105.0), False)):
+            left = Ellipsoid((x, y, 165.0), (45.0, 45.0, 45.0))
             spec = PhantomSpec(geometry=g, lung_right=right, lung_left=left)
             both = rasterize_ellipsoid(g, right) & rasterize_ellipsoid(g, left)
             assert both.any() == meets
-            boxes = _box(g, right), _box(g, left)
-            assert boxes[1].xs.stop > boxes[0].xs.start  # the boxes overlap in x
+            a, b = _box(g, right), _box(g, left)
+            for p, q in ((a.zs, b.zs), (a.ys, b.ys), (a.xs, b.xs)):  # the boxes overlap
+                assert max(p.start, q.start) < min(p.stop, q.stop)
             if meets:
                 with pytest.raises(SpecViolation, match="lungs intersect"):
                     generate_phantom(spec)
@@ -1277,6 +1318,13 @@ class TestOracleTolerance:
         g = spec.geometry
         assert oracle_tolerance_pct(spec, "right") == (
             100.0 * 0.375 * g.sx / spec.lung_right.semi_axes[0] + 0.5)
+
+    @pytest.mark.parametrize("side", ["bogus", "Right", "", None])
+    def test_unknown_side_is_an_error(self, side):
+        """As analytic_obscured_fraction: an unknown side is not the left lung's tolerance."""
+        for oracle in (oracle_tolerance_pct, analytic_obscured_fraction):
+            with pytest.raises(ValueError, match="side must be right, left or both"):
+                oracle(default_spec(), side)
 
     def test_both_takes_worst_side(self):
         spec = two_sphere_spec(heart=None)  # smaller left lung, larger tolerance
