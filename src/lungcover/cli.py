@@ -17,12 +17,12 @@ when it runs, so a wrapper set on a ``cmd_*`` attribute still takes effect.
 
 A command loads only the modules it uses. This module imports what every
 command needs (errors, grid, io, and projection for the drr window
-defaults); phantom, concordance, reporting (with stats) and the worker
-pool are imported by the commands that use them, so a fresh ``drr``
-loads none of them. The functions that bench/tracing.py and the tests
-rebind on this module (cohort_case, analyze_case, build_cohort_report,
-...) stay attributes of it, as stand-ins that import their module when
-first called.
+defaults); phantom, concordance and reporting (with stats) are imported
+by the commands that use them, so a fresh ``drr`` loads none of them,
+and none imports a thread pool. The functions that bench/tracing.py
+and the tests rebind on this module (cohort_case, analyze_case,
+build_cohort_report, ...) stay attributes of it, as stand-ins that
+import their module when first called.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import IoFailure, LungCoverError, MalformedHeader, SpecViolation, ValidationError
-from .grid import LABELS
+from .grid import LABELS, in_pairs
 from .io import (
     load_mask,
     load_mask2d,
@@ -145,36 +145,24 @@ def _phantom_case(args, base, out: Path, index: int) -> dict:
 def cmd_phantom(args) -> int:
     """Write the cohort's cases two at a time, then its manifest.
 
-    Cases are made in index-ordered pairs: this thread makes case 2k
-    while one worker thread makes case 2k + 1, so one case paints while
-    the kernel copies the other's writes (which release the GIL). Every
-    case depends only on its index, so each file's bytes, the manifest's
-    entries and the ``wrote`` lines are as one case at a time would make
-    them, in index order. A pair in which a case fails waits for its
-    other case, then raises the error of the lower failing index; no
-    later case starts and no manifest is written.
+    Cases are made in index-ordered pairs (grid.in_pairs): this thread
+    makes case 2k while a worker thread makes case 2k + 1, so one case
+    paints while the kernel copies the other's writes (which release the
+    GIL). Every case depends only on its index, so each file's bytes, the
+    manifest's entries and the ``wrote`` lines are as one case at a time
+    would make them, in index order. A pair in which a case fails waits
+    for its other case, then raises the error of the lower failing index;
+    no later case starts and no manifest is written.
     """
-    from concurrent.futures import ThreadPoolExecutor, wait
-
     from .phantom import spec_to_dict
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     base = _load_spec(args.spec, args.seed, args.jitter_px)
     out = Path(args.out)
-    make = functools.partial(_phantom_case, args, base, out)
     entries = []
-    with ThreadPoolExecutor(1) as worker:
-        for index in range(0, args.n, 2):
-            second = worker.submit(make, index + 1) if index + 1 < args.n else None
-            try:
-                entries.append(make(index))
-            finally:  # the pair's other case ends before an error of this one is raised
-                if second is not None:
-                    wait([second])
-            _say(args, f"wrote {out / entries[-1]['dir']}")
-            if second is not None:
-                entries.append(second.result())  # raises case index + 1's error
-                _say(args, f"wrote {out / entries[-1]['dir']}")
+    for entry in in_pairs(functools.partial(_phantom_case, args, base, out), range(args.n)):
+        entries.append(entry)
+        _say(args, f"wrote {out / entry['dir']}")
     manifest = {
         "kind": "lungcover-cohort",
         "n_cases": args.n,

@@ -28,8 +28,9 @@ Every 2D answer (the DRR's column sums, a mask's column counts, the
 intersection counts of two masks) is one fold over the chunks, fold_y.
 A seekable array, held or read by a file's positional reader, of at
 least _SPLIT_BYTES (~6 MiB: a CT-grid volume or truth mask) is folded
-in two z-halves at once, each in its own thread and its own buffer, on
-two cores. A painter paints each slice from the one before it, so it is
+in two z-halves at once, on two cores: a pair of in_pairs, the one
+runner of two jobs at once (the phantom command's cases are its other
+pairs). A painter paints each slice from the one before it, so it is
 not seekable, and its array is folded in one pass; so is a smaller
 array, such as every array of a 128^3 desk case, for which a thread
 start and a second buffer cost more than a second core saves.
@@ -213,6 +214,37 @@ def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
     return out
 
 
+def in_pairs(fn, items):
+    """Yield fn(item) for each item of a sequence in order, each pair's two items at once.
+
+    fn(items[2k + 1]) runs in a new worker thread while fn(items[2k]), or a
+    last odd item, runs in this one; both end before either result is yielded.
+    The error is a plain loop's: the lower item's if it raises, else the upper
+    item's, raised after the lower result is yielded.
+    """
+    for k in range(0, len(items), 2):
+        upper, failed = [], []  # the upper item's result or error, once its worker ends
+
+        def run(item) -> None:
+            try:
+                upper.append(fn(item))
+            except BaseException as exc:  # raised in the caller's thread, after the lower item
+                failed.append(exc)
+        workers = [threading.Thread(target=run, args=(item,), name="lungcover-pair")
+                   for item in items[k + 1:k + 2]]  # none for a last odd item
+        for worker in workers:
+            worker.start()
+        try:
+            lower = fn(items[k])
+        finally:  # the upper item ends before an error of the lower one is raised
+            for worker in workers:
+                worker.join()
+        yield lower
+        if failed:
+            raise failed[0]
+        yield from upper
+
+
 def fold_y(arrays, out: np.ndarray, op=None, folds: int = 0) -> np.ndarray:
     """sum_y of op(*chunks) over the z-chunks of arrays into out, shape (nz, nx); return out.
 
@@ -220,45 +252,25 @@ def fold_y(arrays, out: np.ndarray, op=None, folds: int = 0) -> np.ndarray:
     z-chunk of each to the (depth, n, nx) chunk summed, and None takes
     the one array's chunk as it is. The one fold of every 2D answer.
 
-    When every array is seekable (_ZArray._seekable) and each is at least
-    _SPLIT_BYTES, one worker thread folds slices [mid, nz) into their
-    rows of out, in its own chunk buffer and fold scratch, while this
-    thread folds [0, mid); mid is the chunk boundary at or just past
-    nz / 2. The reads, range checks and folds all release the GIL, so
-    the halves run on two cores. A painter's array and a small one are
-    folded in one pass. The sums are exact integers, so out is the same
-    either way. If either half raises, the other is waited for and the
-    lower half's error is raised, the one a single pass meets first; the
-    worker never outlives the call.
+    When every array is seekable (_ZArray._seekable) and at least
+    _SPLIT_BYTES, [0, mid) and [mid, nz) are folded as a pair of in_pairs,
+    in two threads and buffers (mid: the chunk boundary at or past nz / 2;
+    the reads, checks and folds release the GIL). Else [0, nz) is folded in
+    this thread. out and any error (the lower half's) are a single pass's.
     """
     shape, dtype = arrays[0]._layout
     nz, slice_bytes = shape[0], math.prod(shape[1:]) * np.dtype(dtype).itemsize
     depth = chunk_depth(slice_bytes)
     mid = depth * -(-nz // (2 * depth))
 
-    def fold(z0: int, z1: int) -> None:
-        parts = [a.chunks(z0, z1) for a in arrays]
-        sum_y(parts[0] if op is None else map(op, *parts), out[z0:z1], folds)
+    def fold(span: tuple[int, int]) -> None:
+        parts = [a.chunks(*span) for a in arrays]
+        sum_y(parts[0] if op is None else map(op, *parts), out[slice(*span)], folds)
 
-    if mid >= nz or nz * slice_bytes < _SPLIT_BYTES or not all(a._seekable() for a in arrays):
-        fold(0, nz)
-        return out
-    failed = []
-
-    def upper() -> None:
-        try:
-            fold(mid, nz)
-        except BaseException as exc:  # raised in the caller's thread, after the lower half
-            failed.append(exc)
-
-    worker = threading.Thread(target=upper, name="lungcover-fold-upper")
-    worker.start()
-    try:
-        fold(0, mid)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    spans = [(0, nz)]
+    if mid < nz and nz * slice_bytes >= _SPLIT_BYTES and all(a._seekable() for a in arrays):
+        spans = [(0, mid), (mid, nz)]
+    list(in_pairs(fold, spans))  # each span's fold fills its rows of out
     return out
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +401,110 @@ def record_fills(obj) -> list:
         return recorded
     object.__setattr__(obj, "_source", traced)
     return fills
+
+
+class Stop(BaseException):
+    """Not an Exception: what a worker's KeyboardInterrupt or SystemExit would be."""
+
+
+class TestInPairs:
+    """in_pairs runs each pair's upper item in a worker beside its lower one, as a loop would."""
+
+    @pytest.fixture
+    def started(self, monkeypatch) -> list:
+        """The names of the threads started while the test runs."""
+        names, real = [], threading.Thread.start
+
+        def start(thread):
+            names.append(thread.name)
+            return real(thread)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return names
+
+    @staticmethod
+    def recorded(fails=(), raises=ValueError):
+        """fn for in_pairs, and the (item, thread ident) of each call; fails raise."""
+        calls = []
+
+        def fn(item):
+            calls.append((item, threading.get_ident()))
+            if item in fails:
+                raise raises(f"item {item}")
+            return 10 * item
+        return fn, calls
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_results_come_in_item_order(self, n, started):
+        start, here = threading.active_count(), threading.get_ident()
+        begun = [threading.Event() for _ in range(n)]
+        fn, calls = self.recorded()
+
+        def both_at_once(item):
+            begun[item].set()
+            if item % 2 == 0 and item + 1 < n:  # the worker makes item + 1 meanwhile
+                assert begun[item + 1].wait(10)
+                time.sleep(0.01)  # and ends first
+            return fn(item)
+        assert list(grid.in_pairs(both_at_once, range(n))) == [10 * i for i in range(n)]
+        assert sorted(item for item, _ in calls) == list(range(n))
+        assert {item for item, ident in calls if ident == here} == set(range(0, n, 2))
+        assert len(started) == n // 2
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("upper_fails", [True, False])
+    def test_lower_error_wins_after_the_upper_item_ends(self, upper_fails, started):
+        start = threading.active_count()
+        fn, _ = self.recorded(fails={0, 1} if upper_fails else {0})
+        ended = []
+
+        def slow_upper(item):
+            try:
+                if item == 1:
+                    time.sleep(0.05)  # still running when the lower item raises
+                return fn(item)
+            finally:
+                ended.append(item)
+        with pytest.raises(ValueError, match="^item 0$"):
+            list(grid.in_pairs(slow_upper, [0, 1, 2]))
+        assert sorted(ended) == [0, 1]  # item 1 ended before the error; item 2 never began
+        assert threading.active_count() == start
+
+    def test_upper_error_comes_after_the_lower_result(self, started):
+        start = threading.active_count()
+        fn, calls = self.recorded(fails={3})
+        pairs = grid.in_pairs(fn, range(5))
+        assert [next(pairs) for _ in range(3)] == [0, 10, 20]
+        assert threading.active_count() == start  # the worker ended before item 2 came
+        with pytest.raises(ValueError, match="^item 3$"):
+            next(pairs)
+        assert sorted(item for item, _ in calls) == [0, 1, 2, 3]
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("fails", [{1}, {0, 1}])
+    def test_base_exception_in_the_worker_reaches_the_caller(self, fails, started):
+        start = threading.active_count()
+        fn, _ = self.recorded(fails=fails, raises=Stop)
+        with pytest.raises(Stop, match=f"^item {min(fails)}$"):
+            list(grid.in_pairs(fn, [0, 1]))
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("fails", [(), {2}])
+    def test_a_lone_item_runs_in_the_caller_and_starts_no_thread(self, fails, started):
+        start = threading.active_count()
+        fn, calls = self.recorded(fails=fails)
+        pairs = grid.in_pairs(fn, [0, 1, 2])
+        assert [next(pairs), next(pairs)] == [0, 10]
+        assert len(started) == 1
+        if fails:
+            with pytest.raises(ValueError, match="^item 2$"):
+                next(pairs)
+        else:
+            assert list(pairs) == [20]
+        assert calls[-1] == (2, threading.get_ident())
+        assert len(calls) == 3 and len(started) == 1
+        assert threading.active_count() == start
+        assert list(grid.in_pairs(fn, [1])) == [10]
+        assert calls[-1] == (1, threading.get_ident()) and len(started) == 1
 
 
 class TestTwoHalves:
