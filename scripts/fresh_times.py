@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time of fresh `lungcover` processes, for two source trees side by side.
+"""Wall time, peak memory and CPU time of fresh `lungcover` processes, for two source trees.
 
 Run from the repository root, naming the `src` directory of each tree:
 
@@ -13,14 +13,20 @@ alternates between rounds. The desk cohort (55 default cases) that
 directory. The environment is passed through unchanged; with
 PYTHONDONTWRITEBYTECODE=1 every process also compiles each module it
 loads. Prints one markdown row per command: each tree's median and
-quartiles, the change of the medians, and the rounds in which b was
-faster.
+quartiles of the wall time, the change of the medians, and the rounds in
+which b was faster; then each tree's median peak resident set
+(ru_maxrss) and user + system CPU time, both from os.wait4's rusage of
+the child alone. A spawned child's ru_maxrss starts at its spawner's
+peak (exec keeps the peak of the address space it replaces), so the
+script also prints its own peak: a row that reads no more than that
+peaked no higher.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,17 +42,22 @@ def commands(tmp: Path) -> dict[str, list[str]]:
         "drr (one desk case)": [*cli, "drr", str(tmp / "desk" / "case_000" / "volume.json"),
                                 "--out", str(tmp / "case_000.pgm"), "--quiet"],
         "phantom --n 1": [*cli, "phantom", "--out", str(tmp / "one"), "--n", "1", "--quiet"],
+        "phantom --n 55": [*cli, "phantom", "--out", str(tmp / "desk55"), "--n", "55", "--quiet"],
         "cohort (55 desk cases)": [*cli, "cohort", str(tmp / "desk"),
                                    "--out", str(tmp / "report"), "--quiet"],
         "usage error": [*cli, "drr"],
     }
 
 
-def run(src: Path, argv: list[str]) -> float:
+def run(src: Path, argv: list[str]) -> tuple[float, float, float]:
+    """Wall time (s), ru_maxrss (MB) and user + system CPU time (s) of one child."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
     start = time.perf_counter()
-    subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return time.perf_counter() - start
+    pid = os.posix_spawn(argv[0], argv, env, file_actions=quiet)
+    _, _, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    return wall, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime  # KiB on Linux
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -67,19 +78,25 @@ def main() -> int:
                         str(tmp / "desk"), "--quiet"], check=True, stdout=subprocess.DEVNULL,
                        env=dict(os.environ, PYTHONPATH=str(args.b.resolve())))
         cmds = commands(tmp)
-        times = {name: {"a": [], "b": []} for name in cmds}
+        runs = {name: {"a": [], "b": []} for name in cmds}
         for k in range(args.rounds):
             for name, argv in cmds.items():
                 for side in ("ab" if k % 2 == 0 else "ba"):
-                    times[name][side].append(run(getattr(args, side), argv))
+                    runs[name][side].append(run(getattr(args, side), argv))
 
-    print("| fresh process | a: median [q1–q3] s | b: median [q1–q3] s | b vs a | b faster |")
-    print("|---|---|---|---|---|")
-    for name, t in times.items():
-        (a1, a2, a3), (b1, b2, b3) = quartiles(t["a"]), quartiles(t["b"])
-        faster = sum(b < a for a, b in zip(t["a"], t["b"]))
+    print("| fresh process | a: median [q1–q3] s | b: median [q1–q3] s | b vs a | b faster "
+          "| a / b: ru_maxrss MB | a / b: user+sys s |")
+    print("|---|---|---|---|---|---|---|")
+    for name, r in runs.items():
+        (wall_a, rss_a, cpu_a), (wall_b, rss_b, cpu_b) = zip(*r["a"]), zip(*r["b"])
+        (a1, a2, a3), (b1, b2, b3) = quartiles(wall_a), quartiles(wall_b)
+        faster = sum(b < a for a, b in zip(wall_a, wall_b))
         print(f"| {name} | {a2:.3f} [{a1:.3f}–{a3:.3f}] | {b2:.3f} [{b1:.3f}–{b3:.3f}] "
-              f"| {100 * (b2 - a2) / a2:+.1f} % | {faster}/{args.rounds} |")
+              f"| {100 * (b2 - a2) / a2:+.1f} % | {faster}/{args.rounds} "
+              f"| {statistics.median(rss_a):.1f} / {statistics.median(rss_b):.1f} "
+              f"| {statistics.median(cpu_a):.3f} / {statistics.median(cpu_b):.3f} |")
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\nThis script peaked at {own:.1f} MB ru_maxrss, the floor of every child's reading.")
     return 0
 
 

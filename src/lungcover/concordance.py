@@ -195,6 +195,11 @@ def obscured_fraction(reference: Mask3D, mask2d: Mask2D) -> float:
     return _measure(reference.column_counts, reference.geometry, mask2d).obscured_fraction_pct
 
 
+def _and_count(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The popcount of a & b, made in out: grid.fold_y's op for the intersection counts."""
+    return np.bitwise_count(np.bitwise_and(a, b, out=out), out=out)
+
+
 def _union_column_counts(right: Mask3D, left: Mask3D) -> np.ndarray:
     """Column counts of right | left without a 3D union.
 
@@ -202,13 +207,14 @@ def _union_column_counts(right: Mask3D, left: Mask3D) -> np.ndarray:
     column has voxels of both masks (none does when the lungs are
     disjoint in projection), in one fold over both masks' packed z-chunks
     (grid.fold_y: two loaded CT-grid masks in two z-halves at once), so
-    neither mask is held whole. The result is at most ny, so it fits the
-    column dtype.
+    neither mask is held whole; each chunk's AND and popcount are made in
+    one buffer per z-half (_and_count). The result is at most ny, so it
+    fits the column dtype.
     """
     cols_r, cols_l = right.column_counts, left.column_counts
     if not ((cols_r > 0) & (cols_l > 0)).any():
         return cols_r + cols_l
-    inter = fold_y((right, left), np.empty_like(cols_l), lambda a, b: np.bitwise_count(a & b))
+    inter = fold_y((right, left), np.empty_like(cols_l), _and_count)
     return cols_r + (cols_l - inter)
 
 

@@ -27,13 +27,20 @@ no array, and both compare (and hash) by identity.
 Every 2D answer (the DRR's column sums, a mask's column counts, the
 intersection counts of two masks) is one fold over the chunks, fold_y.
 A seekable array, held or read by a file's positional reader, of at
-least _SPLIT_BYTES (~6 MiB: a CT-grid volume or truth mask) is folded
-in two z-halves at once, on two cores: a pair of in_pairs, the one
-runner of two jobs at once (the phantom command's cases are its other
-pairs). A painter paints each slice from the one before it, so it is
+least the floor is folded in two z-halves at once, as a pair of
+in_pairs. A painter paints each slice from the one before it, so it is
 not seekable, and its array is folded in one pass; so is a smaller
-array, such as every array of a 128^3 desk case, for which a thread
-start and a second buffer cost more than a second core saves.
+array.
+
+in_pairs is the one runner of two jobs at once, and _paired is its one
+floor, _SPLIT_BYTES (6 MiB): two items run at once, on two cores, only
+when each streams at least that many bytes. It has two users, fold_y's
+z-halves and the phantom command's cases. So a CT-grid volume or truth
+mask is folded in two threads, and CT-grid cases are made two at a
+time. Every array and case of a 128^3 desk cohort is made or folded
+whole, one at a time, in the caller's thread: there a thread start, a
+second buffer and a second malloc arena cost more than a second core
+saves.
 """
 
 from __future__ import annotations
@@ -95,13 +102,27 @@ def check_label(label) -> None:
 _CHUNK_BYTES = 1 << 19
 
 
-# A seekable array (held, or read from a file) of at least this many bytes is
-# folded into its 2D answer in two z-halves at once (fold_y): the 128 MB volume
-# and the 7.6 MiB packed truth masks of the 512 x 512 x 244 CT grid. The 4 MiB
-# volume and 256 KiB masks of a 128^3 desk case stay on one thread: folding every
-# desk volume in halves made 55 desk render_drr calls 35 % slower on two CPUs
-# (12-16 % pinned to one), each call paying a thread start and a second buffer.
+# The one floor of in_pairs (_paired): two items run at once only when each streams
+# at least this many bytes. Its two users:
+# - fold_y, whose item is a z-half of a seekable array (held, or read from a
+#   file) and whose size is the whole array's: the 128 MB volume and 7.6 MiB
+#   packed truth masks of the 512 x 512 x 244 CT grid fold in two threads.
+#   Folding every 4 MiB desk volume in halves made 55 desk render_drr calls 35 %
+#   slower on two CPUs (12-16 % pinned to one): each call paid a thread start and
+#   a second buffer.
+# - the phantom command, whose item is a case and whose size is the case's
+#   volume, 2 * voxel_count bytes: CT-grid cases pair, which cut `ct` phantom_s
+#   31 % (BENCH_25.json). The 4 MiB cases of the 55-case desk cohort run one at a
+#   time: paired, their worker threads' malloc arena raised the peak by ~1.4 MB, at
+#   a third more CPU time and ~18 K context switches, for a wall time within ~10 %
+#   either way (BENCH_31.json). At 32 MB (256 x 256 x 244) pairing was even in wall
+#   time and cost ~1.6 MB of peak.
 _SPLIT_BYTES = 6 << 20
+
+
+def _paired(nbytes: int) -> bool:
+    """Whether two items that each stream nbytes run at once (in_pairs, fold_y's split)."""
+    return nbytes >= _SPLIT_BYTES
 
 
 def chunk_depth(slice_bytes: int) -> int:
@@ -214,14 +235,20 @@ def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
     return out
 
 
-def in_pairs(fn, items):
-    """Yield fn(item) for each item of a sequence in order, each pair's two items at once.
+def in_pairs(fn, items, nbytes: int):
+    """Yield fn(item) for each item of a sequence in order, two at once if _paired(nbytes).
 
-    fn(items[2k + 1]) runs in a new worker thread while fn(items[2k]), or a
-    last odd item, runs in this one; both end before either result is yielded.
-    The error is a plain loop's: the lower item's if it raises, else the upper
-    item's, raised after the lower result is yielded.
+    nbytes is what one item streams: a phantom case's volume, or the whole
+    array of a fold. Below the floor this is a plain loop in this thread.
+    At or above it, fn(items[2k + 1]) runs in a new worker thread while
+    fn(items[2k]), or a last odd item, runs in this one; both end before
+    either result is yielded. The error is a plain loop's: the lower item's
+    if it raises, else the upper item's, raised after the lower result is
+    yielded.
     """
+    if not _paired(nbytes):
+        yield from map(fn, items)
+        return
     for k in range(0, len(items), 2):
         upper, failed = [], []  # the upper item's result or error, once its worker ends
 
@@ -246,17 +273,20 @@ def in_pairs(fn, items):
 
 
 def fold_y(arrays, out: np.ndarray, op=None, folds: int = 0) -> np.ndarray:
-    """sum_y of op(*chunks) over the z-chunks of arrays into out, shape (nz, nx); return out.
+    """sum_y of op(*chunks, out=buf) over the arrays' z-chunks into out, (nz, nx); return out.
 
-    arrays are volumes or 3D masks of one grid and kind; op maps one
-    z-chunk of each to the (depth, n, nx) chunk summed, and None takes
-    the one array's chunk as it is. The one fold of every 2D answer.
+    arrays are volumes or 3D masks of one grid and kind. op writes the
+    (depth, n, nx) chunk summed, made from one z-chunk of each array, into
+    buf and returns it (a ufunc such as np.bitwise_count); buf is one
+    buffer of the arrays' chunk shape and dtype per span, which every chunk
+    of the span overwrites. None takes the one array's chunk as it is. The
+    one fold of every 2D answer.
 
-    When every array is seekable (_ZArray._seekable) and at least
-    _SPLIT_BYTES, [0, mid) and [mid, nz) are folded as a pair of in_pairs,
-    in two threads and buffers (mid: the chunk boundary at or past nz / 2;
-    the reads, checks and folds release the GIL). Else [0, nz) is folded in
-    this thread. out and any error (the lower half's) are a single pass's.
+    When every array is seekable (_ZArray._seekable) and _paired, [0, mid)
+    and [mid, nz) are folded at once as a pair of in_pairs, in two threads
+    and buffers (mid: the chunk boundary at or past nz / 2; the reads,
+    checks and folds release the GIL). Else [0, nz) is folded in this
+    thread. out and any error (the lower half's) are a single pass's.
     """
     shape, dtype = arrays[0]._layout
     nz, slice_bytes = shape[0], math.prod(shape[1:]) * np.dtype(dtype).itemsize
@@ -265,12 +295,17 @@ def fold_y(arrays, out: np.ndarray, op=None, folds: int = 0) -> np.ndarray:
 
     def fold(span: tuple[int, int]) -> None:
         parts = [a.chunks(*span) for a in arrays]
-        sum_y(parts[0] if op is None else map(op, *parts), out[slice(*span)], folds)
+        if op is None:
+            chunks = parts[0]
+        else:
+            buf = np.empty((min(depth, span[1] - span[0]), *shape[1:]), dtype)
+            chunks = (op(*each, out=buf[:len(each[0])]) for each in zip(*parts))
+        sum_y(chunks, out[slice(*span)], folds)
 
-    spans = [(0, nz)]
-    if mid < nz and nz * slice_bytes >= _SPLIT_BYTES and all(a._seekable() for a in arrays):
+    nbytes, spans = nz * slice_bytes, [(0, nz)]
+    if mid < nz and _paired(nbytes) and all(a._seekable() for a in arrays):
         spans = [(0, mid), (mid, nz)]
-    list(in_pairs(fold, spans))  # each span's fold fills its rows of out
+    list(in_pairs(fold, spans, nbytes))  # each span's fold fills its rows of out
     return out
 
 
@@ -456,8 +491,9 @@ class Mask3D(_ZArray):
     def column_counts(self) -> np.ndarray:
         """Read-only mask voxel count of each (z, x) column along y, shape (nz, nx).
 
-        A popcount summed over y, one z-chunk at a time (fold_y: a large
-        loaded mask in two z-halves at once). Cached: the bits cannot
+        A popcount summed over y, one z-chunk at a time, each chunk's
+        popcount made in one buffer (fold_y: a large loaded mask in two
+        z-halves at once, one buffer each). Cached: the bits cannot
         change. The dtype is the smallest unsigned type that holds ny, so
         the sum cannot overflow.
         """

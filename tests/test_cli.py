@@ -59,6 +59,13 @@ def spec_file(tmp_path_factory) -> Path:
     return path
 
 
+@pytest.fixture
+def paired(monkeypatch) -> None:
+    """Pair phantom's cases on any grid, as a case of grid._SPLIT_BYTES or more (a CT case)."""
+    from lungcover import grid
+    monkeypatch.setattr(grid, "_SPLIT_BYTES", 0)
+
+
 def make_cohort(out: Path, spec_file: Path, n: int = 3) -> None:
     rc = main(["phantom", "--out", str(out), "--spec", str(spec_file),
                "--n", str(n), "--seed", "7", "--quiet"])
@@ -261,15 +268,17 @@ PINNED_GRID = {"dims": [80, 60, 100], "spacing_mm": [4.0, 5.4, 3.2]}
 
 
 @pytest.mark.parametrize("run", ["default", "anatomical", "grid"])
-def test_phantom_bytes_are_pinned(run, tmp_path):
+def test_phantom_bytes_are_pinned(run, tmp_path, monkeypatch):
     """SHA-256 of every file phantom writes, recorded in tests/phantom_sha256.json.
 
     manifest.json is left out: its oracle floats go through LAPACK
     (np.roots), so their last bits may vary by platform. A refactor keeps
     every digest: a change that moves one voxel, one jitter flip or one
     header byte fails here, and one that changes the output on purpose
-    records the new digests and says why.
+    records the new digests and says why. Each run is made twice: with the
+    size floor at 0, the cases in pairs, and at its real value, one at a time.
     """
+    from lungcover import grid
     if run in ("default", "anatomical"):  # anatomical paints both domes (SphereCap)
         argv = ["--spec", run, "--n", "3", "--seed", "0"]
     else:
@@ -277,12 +286,15 @@ def test_phantom_bytes_are_pinned(run, tmp_path):
         doc["geometry"] = PINNED_GRID
         (tmp_path / "grid.json").write_text(json.dumps(doc), encoding="utf-8")
         argv = ["--spec", str(tmp_path / "grid.json"), "--n", "2"]
-    out = tmp_path / run
-    assert main(["phantom", "--out", str(out), *argv, "--quiet"]) == 0
-    got = {name: hashlib.sha256(data).hexdigest()
-           for name, data in tree_bytes(out).items() if name != "manifest.json"}
     want = json.loads((Path(__file__).parent / "phantom_sha256.json").read_text())[run]
-    assert got == want
+    for floor in (0, grid._SPLIT_BYTES):
+        out = tmp_path / f"{run}-{floor}"
+        with monkeypatch.context() as m:
+            m.setattr(grid, "_SPLIT_BYTES", floor)
+            assert main(["phantom", "--out", str(out), *argv, "--quiet"]) == 0
+        got = {name: hashlib.sha256(data).hexdigest()
+               for name, data in tree_bytes(out).items() if name != "manifest.json"}
+        assert got == want, floor
 
 
 def test_phantom_zero_jitter_copies_first_annotator(tmp_path, spec_file):
@@ -503,7 +515,7 @@ def test_phantom_integrates_each_lung_once(tmp_path, spec_file):
     assert (info.misses, info.hits) == (2 * 3, 2 * 3)
 
 
-def test_phantom_sorts_each_shared_solid_once(tmp_path, monkeypatch):
+def test_phantom_sorts_each_shared_solid_once(tmp_path, monkeypatch, paired):
     """Both cases of a pair need the torso's and domes' sorts: one thread sorts each, and
     the other waits for it rather than sorting it again."""
     from dataclasses import replace
@@ -556,7 +568,7 @@ def _alive_when_requested(out, spec_file, monkeypatch, worker_first=False) -> di
     return alive
 
 
-def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch):
+def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatch, paired):
     """A CT case holds 2 x 8 MB of truth masks (and 128 MB more once its volume is read).
     Cases are made in pairs (2k, 2k + 1), so when case i is requested only case i ^ 1,
     its pair's other case, may be alive: every case of an earlier pair must be gone."""
@@ -565,7 +577,7 @@ def test_phantom_frees_each_case_before_the_next(tmp_path, spec_file, monkeypatc
 
 
 def test_phantom_frees_each_case_while_the_worker_runs_ahead(tmp_path, spec_file,
-                                                            monkeypatch):
+                                                            monkeypatch, paired):
     """The worker may make case 2k + 1 before the main thread asks for case 2k; then
     case 2k + 1 may be alive, and still no case of an earlier pair."""
     alive = _alive_when_requested(tmp_path / "c", spec_file, monkeypatch, worker_first=True)
@@ -575,7 +587,7 @@ def test_phantom_frees_each_case_while_the_worker_runs_ahead(tmp_path, spec_file
 
 @pytest.mark.parametrize("fail_at, error_of", [({2}, 2), ({3}, 3), ({2, 3}, 2)])
 def test_phantom_failing_pair_raises_its_lowest_error_and_starts_no_later_case(
-        tmp_path, spec_file, capsys, monkeypatch, fail_at, error_of):
+        tmp_path, spec_file, capsys, monkeypatch, paired, fail_at, error_of):
     """A pair in which a case fails waits for its other case, then raises the error of
     its lower failing index: no later case starts, and no manifest is written."""
     from lungcover import cli
@@ -600,6 +612,61 @@ def test_phantom_failing_pair_raises_its_lowest_error_and_starts_no_later_case(
     assert written == [f"case_{i:03d}" for i in range(4) if i not in fail_at]
     for name in written:
         assert sorted(p.name for p in (out / name).glob("*.json")) == sorted(CASE_FILES)
+
+
+def test_phantom_below_the_floor_frees_each_case_before_the_next(tmp_path, spec_file,
+                                                                 monkeypatch):
+    """One case at a time: when case i is requested, no earlier case is alive."""
+    for index, seen in _alive_when_requested(tmp_path / "c", spec_file, monkeypatch).items():
+        assert seen == [], (index, seen)
+
+
+@pytest.mark.parametrize("fail_at", [0, 2, 3])
+def test_phantom_failing_case_below_the_floor_stops_at_it(tmp_path, spec_file, capsys,
+                                                          monkeypatch, fail_at):
+    """Cases below the size floor run as a plain loop: a failure at case i asks for
+    cases 0..i only, raises that case's error, and writes no manifest."""
+    from lungcover import cli
+    real, asked = cli.cohort_case, []
+
+    def cohort_case(base, index, *args, **kwargs):
+        asked.append(index)
+        if index == fail_at:
+            raise SpecViolation(f"case {index}: made to fail")
+        return real(base, index, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cohort_case", cohort_case)
+    out = tmp_path / "c"
+    assert main(["phantom", "--out", str(out), "--spec", str(spec_file), "--n", "5"]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: SpecViolation: case {fail_at}: made to fail\n"
+    assert printed.out.splitlines() == [f"wrote {out / f'case_{i:03d}'}" for i in range(fail_at)]
+    assert asked == list(range(fail_at + 1))
+    assert not (out / "manifest.json").exists()
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == [f"case_{i:03d}" for i in range(fail_at)]
+
+
+@pytest.mark.parametrize("nz, pair_threads", [(191, 0), (192, 1)])
+def test_phantom_pairs_cases_only_from_the_size_floor(tmp_path, monkeypatch, nz, pair_threads):
+    """A 128 x 128 x 192 int16 volume is 6 MiB, grid._SPLIT_BYTES: two such cases make one
+    pair, with one lungcover-pair thread. One slice fewer, they run one at a time."""
+    import threading
+
+    from lungcover import grid
+    assert 2 * 128 * 128 * 192 == grid._SPLIT_BYTES
+    doc = spec_to_dict(default_spec())
+    doc["geometry"] = {"dims": [128, 128, nz], "spacing_mm": [2.5, 2.5, 2.5]}
+    (tmp_path / "spec.json").write_text(json.dumps(doc), encoding="utf-8")
+    names, real = [], threading.Thread.start
+
+    def start(thread):
+        names.append(thread.name)
+        return real(thread)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert main(["phantom", "--out", str(tmp_path / "c"), "--spec", str(tmp_path / "spec.json"),
+                 "--n", "2", "--quiet"]) == 0
+    assert names == ["lungcover-pair"] * pair_threads
 
 
 def test_phantom_progress_lines_come_in_index_order(tmp_path, spec_file, capsys):

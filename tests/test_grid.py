@@ -408,7 +408,12 @@ class Stop(BaseException):
 
 
 class TestInPairs:
-    """in_pairs runs each pair's upper item in a worker beside its lower one, as a loop would."""
+    """in_pairs runs each pair's upper item in a worker beside its lower one, as a loop would.
+
+    At the size floor items pair; below it they run one at a time in the caller.
+    """
+
+    AT_FLOOR = grid._SPLIT_BYTES
 
     @pytest.fixture
     def started(self, monkeypatch) -> list:
@@ -445,7 +450,8 @@ class TestInPairs:
                 assert begun[item + 1].wait(10)
                 time.sleep(0.01)  # and ends first
             return fn(item)
-        assert list(grid.in_pairs(both_at_once, range(n))) == [10 * i for i in range(n)]
+        pairs = grid.in_pairs(both_at_once, range(n), self.AT_FLOOR)
+        assert list(pairs) == [10 * i for i in range(n)]
         assert sorted(item for item, _ in calls) == list(range(n))
         assert {item for item, ident in calls if ident == here} == set(range(0, n, 2))
         assert len(started) == n // 2
@@ -465,14 +471,14 @@ class TestInPairs:
             finally:
                 ended.append(item)
         with pytest.raises(ValueError, match="^item 0$"):
-            list(grid.in_pairs(slow_upper, [0, 1, 2]))
+            list(grid.in_pairs(slow_upper, [0, 1, 2], self.AT_FLOOR))
         assert sorted(ended) == [0, 1]  # item 1 ended before the error; item 2 never began
         assert threading.active_count() == start
 
     def test_upper_error_comes_after_the_lower_result(self, started):
         start = threading.active_count()
         fn, calls = self.recorded(fails={3})
-        pairs = grid.in_pairs(fn, range(5))
+        pairs = grid.in_pairs(fn, range(5), self.AT_FLOOR)
         assert [next(pairs) for _ in range(3)] == [0, 10, 20]
         assert threading.active_count() == start  # the worker ended before item 2 came
         with pytest.raises(ValueError, match="^item 3$"):
@@ -485,14 +491,14 @@ class TestInPairs:
         start = threading.active_count()
         fn, _ = self.recorded(fails=fails, raises=Stop)
         with pytest.raises(Stop, match=f"^item {min(fails)}$"):
-            list(grid.in_pairs(fn, [0, 1]))
+            list(grid.in_pairs(fn, [0, 1], self.AT_FLOOR))
         assert threading.active_count() == start
 
     @pytest.mark.parametrize("fails", [(), {2}])
     def test_a_lone_item_runs_in_the_caller_and_starts_no_thread(self, fails, started):
         start = threading.active_count()
         fn, calls = self.recorded(fails=fails)
-        pairs = grid.in_pairs(fn, [0, 1, 2])
+        pairs = grid.in_pairs(fn, [0, 1, 2], self.AT_FLOOR)
         assert [next(pairs), next(pairs)] == [0, 10]
         assert len(started) == 1
         if fails:
@@ -503,8 +509,24 @@ class TestInPairs:
         assert calls[-1] == (2, threading.get_ident())
         assert len(calls) == 3 and len(started) == 1
         assert threading.active_count() == start
-        assert list(grid.in_pairs(fn, [1])) == [10]
+        assert list(grid.in_pairs(fn, [1], self.AT_FLOOR)) == [10]
         assert calls[-1] == (1, threading.get_ident()) and len(started) == 1
+
+    @pytest.mark.parametrize("fails", [(), {1}, {2}])
+    def test_below_the_floor_items_run_one_at_a_time_in_the_caller(self, fails, started):
+        """A plain loop: no thread, and an error at item i comes after items 0..i only."""
+        fn, calls = self.recorded(fails=fails)
+        pairs = grid.in_pairs(fn, range(4), self.AT_FLOOR - 1)
+        if fails:
+            (at,) = fails
+            assert [next(pairs) for _ in range(at)] == [10 * i for i in range(at)]
+            with pytest.raises(ValueError, match=f"^item {at}$"):
+                next(pairs)
+            assert [item for item, _ in calls] == list(range(at + 1))
+        else:
+            assert list(pairs) == [0, 10, 20, 30]
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert started == []
 
 
 class TestTwoHalves:

@@ -253,17 +253,55 @@ print(json.dumps({"result": result, "grown": grown}))
 """
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports this lungcover."""
+    src = str(Path(grid.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _resident_growth(step: str, *headers) -> dict:
     """_RESIDENT_PROBE's record, from a fresh interpreter.
 
     In a fresh process the growth depends on nothing that ran before it,
     such as which tests ran first and what their heaps left resident.
     """
-    src = str(Path(grid.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _RESIDENT_PROBE, step, *map(str, headers)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_child_env(), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+# Run by _peak_growth in a child of a bare launcher: load the masks at the given headers,
+# count each one's columns, and print how far that raised the child's peak resident set
+# (ru_maxrss, KiB on Linux), in bytes, and the largest column count of each mask.
+_PEAK_PROBE = """
+import json, resource, sys
+from lungcover.io import load_mask3d
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+masks = [load_mask3d(header) for header in sys.argv[1:]]
+before = peak()
+counts = [mask.column_counts for mask in masks]
+print(json.dumps({"grown": peak() - before, "max": [int(c.max()) for c in counts]}))
+"""
+
+# Spawns its arguments from a Python that imports only os and sys, as CI's memory step does:
+# a child's ru_maxrss starts at its spawner's peak (exec keeps the peak of the address space
+# it replaces), so a child of pytest itself would start above anything the probe reaches.
+_BARE_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def _peak_growth(*headers) -> dict:
+    """_PEAK_PROBE's record, from a fresh interpreter spawned by _BARE_LAUNCHER."""
+    done = subprocess.run([sys.executable, "-c", _BARE_LAUNCHER, "-c", _PEAK_PROBE,
+                           *map(str, headers)], env=_child_env(), capture_output=True,
+                          text=True, check=True)
     return json.loads(done.stdout)
 
 
@@ -390,6 +428,27 @@ class TestPackedMask3D:
         assert record["result"] == [0.5, 2 / 6]  # |A| = |B| = 4 bits a byte, |A&B| = 2
         (grown,) = record["grown"]
         assert grown < 2 * 2 ** 20, grown
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB (Linux)")
+    def test_counting_loaded_masks_peaks_below_a_popcount_per_chunk(self, tmp_path):
+        """Counting 4 loaded CT-grid truth masks raises the peak by < 3.6 MiB, the median of 3.
+
+        Each z-half (grid.fold_y) reads its chunks into one 512 KiB buffer
+        and popcounts them into one more, and the 4 counts kept take 0.95
+        MiB. One fresh interpreter, spawned by a bare launcher, read
+        2.78-3.51 MiB (median 3.35, 60 runs). With a new 512 KiB popcount
+        array for every chunk, where the last one is still held while the
+        next is made, it read 2.85-4.43 MiB (median 3.8, 26 of 30 runs at
+        3.6 or more). The median of 3 runs keeps one run's spread out of
+        the verdict.
+        """
+        g = GridGeometry(512, 512, 244, 0.66, 0.66, 1.25)
+        save_mask3d(Mask3D.from_packed(g, np.full(g.packed_zyx, 0x5A, np.uint8), "right"),
+                    tmp_path / "m.json")
+        records = [_peak_growth(*[tmp_path / "m.json"] * 4) for _ in range(3)]
+        assert all(record["max"] == [4 * 64] * 4 for record in records)
+        grown = sorted(record["grown"] for record in records)
+        assert grown[1] < 3.6 * 2 ** 20, grown
 
     def test_legacy_u8_payload_loads_as_the_same_mask(self, tmp_path, rng, legacy_u8):
         g = GridGeometry(nx=7, ny=13, nz=6, sx=1.0, sy=2.0, sz=3.0)
