@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Wall time, peak memory and CPU time of fresh `lungcover` processes, for two source trees.
+"""Wall time, peak memory, CPU time and context switches of fresh `lungcover` processes.
 
-Run from the repository root, naming the `src` directory of each tree:
+Compares two source trees. Run from the repository root, naming the `src` directory
+of each tree:
 
     python scripts/fresh_times.py --a ../parent/src --b src --rounds 21
 
@@ -15,11 +16,12 @@ PYTHONDONTWRITEBYTECODE=1 every process also compiles each module it
 loads. Prints one markdown row per command: each tree's median and
 quartiles of the wall time, the change of the medians, and the rounds in
 which b was faster; then each tree's median peak resident set
-(ru_maxrss) and user + system CPU time, both from os.wait4's rusage of
-the child alone. A spawned child's ru_maxrss starts at its spawner's
-peak (exec keeps the peak of the address space it replaces), so the
-script also prints its own peak: a row that reads no more than that
-peaked no higher.
+(ru_maxrss), user + system CPU time and voluntary context switches
+(ru_nvcsw: each wait of a thread for a lock, a disk or another thread),
+all from os.wait4's rusage of the child alone. A spawned child's
+ru_maxrss starts at its spawner's peak (exec keeps the peak of the
+address space it replaces), so the script also prints its own peak: a
+row that reads no more than that peaked no higher.
 """
 
 from __future__ import annotations
@@ -49,15 +51,16 @@ def commands(tmp: Path) -> dict[str, list[str]]:
     }
 
 
-def run(src: Path, argv: list[str]) -> tuple[float, float, float]:
-    """Wall time (s), ru_maxrss (MB) and user + system CPU time (s) of one child."""
+def run(src: Path, argv: list[str]) -> tuple[float, float, float, int]:
+    """Wall time (s), ru_maxrss (MB), user + system CPU time (s) and ru_nvcsw of one child."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
     start = time.perf_counter()
     pid = os.posix_spawn(argv[0], argv, env, file_actions=quiet)
     _, _, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
-    return wall, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime  # KiB on Linux
+    return (wall, usage.ru_maxrss / 1024,  # KiB on Linux
+            usage.ru_utime + usage.ru_stime, usage.ru_nvcsw)
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -85,16 +88,17 @@ def main() -> int:
                     runs[name][side].append(run(getattr(args, side), argv))
 
     print("| fresh process | a: median [q1–q3] s | b: median [q1–q3] s | b vs a | b faster "
-          "| a / b: ru_maxrss MB | a / b: user+sys s |")
-    print("|---|---|---|---|---|---|---|")
+          "| a / b: ru_maxrss MB | a / b: user+sys s | a / b: ru_nvcsw |")
+    print("|---|---|---|---|---|---|---|---|")
     for name, r in runs.items():
-        (wall_a, rss_a, cpu_a), (wall_b, rss_b, cpu_b) = zip(*r["a"]), zip(*r["b"])
+        (wall_a, rss_a, cpu_a, csw_a), (wall_b, rss_b, cpu_b, csw_b) = zip(*r["a"]), zip(*r["b"])
         (a1, a2, a3), (b1, b2, b3) = quartiles(wall_a), quartiles(wall_b)
         faster = sum(b < a for a, b in zip(wall_a, wall_b))
         print(f"| {name} | {a2:.3f} [{a1:.3f}–{a3:.3f}] | {b2:.3f} [{b1:.3f}–{b3:.3f}] "
               f"| {100 * (b2 - a2) / a2:+.1f} % | {faster}/{args.rounds} "
               f"| {statistics.median(rss_a):.1f} / {statistics.median(rss_b):.1f} "
-              f"| {statistics.median(cpu_a):.3f} / {statistics.median(cpu_b):.3f} |")
+              f"| {statistics.median(cpu_a):.3f} / {statistics.median(cpu_b):.3f} "
+              f"| {statistics.median(csw_a):.0f} / {statistics.median(csw_b):.0f} |")
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\nThis script peaked at {own:.1f} MB ru_maxrss, the floor of every child's reading.")
     return 0

@@ -37,6 +37,7 @@ from pathlib import Path
 from .errors import IoFailure, LungCoverError, MalformedHeader, SpecViolation, ValidationError
 from .grid import LABELS, in_pairs
 from .io import (
+    EarlyTemps,
     load_mask,
     load_mask2d,
     load_mask3d,
@@ -114,25 +115,39 @@ def _load_spec(name_or_path: str, seed: int, jitter_px: int | None):
     return spec
 
 
-def _phantom_case(args, base, out: Path, index: int) -> dict:
+# The headers of a case's seven files, in the order _phantom_case writes them.
+_CASE_HEADERS = ("volume.json", "truth_right.json", "truth_left.json", "sota2d_right.json",
+                 "sota2d_left.json", "annot2_right.json", "annot2_left.json")
+
+
+def _case_temps(out: Path, index: int) -> EarlyTemps:
+    """The temp files of case index's seven headers and payloads: cmd_phantom's ahead step.
+
+    It calls none of the names bench/tracing.py wraps, so a worker thread may run it.
+    """
+    return EarlyTemps(out / f"case_{index:03d}" / name for name in _CASE_HEADERS)
+
+
+def _phantom_case(args, base, out: Path, index: int, temps: EarlyTemps | None) -> dict:
     """Make case index of the cohort, write its seven files, and return its manifest entry.
 
-    cmd_phantom's item of grid.in_pairs: in this thread one case at a time, or
-    one case of a pair in either thread. The case, its 2D masks and its lungs'
+    cmd_phantom's item of grid.in_pairs: in this thread one case at a time,
+    each save writing into its file's temp file in temps (_case_temps, made
+    by the ahead worker), or one case of a pair in either thread, temps None
+    and each save creating its own. The case, its 2D masks and its lungs'
     and heart's sorted columns are freed on return; the torso's and domes'
     sorted columns outlive it, shared by the cohort (phantom._sort_solid).
     """
     from .phantom import spec_to_dict
     case = cohort_case(base, index, args.seed, args.perturb_pct)
     case_id = f"case_{index:03d}"
-    case_dir = out / case_id
-    save_volume(case.volume, case_dir / "volume.json")
-    save_mask3d(case.truth_right, case_dir / "truth_right.json")
-    save_mask3d(case.truth_left, case_dir / "truth_left.json")
-    save_mask2d(case.sota2d_right, case_dir / "sota2d_right.json")
-    save_mask2d(case.sota2d_left, case_dir / "sota2d_left.json")
-    save_mask2d(case.annot2_right, case_dir / "annot2_right.json")
-    save_mask2d(case.annot2_left, case_dir / "annot2_left.json")
+    volume, truth_right, truth_left, *masks2d = (out / case_id / name for name in _CASE_HEADERS)
+    save_volume(case.volume, volume, temps)
+    save_mask3d(case.truth_right, truth_right, temps)
+    save_mask3d(case.truth_left, truth_left, temps)
+    for mask, path in zip((case.sota2d_right, case.sota2d_left, case.annot2_right,
+                           case.annot2_left), masks2d):
+        save_mask2d(mask, path, temps)
     return {
         "case_id": case_id,
         "dir": case_id,
@@ -155,16 +170,21 @@ def cmd_phantom(args) -> int:
     Below it (a 4 MiB case of the 128^3 desk grid, every test grid), the
     cases are made one at a time in this thread: paired, the 55-case desk
     cohort took a third more CPU time and ~1.4 MB more peak (the worker's
-    malloc arena), for a wall time within ~10 % either way. Every case
+    malloc arena), for a wall time within ~10 % either way. There
+    in_pairs' one ahead worker creates case i + 1's directory and temp
+    files (_case_temps) while this thread paints and writes case i, which
+    hides the ~40 % of a desk phantom that creating files took. Every case
     depends only on its index, so each file's bytes, the manifest's
     entries and the ``wrote`` lines are the same either way, in index
     order.
 
     A failing case ends the command with its error, and no later case
     starts and no manifest is written. One at a time, the cases written
-    are those below it. In a pair, the other case is waited for, the error
-    of the lower failing index is raised, and the other case, if it did
-    not fail, stays written too.
+    are those below it; the failing case keeps the files it finished, and
+    the temp files made ahead for it and the next case are removed, with
+    each directory that held nothing else. In a pair, the other case is
+    waited for, the error of the lower failing index is raised, and the
+    other case, if it did not fail, stays written too.
     """
     from .phantom import spec_to_dict
     if args.n < 1:
@@ -173,7 +193,8 @@ def cmd_phantom(args) -> int:
     out = Path(args.out)
     entries = []
     make = functools.partial(_phantom_case, args, base, out)
-    for entry in in_pairs(make, range(args.n), 2 * base.geometry.voxel_count):
+    for entry in in_pairs(make, range(args.n), 2 * base.geometry.voxel_count,
+                          functools.partial(_case_temps, out)):
         entries.append(entry)
         _say(args, f"wrote {out / entry['dir']}")
     manifest = {

@@ -32,7 +32,7 @@ in_pairs. A painter paints each slice from the one before it, so it is
 not seekable, and its array is folded in one pass; so is a smaller
 array.
 
-in_pairs is the one runner of two jobs at once, and _paired is its one
+in_pairs is the one place a thread starts, and _paired is its one
 floor, _SPLIT_BYTES (6 MiB): two items run at once, on two cores, only
 when each streams at least that many bytes. It has two users, fold_y's
 z-halves and the phantom command's cases. So a CT-grid volume or truth
@@ -40,7 +40,10 @@ mask is folded in two threads, and CT-grid cases are made two at a
 time. Every array and case of a 128^3 desk cohort is made or folded
 whole, one at a time, in the caller's thread: there a thread start, a
 second buffer and a second malloc arena cost more than a second core
-saves.
+saves. A caller may give in_pairs an ahead step, as the phantom command
+does to create a case's temp files: below the floor one worker thread
+runs it one item ahead of the caller, so the next case's files are
+created while this one paints.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import reprlib
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -116,7 +119,12 @@ _CHUNK_BYTES = 1 << 19
 #   time: paired, their worker threads' malloc arena raised the peak by ~1.4 MB, at
 #   a third more CPU time and ~18 K context switches, for a wall time within ~10 %
 #   either way (BENCH_31.json). At 32 MB (256 x 256 x 244) pairing was even in wall
-#   time and cost ~1.6 MB of peak.
+#   time and cost ~1.6 MB of peak. Below the floor, the one worker of the command's
+#   ahead step creates case i + 1's directory and 14 temp files while case i paints:
+#   creating files took ~40 % of a desk phantom on an ext4 VM disk, and hiding it cut
+#   `desk` phantom_s 34 % (BENCH_33.json). At or above the floor each case of a pair
+#   creates its own, with no third thread, whose malloc arena was measured to raise
+#   `ct` peak_rss_mb by ~2 MB.
 _SPLIT_BYTES = 6 << 20
 
 
@@ -235,7 +243,7 @@ def sum_y(chunks, out: np.ndarray, folds: int = 0) -> np.ndarray:
     return out
 
 
-def in_pairs(fn, items, nbytes: int):
+def in_pairs(fn, items, nbytes: int, ahead=None):
     """Yield fn(item) for each item of a sequence in order, two at once if _paired(nbytes).
 
     nbytes is what one item streams: a phantom case's volume, or the whole
@@ -245,7 +253,22 @@ def in_pairs(fn, items, nbytes: int):
     either result is yielded. The error is a plain loop's: the lower item's
     if it raises, else the upper item's, raised after the lower result is
     yielded.
+
+    An ahead step is work that fn(item, value) would otherwise do itself,
+    which ahead(item) does beforehand and returns as value. Below the floor,
+    one worker thread (_one_ahead) runs the ahead steps in item order, at
+    most one item ahead: ahead(items[i + 1]) runs while fn(items[i],
+    value) runs in this thread. Each value is closed (its close()) once fn
+    ends or raises with it, or once its item is known never to run; an
+    error of ahead(items[i]) is raised after items < i are yielded, as a
+    plain loop would raise it. At or above the floor, where there are two
+    threads already, no ahead step runs: fn(item, None) does the work.
     """
+    if ahead is not None:
+        if not _paired(nbytes):
+            yield from _one_ahead(fn, ahead, items)
+            return
+        fn = partial(_without_ahead, fn)
     if not _paired(nbytes):
         yield from map(fn, items)
         return
@@ -270,6 +293,58 @@ def in_pairs(fn, items, nbytes: int):
         if failed:
             raise failed[0]
         yield from upper
+
+
+def _without_ahead(fn, item):
+    """fn(item, None): an item at or above the floor, which does its ahead step's work itself."""
+    return fn(item, None)
+
+
+def _one_ahead(fn, ahead, items):
+    """in_pairs' loop below the floor with an ahead step, which one worker runs one item ahead.
+
+    The worker appends each item's (ahead(item), None) to ready, or
+    (None, error) and stops; this thread takes them in item order. An
+    item's value stays first in ready until its fn returns, so once the
+    worker has ended, each value still in ready (a failed item's and the
+    one made for the item after it) is closed, the later one first.
+    """
+    ready, made, wanted = [], threading.Semaphore(0), threading.Semaphore(1)
+    stopped = False
+
+    def run() -> None:
+        for item in items:
+            wanted.acquire()  # once per item this thread has taken, and once to start
+            if stopped:
+                return
+            try:
+                ready.append((ahead(item), None))
+            except BaseException as exc:  # raised in the caller's thread, at its item
+                ready.append((None, exc))
+                return
+            finally:
+                made.release()
+
+    worker = threading.Thread(target=run, name="lungcover-ahead")
+    worker.start()
+    try:
+        for item in items:
+            made.acquire()
+            prepared, error = ready[0]
+            if error is not None:
+                raise error
+            wanted.release()  # the worker prepares the next item while fn runs
+            result = fn(item, prepared)
+            ready.pop(0)
+            prepared.close()
+            yield result
+    finally:
+        stopped = True
+        wanted.release()
+        worker.join()
+        for prepared, _ in reversed(ready):
+            if prepared is not None:
+                prepared.close()
 
 
 def fold_y(arrays, out: np.ndarray, op=None, folds: int = 0) -> np.ndarray:

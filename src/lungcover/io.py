@@ -24,6 +24,14 @@ MalformedHeader.
 
 Writes are atomic (temp file in the target directory, then rename) and
 contain no timestamps, so identical inputs produce byte-identical files.
+A save may be handed its temp files made early (EarlyTemps): the phantom
+command has one thread create a case's directory and its 14 temp files
+(7 payloads, 7 headers) while the case before it paints, since creating
+a file costs about as much as writing it. Its saves then write and
+rename them as they would their own. So while a case paints, the next
+case's temp files exist: a process killed then can leave
+``<name>.<12 hex digits>`` temp files in the case's directory and in at
+most the next case's. A case that fails leaves none (EarlyTemps.close).
 A CSV table (write_csv) is RFC 4180 (CRLF, minimal quoting), with a '.'
 decimal point and 6 significant digits per float.
 A payload is written from an iterable of buffers, one after another: a
@@ -96,19 +104,100 @@ def _create_temp(path: Path) -> tuple[int, Path]:
             continue
 
 
-def _atomic_write_bytes(path: Path, chunks: Iterable) -> None:
+def _make_dirs(directory: Path) -> list[Path]:
+    """Make directory and its missing parents; return the ones made, outermost first."""
+    try:
+        os.mkdir(directory)
+    except FileExistsError:  # a file there fails the create that follows
+        return []
+    except FileNotFoundError:
+        made = _make_dirs(directory.parent)
+        try:
+            os.mkdir(directory)
+        except FileExistsError:
+            return made
+    else:
+        made = []
+    return made + [directory]
+
+
+def _new_temp(path: Path) -> tuple[int, Path, list[Path]]:
+    """_create_temp(path), and the directories made for it: only if the create fails for want of one.
+
+    So a cohort's files cost no mkdir each.
+    """
+    try:
+        return *_create_temp(path), []
+    except FileNotFoundError:
+        made = _make_dirs(path.parent)
+        return *_create_temp(path), made
+
+
+def _payload_path(header: Path) -> Path:
+    """Where _save writes the payload of the header at ``header``: beside it, as <stem>.raw."""
+    return header.with_name(header.stem + ".raw")
+
+
+class EarlyTemps:
+    """The temp files of some headers and their payloads, made before the saves that write them.
+
+    ``EarlyTemps(headers)`` creates, for each header path, the temp file of
+    its payload (``<stem>.raw``) and of the header, as _atomic_write_bytes
+    would, making their directory if it is missing. A save given this
+    object (save_volume, save_mask3d, save_mask2d) takes the temp file of
+    each path it writes, writes it and renames it, as it would its own.
+    close() closes and removes every temp file no save took, and the
+    directories made here too if no save took one, so a case that fails
+    before its first save leaves what it would have left without them.
+    A failure to create them is an IoFailure naming the path, and leaves
+    nothing.
+    """
+
+    def __init__(self, headers: Iterable[Path]):
+        self._files: dict[Path, tuple[int, Path]] = {}
+        self._made: list[Path] = []
+        self._taken = False
+        try:
+            for header in map(Path, headers):
+                for path in (_payload_path(header), header):
+                    fd, tmp, made = _new_temp(path)
+                    self._files[path] = fd, tmp
+                    self._made += made
+        except OSError as exc:
+            self.close()
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+    def take(self, path: Path) -> tuple[int, Path] | None:
+        """The descriptor and name of path's temp file, which the caller now owns; None if none."""
+        early = self._files.pop(path, None)
+        self._taken = self._taken or early is not None
+        return early
+
+    def close(self) -> None:
+        """Close and remove the temp files not taken, and, if none was, the directories made."""
+        while self._files:
+            fd, tmp = self._files.popitem()[1]
+            os.close(fd)
+            os.unlink(tmp)
+        if not self._taken:
+            for directory in reversed(self._made):
+                try:
+                    os.rmdir(directory)
+                except OSError:  # it holds what another case wrote
+                    break
+        self._made = []
+
+
+def _atomic_write_bytes(path: Path, chunks: Iterable, temps: EarlyTemps | None = None) -> None:
     """Write each buffer of chunks, in order, to a temp file beside path; then rename it to path.
 
-    path's directory is made only when the temp file cannot be created
-    for want of it, so a cohort's files cost no mkdir each.
+    The temp file is path's in temps, if it has one, else a new one;
+    path's directory is made only when it cannot be created for want of it.
     """
     path = Path(path)
     try:
-        try:
-            fd, tmp = _create_temp(path)
-        except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = _create_temp(path)
+        early = temps.take(path) if temps is not None else None
+        fd, tmp = early if early is not None else _new_temp(path)[:2]
         try:
             with os.fdopen(fd, "wb", buffering=0) as fh:
                 for chunk in chunks:
@@ -233,18 +322,21 @@ def _load(path: str | Path, dtypes: dict[int, tuple[str, ...]], labeled: bool):
 
 
 def _save(path: str | Path, chunks: Iterable[np.ndarray], dims, spacing, dtype: str,
-          label: str | None = None) -> None:
-    """The only header writer: the payload first, chunk by chunk, then the header that names it."""
+          label: str | None, temps: EarlyTemps | None) -> None:
+    """The only header writer: the payload first, chunk by chunk, then the header that names it.
+
+    Each is written into its temp file in temps, if it has one (EarlyTemps).
+    """
     path = Path(path)
-    data_name = path.stem + ".raw"
+    data_path = _payload_path(path)
     header = {"dims": [int(n) for n in dims], "spacing_mm": [float(s) for s in spacing],
-              "dtype": dtype, "data": data_name}
+              "dtype": dtype, "data": data_path.name}
     if label is not None:
         header["label"] = label
     # copies only on a big-endian host
-    _atomic_write_bytes(path.parent / data_name,
-                        (np.ascontiguousarray(c, dtype=_DTYPES[dtype]) for c in chunks))
-    _atomic_write_bytes(path, (_header_to_json(header),))
+    _atomic_write_bytes(data_path,
+                        (np.ascontiguousarray(c, dtype=_DTYPES[dtype]) for c in chunks), temps)
+    _atomic_write_bytes(path, (_header_to_json(header),), temps)
 
 
 def _check_bits(path: Path, array: np.ndarray) -> None:
@@ -314,21 +406,24 @@ def load_mask(path: str | Path) -> Mask2D | Mask3D:
     return _load_mask(path, (2, 3))
 
 
-def save_volume(volume: VoxelVolume, path: str | Path) -> None:
-    """Write a volume from its z-chunks: a loaded one, or a phantom's, painted as it is written."""
+def save_volume(volume: VoxelVolume, path: str | Path, temps: EarlyTemps | None = None) -> None:
+    """Write a volume from its z-chunks: a loaded one, or a phantom's, painted as it is written.
+
+    temps: EarlyTemps holding the temp files to write, if they were made early.
+    """
     g = volume.geometry
-    _save(path, volume.chunks(), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "i16le")
+    _save(path, volume.chunks(), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "i16le", None, temps)
 
 
-def save_mask3d(mask: Mask3D, path: str | Path) -> None:
+def save_mask3d(mask: Mask3D, path: str | Path, temps: EarlyTemps | None = None) -> None:
     """Write a 3D mask from its packed z-chunks: a phantom's truth mask is painted as written."""
     g = mask.geometry
-    _save(path, mask.chunks(), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label)
+    _save(path, mask.chunks(), (g.nx, g.ny, g.nz), (g.sx, g.sy, g.sz), "u1y", mask.label, temps)
 
 
-def save_mask2d(mask: Mask2D, path: str | Path) -> None:
+def save_mask2d(mask: Mask2D, path: str | Path, temps: EarlyTemps | None = None) -> None:
     _save(path, (mask.bits.view(np.uint8),), (mask.nx, mask.nz), (mask.sx, mask.sz), "u8",
-          mask.label)
+          mask.label, temps)
 
 
 # --- PGM --------------------------------------------------------------------

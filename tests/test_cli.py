@@ -50,6 +50,10 @@ NESTED = "[" * 100_000 + "]" * 100_000
 CASE_FILES = ("volume.json", "truth_right.json", "truth_left.json",
               "sota2d_right.json", "sota2d_left.json",
               "annot2_right.json", "annot2_left.json")
+RAW_FILES = tuple(name.replace(".json", ".raw") for name in CASE_FILES)
+
+# The name of a temp file beside its target (io._create_temp): <name>.<12 hex digits>.
+TEMP_NAME = re.compile(r"\.[0-9a-f]{12}$")
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,14 @@ def cohort(tmp_path_factory, spec_file) -> Path:
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _case_files(out: Path) -> dict[str, list[str]]:
+    """Each directory under out -> the names of its files; no temp file may be left anywhere."""
+    if not out.exists():
+        return {}
+    assert [p for p in out.rglob("*") if TEMP_NAME.search(p.name)] == []
+    return {d.name: sorted(p.name for p in d.iterdir()) for d in out.iterdir() if d.is_dir()}
 
 
 def one_error_line(capsys) -> str:
@@ -621,36 +633,83 @@ def test_phantom_below_the_floor_frees_each_case_before_the_next(tmp_path, spec_
         assert seen == [], (index, seen)
 
 
+def _await_the_next_case(out: Path, index: int) -> None:
+    """Wait until the worker has begun the next case's temp files, as it does while case
+    index runs; the case then fails with them made."""
+    deadline = time.monotonic() + 10
+    while not (out / f"case_{index + 1:03d}").exists():
+        assert time.monotonic() < deadline, f"case {index + 1} was not begun ahead"
+        time.sleep(0.001)
+
+
 @pytest.mark.parametrize("fail_at", [0, 2, 3])
 def test_phantom_failing_case_below_the_floor_stops_at_it(tmp_path, spec_file, capsys,
                                                           monkeypatch, fail_at):
-    """Cases below the size floor run as a plain loop: a failure at case i asks for
-    cases 0..i only, raises that case's error, and writes no manifest."""
+    """Cases below the size floor run one at a time: a failure at case i asks for cases
+    0..i only, raises that case's error, and writes no manifest. The temp files made
+    ahead for cases i and i + 1 are removed, with their directories."""
     from lungcover import cli
-    real, asked = cli.cohort_case, []
+    real, asked, out = cli.cohort_case, [], tmp_path / "c"
 
     def cohort_case(base, index, *args, **kwargs):
         asked.append(index)
         if index == fail_at:
+            _await_the_next_case(out, index)
             raise SpecViolation(f"case {index}: made to fail")
         return real(base, index, *args, **kwargs)
 
     monkeypatch.setattr(cli, "cohort_case", cohort_case)
-    out = tmp_path / "c"
     assert main(["phantom", "--out", str(out), "--spec", str(spec_file), "--n", "5"]) == 1
     printed = capsys.readouterr()
     assert printed.err == f"error: SpecViolation: case {fail_at}: made to fail\n"
     assert printed.out.splitlines() == [f"wrote {out / f'case_{i:03d}'}" for i in range(fail_at)]
     assert asked == list(range(fail_at + 1))
     assert not (out / "manifest.json").exists()
-    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert written == [f"case_{i:03d}" for i in range(fail_at)]
+    # the temp files made ahead for cases fail_at and fail_at + 1 are gone, with their
+    # directories, and --out too if no case was written
+    assert out.exists() == bool(fail_at)
+    assert _case_files(out) == {f"case_{i:03d}": sorted(CASE_FILES + RAW_FILES)
+                                for i in range(fail_at)}
+
+
+@pytest.mark.parametrize("fail_at", [0, 2, 3])
+def test_phantom_failing_write_below_the_floor_stops_at_it(tmp_path, spec_file, capsys,
+                                                           monkeypatch, fail_at):
+    """The disk fills up while case i writes its left truth mask: the error is one IoFailure
+    line, case i keeps the files it renamed before the failure, as a case that makes its
+    own temp files would, and no temp file or later case's directory is left."""
+    from lungcover import io as lc_io
+    out, real = tmp_path / "c", lc_io._atomic_write_bytes
+    failing = out / f"case_{fail_at:03d}" / "truth_left.raw"
+
+    def first_chunk_then_full(chunks):
+        yield next(iter(chunks))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def atomic_write_bytes(path, chunks, temps=None):
+        if path == failing:
+            _await_the_next_case(out, fail_at)
+            chunks = first_chunk_then_full(chunks)
+        return real(path, chunks, temps)
+
+    monkeypatch.setattr(lc_io, "_atomic_write_bytes", atomic_write_bytes)
+    assert main(["phantom", "--out", str(out), "--spec", str(spec_file), "--n", "5"]) == 2
+    printed = capsys.readouterr()
+    assert printed.err == (f"error: IoFailure: cannot write {failing}: [Errno {errno.ENOSPC}] "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+    assert printed.out.splitlines() == [f"wrote {out / f'case_{i:03d}'}" for i in range(fail_at)]
+    assert not (out / "manifest.json").exists()
+    files = {f"case_{i:03d}": sorted(CASE_FILES + RAW_FILES) for i in range(fail_at)}
+    files[f"case_{fail_at:03d}"] = ["truth_right.json", "truth_right.raw",
+                                    "volume.json", "volume.raw"]
+    assert _case_files(out) == files
 
 
 @pytest.mark.parametrize("nz, pair_threads", [(191, 0), (192, 1)])
 def test_phantom_pairs_cases_only_from_the_size_floor(tmp_path, monkeypatch, nz, pair_threads):
     """A 128 x 128 x 192 int16 volume is 6 MiB, grid._SPLIT_BYTES: two such cases make one
-    pair, with one lungcover-pair thread. One slice fewer, they run one at a time."""
+    pair, with one lungcover-pair thread and no other. One slice fewer, they run one at a
+    time, and one lungcover-ahead thread makes each case's temp files."""
     import threading
 
     from lungcover import grid
@@ -666,7 +725,7 @@ def test_phantom_pairs_cases_only_from_the_size_floor(tmp_path, monkeypatch, nz,
     monkeypatch.setattr(threading.Thread, "start", start)
     assert main(["phantom", "--out", str(tmp_path / "c"), "--spec", str(tmp_path / "spec.json"),
                  "--n", "2", "--quiet"]) == 0
-    assert names == ["lungcover-pair"] * pair_threads
+    assert names == (["lungcover-pair"] if pair_threads else ["lungcover-ahead"])
 
 
 def test_phantom_progress_lines_come_in_index_order(tmp_path, spec_file, capsys):

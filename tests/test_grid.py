@@ -512,6 +512,117 @@ class TestInPairs:
         assert list(grid.in_pairs(fn, [1], self.AT_FLOOR)) == [10]
         assert calls[-1] == (1, threading.get_ident()) and len(started) == 1
 
+    class Prepared:
+        """An ahead step's value for item: close() appends item to closed."""
+
+        def __init__(self, item, closed: list):
+            self.item, self.closed = item, closed
+
+        def close(self) -> None:
+            self.closed.append(self.item)
+
+    def ahead_steps(self, fails=()):
+        """ahead for in_pairs, its log of ("ahead", item, thread ident), and the closed items."""
+        log, closed = [], []
+
+        def ahead(item):
+            log.append(("ahead", item, threading.get_ident()))
+            if item in fails:
+                raise ValueError(f"ahead {item}")
+            return self.Prepared(item, closed)
+        return ahead, log, closed
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_below_the_floor_one_worker_runs_the_ahead_steps_one_item_ahead(self, n, started):
+        """One lungcover-ahead thread runs ahead(i + 1) while fn(i) runs in the caller, and
+        never ahead(i + 2) before fn(i) ends."""
+        start, here = threading.active_count(), threading.get_ident()
+        ahead, log, closed = self.ahead_steps()
+        made = [threading.Event() for _ in range(n + 1)]
+
+        def tracked(item):
+            value = ahead(item)
+            made[item].set()
+            return value
+
+        def fn(item, prepared):
+            assert prepared.item == item and prepared.closed == list(range(item))
+            log.append(("fn", item, threading.get_ident()))
+            if item + 1 < n:  # the next item's step runs meanwhile
+                assert made[item + 1].wait(10)
+            time.sleep(0.02)  # room for a step two items ahead, which must not come
+            log.append(("end", item, threading.get_ident()))
+            return 10 * item
+        assert list(grid.in_pairs(fn, range(n), self.AT_FLOOR - 1, tracked)) == [
+            10 * i for i in range(n)]
+        assert started == ["lungcover-ahead"]
+        steps = [(item, ident) for kind, item, ident in log if kind == "ahead"]
+        assert [item for item, _ in steps] == list(range(n))
+        assert len({ident for _, ident in steps}) == 1 and steps[0][1] != here
+        assert {ident for kind, _, ident in log if kind != "ahead"} == {here}
+        for k in range(2, n):  # ahead(k) comes after fn(k - 2) ended
+            assert log.index(("end", k - 2, here)) < log.index(("ahead", k, steps[0][1]))
+        assert closed == list(range(n))
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_an_ahead_error_is_raised_at_its_item(self, at, started):
+        """ahead(items[i]) raising: items < i are yielded first, fn(items[i]) never runs, no
+        later step runs, and the values made are closed."""
+        start = threading.active_count()
+        ahead, log, closed = self.ahead_steps(fails={at})
+        fn, calls = self.recorded()
+        pairs = grid.in_pairs(lambda item, prepared: fn(item), range(5), self.AT_FLOOR - 1,
+                              ahead)
+        assert [next(pairs) for _ in range(at)] == [10 * i for i in range(at)]
+        with pytest.raises(ValueError, match=f"^ahead {at}$"):
+            next(pairs)
+        assert [item for item, _ in calls] == list(range(at))
+        assert [item for _, item, _ in log] == list(range(at + 1))
+        assert closed == list(range(at))
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("exc", [ValueError, Stop])
+    def test_a_failing_item_closes_its_value_after_the_next_items(self, exc, started):
+        """fn(items[1]) raising: the worker ends, then the value made ahead for items[2] is
+        closed, then items[1]'s; no later step runs."""
+        start = threading.active_count()
+        ahead, log, closed = self.ahead_steps()
+        fn, _ = self.recorded(fails={1}, raises=exc)
+
+        def fn_after_the_next_step(item, prepared):
+            deadline = time.monotonic() + 10
+            while len(log) < item + 2:  # until ahead(item + 1) has begun
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            return fn(item)
+        with pytest.raises(exc, match="^item 1$"):
+            list(grid.in_pairs(fn_after_the_next_step, range(5), self.AT_FLOOR - 1, ahead))
+        assert [item for _, item, _ in log] == [0, 1, 2]
+        assert closed == [0, 2, 1]
+        assert threading.active_count() == start
+
+    def test_an_abandoned_loop_closes_the_value_made_ahead(self, started):
+        start = threading.active_count()
+        ahead, log, closed = self.ahead_steps()
+        pairs = grid.in_pairs(lambda item, prepared: item, range(5), self.AT_FLOOR - 1, ahead)
+        assert next(pairs) == 0
+        pairs.close()
+        assert closed[0] == 0 and sorted(closed) == [item for _, item, _ in log]
+        assert len(log) <= 2 and threading.active_count() == start
+
+    def test_at_the_floor_no_ahead_step_runs(self, started):
+        """Paired, there is no third thread: fn(item, None) does the ahead step's work."""
+        start = threading.active_count()
+        ahead, log, _ = self.ahead_steps()
+        fn, calls = self.recorded()
+        pairs = grid.in_pairs(lambda item, prepared: fn(item) if prepared is None else None,
+                              range(3), self.AT_FLOOR, ahead)
+        assert list(pairs) == [0, 10, 20]
+        assert log == [] and sorted(item for item, _ in calls) == [0, 1, 2]
+        assert started == ["lungcover-pair"]  # items 0 and 1; item 2 runs in the caller
+        assert threading.active_count() == start
+
     @pytest.mark.parametrize("fails", [(), {1}, {2}])
     def test_below_the_floor_items_run_one_at_a_time_in_the_caller(self, fails, started):
         """A plain loop: no thread, and an error at item i comes after items 0..i only."""
@@ -648,6 +759,25 @@ class TestTwoHalves:
         want = self.fold_error(monkeypatch, volume, split=False)
         got = self.fold_error(monkeypatch, volume, split=True)
         assert type(got) is type(want) is error and str(got) == str(want)
+
+    @pytest.mark.parametrize("kind", ["held", "loaded"])
+    def test_a_seekable_array_below_the_floor_folds_in_one_span(self, tmp_path, kind):
+        """A 128^3 desk volume (4 MiB) is seekable but below grid._SPLIT_BYTES: its fold
+        asks chunks() for one span, [0, nz), not for two z-halves."""
+        g = GridGeometry(128, 128, 128, 2.5, 2.5, 2.5)
+        volume = VoxelVolume(g, np.full(g.shape_zyx, -1000, np.int16))
+        if kind == "loaded":
+            save_volume(volume, tmp_path / "vol.json")
+            volume = load_volume(tmp_path / "vol.json")
+        assert volume._seekable() and 2 * g.voxel_count < grid._SPLIT_BYTES
+        spans, chunks = [], volume.chunks
+
+        def recorded(*span):
+            spans.append(span)
+            return chunks(*span)
+        object.__setattr__(volume, "chunks", recorded)
+        np.testing.assert_array_equal(_column_sums(volume), np.full((128, 128), -128000))
+        assert spans == [(0, 128)]
 
     def test_a_painted_volume_folds_in_one_pass(self, monkeypatch):
         """A painter paints each slice from the one before: it is never split, at any size."""
